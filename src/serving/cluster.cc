@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <array>
 #include <limits>
+#include <map>
 #include <optional>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serving/faults.hh"
@@ -236,11 +239,11 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 constexpr std::uint64_t kProbeStream = 0x0005'0000;
 
 /**
- * One dispatchable copy of a logical request (primary or hedge). Queues
- * hold copies, and a backlogged queue shifts them on every priority
- * insert, so the record is kept to 32 bytes: a 32-bit request id
- * indexes the per-request records, whose memory would run out long
- * before 2^32 requests.
+ * One dispatchable copy of a logical request (primary or hedge). A
+ * backlogged queue holds hundreds of thousands of copies, so the
+ * record is kept to 32 bytes: a 32-bit request id indexes the
+ * per-request records, whose memory would run out long before 2^32
+ * requests.
  */
 struct Copy
 {
@@ -252,6 +255,93 @@ struct Copy
     /** Dispatch priority of the owning class (lower = first). */
     int priority = 0;
     bool hedge = false;
+    /**
+     * The request was hedged when this copy was queued, so a twin may
+     * answer first and cancel it. A request is hedged only while its
+     * one copy runs, so every copy a twin can cancel carries the flag.
+     */
+    bool cancellable = false;
+};
+static_assert(sizeof(Copy) == 32, "a queued copy stays 32 bytes");
+
+/** The FIFO of the most urgent non-empty level in a non-empty queue. */
+template <typename Levels>
+auto&
+headLevel(Levels& levels)
+{
+    auto it = levels.begin();
+    while (it->second.empty())
+        ++it;
+    return it->second;
+}
+
+/**
+ * One replica's queue: a FIFO per priority level, served most urgent
+ * (lowest) level first. Within a level copies keep push order, so the
+ * dispatch order is exactly that of one queue kept sorted by a stable
+ * priority insert, at O(1) per push and pop however deep the backlog.
+ * Priorities are small (0-2 in the named mixes), so there are only a
+ * few levels to walk.
+ */
+class ReplicaQueue
+{
+  public:
+    bool empty() const { return size_ == 0; }
+
+    std::size_t size() const { return size_; }
+
+    void push(const Copy& copy)
+    {
+        levels_[copy.priority].push_back(copy);
+        ++size_;
+        cancellable_ += copy.cancellable ? 1 : 0;
+    }
+
+    /** The next copy to dispatch: the oldest of the most urgent level. */
+    const Copy& front() const { return headLevel(levels_).front(); }
+
+    /** Remove and return the next copy to dispatch. */
+    Copy pop()
+    {
+        std::deque<Copy>& level = headLevel(levels_);
+        const Copy copy = level.front();
+        level.pop_front();
+        --size_;
+        cancellable_ -= copy.cancellable ? 1 : 0;
+        return copy;
+    }
+
+    /**
+     * Erase every queued copy `cancelled` selects, in one pass per
+     * level, and return how many went. `cancelled` sees each
+     * cancellable copy once, in queue order, and may book its
+     * cancellation. No other copy can be selected, so a queue holding
+     * none skips the pass.
+     */
+    template <typename Pred>
+    std::size_t eraseCancelled(Pred cancelled)
+    {
+        if (cancellable_ == 0)
+            return 0;
+        std::size_t erased = 0;
+        for (auto& [priority, level] : levels_) {
+            erased += std::erase_if(level, [&](const Copy& c) {
+                if (!c.cancellable || !cancelled(c))
+                    return false;
+                --cancellable_;
+                return true;
+            });
+        }
+        size_ -= erased;
+        return erased;
+    }
+
+  private:
+    /** Priority level -> its FIFO; emptied levels stay for reuse. */
+    std::map<int, std::deque<Copy>> levels_;
+    std::size_t size_ = 0;
+    /** Queued copies with `Copy::cancellable` set. */
+    std::size_t cancellable_ = 0;
 };
 
 /**
@@ -618,7 +708,7 @@ simulateCluster(const ClusterConfig& cfg,
 
     const std::size_t ngpu = static_cast<std::size_t>(numGpus);
     const std::size_t nrep = static_cast<std::size_t>(numReplicas);
-    std::vector<std::deque<Copy>> queues(nrep);
+    std::vector<ReplicaQueue> queues(nrep);
     std::vector<std::optional<InFlightBatch>> inflight(ngpu);
     std::vector<bool> gpu_down(ngpu, false);
     std::vector<std::uint64_t> epoch(ngpu, 0);
@@ -669,12 +759,6 @@ simulateCluster(const ClusterConfig& cfg,
     double next_arrival = pending.time;
     double size_sum = 0.0;
     std::int64_t size_count = 0;
-
-    // Priority-ordered queueing only engages for mixes with more than
-    // one priority level; the insert in `enqueue` then degenerates to
-    // push_back, so uniform-priority (and legacy) order is untouched.
-    const bool priority_mix =
-        cfg.workload.enabled() && !cfg.workload.uniformPriority();
 
     auto account_busy = [&](double start, double end, int replica) {
         busy_in_horizon += std::max(0.0, std::min(end, horizon) - start);
@@ -773,20 +857,9 @@ simulateCluster(const ClusterConfig& cfg,
         return best;
     };
 
-    auto enqueue = [&](int replica, const Copy& copy) {
-        std::deque<Copy>& q =
-            queues[static_cast<std::size_t>(replica)];
-        if (!priority_mix) {
-            q.push_back(copy);
-        } else {
-            // Stable insert: after every queued copy of equal-or-more
-            // urgent priority, before the first strictly less urgent.
-            auto it = q.end();
-            while (it != q.begin() &&
-                   std::prev(it)->priority > copy.priority)
-                --it;
-            q.insert(it, copy);
-        }
+    auto enqueue = [&](int replica, Copy copy) {
+        copy.cancellable = meta[static_cast<std::size_t>(copy.id)].hedged;
+        queues[static_cast<std::size_t>(replica)].push(copy);
         ++repQueuedPlusFlight[static_cast<std::size_t>(replica)];
     };
 
@@ -829,11 +902,11 @@ simulateCluster(const ClusterConfig& cfg,
                            "breaker", args);
         }
         if (numReplicas > 1) {
-            std::deque<Copy> moved;
-            moved.swap(queues[ri]);
+            ReplicaQueue moved = std::exchange(queues[ri], ReplicaQueue());
             repQueuedPlusFlight[ri] -=
                 static_cast<std::int64_t>(moved.size());
-            for (const Copy& c : moved) {
+            while (!moved.empty()) {
+                const Copy c = moved.pop();
                 if (meta[static_cast<std::size_t>(c.id)].done) {
                     ++report.hedgesCancelled;
                     --meta[static_cast<std::size_t>(c.id)].liveCopies;
@@ -883,11 +956,11 @@ simulateCluster(const ClusterConfig& cfg,
     // Lazily expire the head of replica ri's queue when its deadline
     // already passed (serving it would be wasted work); true if it did.
     auto expireHead = [&](std::size_t ri, double now) {
-        std::deque<Copy>& queue = queues[ri];
+        ReplicaQueue& queue = queues[ri];
         if (!deadline.hasDeadline() ||
             queue.front().arrival + deadline.deadlineSeconds > now)
             return false;
-        ReqMeta& m = meta[static_cast<std::size_t>(queue.front().id)];
+        ReqMeta& m = meta[static_cast<std::size_t>(queue.pop().id)];
         --m.liveCopies;
         if (m.liveCopies == 0) {
             ++report.expired;
@@ -898,25 +971,23 @@ simulateCluster(const ClusterConfig& cfg,
             ++report.hedgesCancelled;
         }
         --repQueuedPlusFlight[ri];
-        queue.pop_front();
         return true;
     };
 
     // Drop queued duplicates whose twin already answered: serving
     // them would be pure waste.
     auto dropCancelled = [&](std::size_t ri) {
-        std::deque<Copy>& queue = queues[ri];
-        for (std::size_t k = 0; k < queue.size();) {
-            ReqMeta& m = meta[static_cast<std::size_t>(queue[k].id)];
-            if (!m.done) {
-                ++k;
-                continue;
-            }
-            ++report.hedgesCancelled;
-            --m.liveCopies;
-            --repQueuedPlusFlight[ri];
-            queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(k));
-        }
+        const std::int64_t dropped =
+            static_cast<std::int64_t>(queues[ri].eraseCancelled(
+                [&](const Copy& c) {
+                    ReqMeta& m = meta[static_cast<std::size_t>(c.id)];
+                    if (!m.done)
+                        return false;
+                    --m.liveCopies;
+                    return true;
+                }));
+        report.hedgesCancelled += dropped;
+        repQueuedPlusFlight[ri] -= dropped;
     };
 
     // A queued copy starts service on replica r: it resumes from the
@@ -963,7 +1034,7 @@ simulateCluster(const ClusterConfig& cfg,
         const std::size_t gi = static_cast<std::size_t>(g);
         const int r = repOf[gi];
         const std::size_t ri = static_cast<std::size_t>(r);
-        std::deque<Copy>& queue = queues[ri];
+        ReplicaQueue& queue = queues[ri];
         InFlightBatch fl;
         fl.degraded = degradeNow(ri);
         const int batch = static_cast<int>(std::min<std::size_t>(
@@ -972,8 +1043,7 @@ simulateCluster(const ClusterConfig& cfg,
         // shape.
         double max_size = 1.0;
         for (int i = 0; i < batch; ++i) {
-            Member mb = launch(queue.front(), r, now);
-            queue.pop_front();
+            Member mb = launch(queue.pop(), r, now);
             max_size = std::max(max_size, mb.copy.size);
             if (ckptOn) {
                 mb.remIters = ckpt.iterations - mb.baseIters;
@@ -1027,7 +1097,7 @@ simulateCluster(const ClusterConfig& cfg,
     // greedy's full-batch turnaround.
     auto admit = [&](InFlightBatch& fl, int r, double now) {
         const std::size_t ri = static_cast<std::size_t>(r);
-        std::deque<Copy>& queue = queues[ri];
+        ReplicaQueue& queue = queues[ri];
         const BatchLatencySurface& surface = surfaces[ri];
         bool has_bucket = !fl.members.empty();
         std::size_t bucket =
@@ -1043,9 +1113,8 @@ simulateCluster(const ClusterConfig& cfg,
                 break; // incompatible head: drain, don't queue-jump
             has_bucket = true;
             bucket = b;
-            fl.members.push_back(launch(queue.front(), r, now));
+            fl.members.push_back(launch(queue.pop(), r, now));
             fl.members.back().remIters = surface.iterations;
-            queue.pop_front();
         }
     };
 
@@ -1087,7 +1156,7 @@ simulateCluster(const ClusterConfig& cfg,
             const std::size_t ri = static_cast<std::size_t>(r);
             if (breakerOn && bstate[ri] == BreakerState::Open)
                 continue;
-            std::deque<Copy>& queue = queues[ri];
+            ReplicaQueue& queue = queues[ri];
             while (true) {
                 if (hedgeOn)
                     dropCancelled(ri);
@@ -1326,7 +1395,7 @@ simulateCluster(const ClusterConfig& cfg,
 
     auto totalQueued = [&] {
         std::int64_t n = 0;
-        for (const std::deque<Copy>& q : queues)
+        for (const ReplicaQueue& q : queues)
             n += static_cast<std::int64_t>(q.size());
         return n;
     };
@@ -1399,6 +1468,21 @@ simulateCluster(const ClusterConfig& cfg,
     };
     double next_sample = sample_time();
 
+    // Event sources, in the order they win a same-instant tie: the
+    // first minimum of the due-time table below is the next event. A
+    // completion precedes a same-instant sample, so the sample sees
+    // the state after every simulation event at its timestamp.
+    enum Source : std::size_t
+    {
+        kArrival,
+        kFault,
+        kProbe,
+        kHedge,
+        kRetry,
+        kCompletion,
+        kSample,
+        kSources,
+    };
     std::size_t ti = 0;
     while (true) {
         // Drop stale finish events (their batch was killed).
@@ -1409,14 +1493,6 @@ simulateCluster(const ClusterConfig& cfg,
                 break;
             finishes.pop();
         }
-        const double next_finish =
-            finishes.empty() ? kNever : finishes.top().time;
-        const double next_fault =
-            ti < transitions.size() ? transitions[ti].time : kNever;
-        const double next_retry =
-            retries.empty() ? kNever : retries.top().ready;
-        const double next_hedge =
-            hedges.empty() ? kNever : hedges.top().time;
         double next_probe = kNever;
         int probe_replica = -1;
         for (int r = 0; r < numReplicas; ++r) {
@@ -1426,18 +1502,22 @@ simulateCluster(const ClusterConfig& cfg,
                 probe_replica = r;
             }
         }
-        // next_sample joins next_other so a pending sample before a
-        // post-horizon arrival still fires; every older event source
-        // keeps tie priority over sampling.
-        const double next_other =
-            std::min({next_finish, next_fault, next_retry, next_probe,
-                      next_hedge, next_sample});
+        const std::array<double, kSources> due = {
+            next_arrival,
+            ti < transitions.size() ? transitions[ti].time : kNever,
+            next_probe,
+            hedges.empty() ? kNever : hedges.top().time,
+            retries.empty() ? kNever : retries.top().ready,
+            finishes.empty() ? kNever : finishes.top().time,
+            next_sample,
+        };
+        const auto source = static_cast<std::size_t>(
+            std::min_element(due.begin(), due.end()) - due.begin());
+        const double now = due[source];
 
-        if (next_arrival <= next_other) {
-            if (next_arrival > horizon)
+        if (source == kArrival) {
+            if (now > horizon)
                 break;
-            // Arrival event.
-            const double now = next_arrival;
             ++report.arrived;
             if (effective_max_batch == 0) {
                 // Not even a batch of one fits any replica's GPU:
@@ -1476,28 +1556,23 @@ simulateCluster(const ClusterConfig& cfg,
             pending = arrivals.next();
             next_arrival = pending.time;
             dispatch(now);
-        } else if (next_fault <=
-                   std::min({next_finish, next_retry, next_probe,
-                             next_hedge, next_sample})) {
+        } else if (source == kFault) {
             // GPU availability edge.
             const Transition tr = transitions[ti++];
             const std::size_t gi = static_cast<std::size_t>(tr.gpu);
             if (tr.down) {
                 gpu_down[gi] = true;
                 if (inflight[gi].has_value()) {
-                    traceRun(tr.gpu, tr.time, "killed");
-                    failBatch(tr.gpu, tr.time);
+                    traceRun(tr.gpu, now, "killed");
+                    failBatch(tr.gpu, now);
                 }
             } else {
                 gpu_down[gi] = false;
-                dispatch(tr.time);
+                dispatch(now);
             }
-        } else if (next_probe <=
-                   std::min({next_finish, next_retry, next_hedge,
-                             next_sample})) {
+        } else if (source == kProbe) {
             // Health probe: refresh router knowledge, advance due
             // breakers from open to half-open.
-            const double now = next_probe;
             const std::size_t ri =
                 static_cast<std::size_t>(probe_replica);
             bool anyUp = false;
@@ -1523,8 +1598,7 @@ simulateCluster(const ClusterConfig& cfg,
                 }
                 dispatch(now);
             }
-        } else if (next_hedge <= std::min({next_finish, next_retry,
-                                           next_sample})) {
+        } else if (source == kHedge) {
             // Hedge timer: the primary has run long enough — issue a
             // backup copy on a different replica.
             const HedgeEvent ev = hedges.top();
@@ -1534,14 +1608,14 @@ simulateCluster(const ClusterConfig& cfg,
                 const int target = route(m.primaryReplica);
                 if (target >= 0 && target != m.primaryReplica) {
                     m.hedged = true;
-                    m.hedgedAt = ev.time;
+                    m.hedgedAt = now;
                     ++m.liveCopies;
                     ++report.hedgesIssued;
                     if (trace != nullptr) {
                         telemetry::Labels args;
                         args.set("target", std::to_string(target));
-                        trace->instant(hedge_track, "hedge_issue",
-                                       ev.time, "hedge", args);
+                        trace->instant(hedge_track, "hedge_issue", now,
+                                       "hedge", args);
                     }
                     enqueue(target,
                             Copy{.arrival = ev.primary.arrival,
@@ -1549,43 +1623,39 @@ simulateCluster(const ClusterConfig& cfg,
                                  .id = ev.primary.id,
                                  .priority = ev.primary.priority,
                                  .hedge = true});
-                    dispatch(ev.time);
+                    dispatch(now);
                 }
             }
-        } else if (next_retry <=
-                   std::min(next_finish, next_sample)) {
+        } else if (source == kRetry) {
             // Backed-off copies re-enter a queue via the router.
-            const double now = next_retry;
             while (!retries.empty() && retries.top().ready <= now) {
                 const Copy copy = retries.top().copy;
                 retries.pop();
                 enqueue(route(-1), copy);
             }
             dispatch(now);
-        } else if (next_sample < next_finish) {
-            // Periodic telemetry sample; completions win ties so the
-            // sample sees post-event state at its own timestamp.
-            take_sample(next_sample);
-            next_sample = sample_time();
-        } else {
-            // Completion event: a greedy batch or a continuous
-            // iteration resolves (may run past the horizon to drain).
-            const FinishEvent ev = finishes.top();
+        } else if (source == kCompletion) {
+            // A greedy batch or a continuous iteration resolves (may
+            // run past the horizon to drain).
+            const int g = finishes.top().gpu;
             finishes.pop();
             const bool timedOut =
-                inflight[static_cast<std::size_t>(ev.gpu)]->timedOut;
-            traceRun(ev.gpu, ev.time, timedOut ? "timeout" : "ok");
+                inflight[static_cast<std::size_t>(g)]->timedOut;
+            traceRun(g, now, timedOut ? "timeout" : "ok");
             if (timedOut)
-                failBatch(ev.gpu, ev.time);
+                failBatch(g, now);
             else if (continuous)
-                finishIteration(ev.gpu);
+                finishIteration(g);
             else
-                finishBatch(ev.gpu);
-            if (ev.time > horizon && totalQueued() == 0 &&
+                finishBatch(g);
+            if (now > horizon && totalQueued() == 0 &&
                 inflight_gpus == 0 && retries.empty()) {
                 break;
             }
-            dispatch(ev.time);
+            dispatch(now);
+        } else {
+            take_sample(now);
+            next_sample = sample_time();
         }
     }
 

@@ -303,7 +303,8 @@ struct ClusterReport
  * enabling any resilience feature never perturbs the arrival sequence.
  *
  * Events at the same instant resolve in a fixed order: arrival, fault
- * edge, probe, hedge timer, retry, telemetry sample, completion.
+ * edge, probe, hedge timer, retry, completion, telemetry sample (the
+ * event loop's table of due times lists the sources in this order).
  *
  * Telemetry only records, never perturbs the RNG or the event clock:
  * the report is bit-for-bit identical with a null, an all-disabled,

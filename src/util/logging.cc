@@ -6,28 +6,18 @@
 namespace mmgen {
 namespace detail {
 
-namespace {
-
-std::string
-decorate(const char* file, int line, const std::string& msg)
-{
-    std::ostringstream oss;
-    oss << file << ":" << line << ": " << msg;
-    return oss.str();
-}
-
-} // namespace
-
 void
-raiseFatal(const char* file, int line, const std::string& msg)
+raiseFatal(const std::string& msg)
 {
-    throw FatalError(decorate(file, line, msg));
+    throw FatalError(msg);
 }
 
 void
 raisePanic(const char* file, int line, const std::string& msg)
 {
-    throw PanicError(decorate(file, line, msg));
+    std::ostringstream oss;
+    oss << file << ":" << line << ": " << msg;
+    throw PanicError(oss.str());
 }
 
 } // namespace detail

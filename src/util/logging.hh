@@ -38,9 +38,11 @@ class PanicError : public std::logic_error
 
 namespace detail {
 
-/** Raise a FatalError with file/line context. */
-[[noreturn]] void raiseFatal(const char* file, int line,
-                             const std::string& msg);
+/**
+ * Raise a FatalError carrying `msg` alone: a user error names what to
+ * fix, not where in mmgen it was detected.
+ */
+[[noreturn]] void raiseFatal(const std::string& msg);
 
 /** Raise a PanicError with file/line context. */
 [[noreturn]] void raisePanic(const char* file, int line,
@@ -58,15 +60,14 @@ void warn(const std::string& msg);
 
 /**
  * Check a user-facing precondition; throws mmgen::FatalError with the
- * streamed message when the condition is false.
+ * streamed message, and nothing else, when the condition is false.
  */
 #define MMGEN_CHECK(cond, msg)                                             \
     do {                                                                   \
         if (!(cond)) {                                                     \
             std::ostringstream mmgen_check_oss_;                           \
-            mmgen_check_oss_ << "check failed: " #cond ": " << msg;        \
-            ::mmgen::detail::raiseFatal(__FILE__, __LINE__,                \
-                                        mmgen_check_oss_.str());           \
+            mmgen_check_oss_ << msg;                                       \
+            ::mmgen::detail::raiseFatal(mmgen_check_oss_.str());           \
         }                                                                  \
     } while (0)
 

@@ -129,16 +129,6 @@ WorkloadConfig::isPlainPoisson() const
            c.rate.kind == RateKind::Poisson && c.size.isUnit();
 }
 
-bool
-WorkloadConfig::uniformPriority() const
-{
-    for (const ClientClass& c : classes) {
-        if (c.priority != classes.front().priority)
-            return false;
-    }
-    return true;
-}
-
 void
 WorkloadConfig::validate() const
 {

@@ -158,9 +158,6 @@ struct WorkloadConfig
      */
     bool isPlainPoisson() const;
 
-    /** True when every class shares one priority level. */
-    bool uniformPriority() const;
-
     /**
      * Throw `FatalError` with a clear message on: an empty mix, an
      * empty class name, a non-positive or non-finite weight, weights

@@ -14,99 +14,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "report_digest.hh"
 #include "serving/cluster.hh"
 #include "serving/latency_surface.hh"
 #include "serving/simulator.hh"
 #include "telemetry/telemetry.hh"
-#include "util/hash.hh"
 #include "workload/workload.hh"
 
 namespace mmgen::serving {
 namespace {
-
-void
-mixReport(HashBuilder& h, const ServingReport& r)
-{
-    h.mix(r.arrived)
-        .mix(r.completed)
-        .mix(r.throughput)
-        .mix(r.meanLatency)
-        .mix(r.p50Latency)
-        .mix(r.p95Latency)
-        .mix(r.p99Latency)
-        .mix(r.meanBatch)
-        .mix(r.gpuUtilization)
-        .mix(r.backlog)
-        .mix(r.offeredLoad)
-        .mix(r.drainCompleted)
-        .mix(r.drainGpuSeconds)
-        .mix(r.goodput)
-        .mix(r.deadlineMissRate)
-        .mix(r.retries)
-        .mix(r.shed)
-        .mix(r.shedFraction)
-        .mix(r.expired)
-        .mix(r.dropped)
-        .mix(r.degraded)
-        .mix(r.degradedFraction)
-        .mix(r.memoryShed)
-        .mix(r.effectiveMaxBatch)
-        .mix(r.maxBatchDispatched)
-        .mix(r.lostGpuSeconds)
-        .mix(r.meanAvailability)
-        .mix(r.meanRequestSize)
-        .mix(r.iterationsDispatched)
-        .mix(r.hedgesIssued)
-        .mix(r.hedgesWon)
-        .mix(r.hedgesCancelled)
-        .mix(r.hedgeWastedSeconds)
-        .mix(r.breakerOpens)
-        .mix(r.breakerCloses)
-        .mix(r.checkpointsTaken)
-        .mix(r.resumes)
-        .mix(r.checkpointOverheadSeconds)
-        .mix(r.wastedGpuSeconds)
-        .mix(r.restoredGpuSeconds);
-}
-
-std::string
-hex(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
-
-std::string
-digest(const ServingReport& r)
-{
-    HashBuilder h;
-    mixReport(h, r);
-    return hex(h.digest());
-}
-
-std::string
-digest(const ClusterReport& r)
-{
-    HashBuilder h;
-    mixReport(h, r.serving);
-    for (const ReplicaStats& rs : r.replicas)
-        h.mix(rs.dispatchedBatches)
-            .mix(rs.completedRequests)
-            .mix(rs.abortedBatches)
-            .mix(rs.breakerOpens)
-            .mix(rs.busySeconds)
-            .mix(rs.availability);
-    for (double a : r.domainAvailability)
-        h.mix(a);
-    return hex(h.digest());
-}
 
 /** One golden: a run and the digest it must reproduce. */
 struct Golden

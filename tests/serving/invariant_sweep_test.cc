@@ -8,7 +8,10 @@
  * every report must satisfy the invariants any run has to keep,
  * whatever the knobs: request conservation, ordered quantiles, goodput
  * within throughput, bounded utilization and batch size, non-negative
- * waste, and availabilities that are fractions.
+ * waste, and availabilities that are fractions. One digest over every
+ * report pins the sweep bit-for-bit, so a refactor of the engine must
+ * also keep the combinations no characterization golden reaches
+ * (priority mixes with hedges, breakers and chaos) identical.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "report_digest.hh"
 #include "serving/cluster.hh"
 #include "serving/latency_surface.hh"
+#include "util/hash.hh"
 #include "util/rng.hh"
 #include "workload/workload.hh"
 
@@ -27,6 +32,8 @@ namespace {
 
 constexpr int kConfigs = 500;
 constexpr std::uint64_t kSweepSeed = 0x5eed'0012;
+/** Digest of all kConfigs reports, in sweep order. */
+constexpr const char* kSweepDigest = "fdaf7d016f2b36ec";
 
 bool
 chance(Rng& rng, double p)
@@ -205,12 +212,14 @@ expectInvariants(const ClusterReport& cr, int index)
 TEST(InvariantSweep, RandomConfigsKeepReportInvariants)
 {
     Rng rng(kSweepSeed);
+    HashBuilder sweep;
     int continuous = 0;
     int hedged = 0;
     for (int i = 0; i < kConfigs; ++i) {
         const ClusterConfig cfg = drawConfig(rng);
         const ClusterReport r = simulateCluster(cfg);
         expectInvariants(r, i);
+        mixReport(sweep, r);
         continuous += cfg.continuousBatching ? 1 : 0;
         hedged += r.serving.hedgesIssued > 0 ? 1 : 0;
         if (HasFailure())
@@ -219,6 +228,7 @@ TEST(InvariantSweep, RandomConfigsKeepReportInvariants)
     // The sweep reaches both dispatchers and live hedging.
     EXPECT_GT(continuous, kConfigs / 4);
     EXPECT_GT(hedged, 0);
+    EXPECT_EQ(hex(sweep.digest()), kSweepDigest);
 }
 
 } // namespace

@@ -146,12 +146,6 @@ TEST(WorkloadConfig, PlainPoissonDetection)
     EXPECT_FALSE(namedWorkloadMix("production").isPlainPoisson());
 }
 
-TEST(WorkloadConfig, UniformPriorityDetection)
-{
-    EXPECT_TRUE(namedWorkloadMix("poisson").uniformPriority());
-    EXPECT_FALSE(twoClassMix().uniformPriority());
-}
-
 TEST(PoissonArrivalStream, MatchesInlineGapSampler)
 {
     // The dedup contract: successive exponential gaps on the unsplit

@@ -10,8 +10,9 @@
  *   hotspots <model> [options]    top operator sites by time
  *   suite [options]               Table II / breakdown across models
  *   taxonomy                      Table I labels
- *   serve <model> [options]       serving simulation (single pool or
- *                                 replica cluster)
+ *   serve <model> [options]       serving simulation: one replica
+ *                                 pool, or --replicas N pools
+ *                                 behind a router
  *   stats [options]               runtime cache / thread-pool counters
  *   lint [--model X|--all]        graph, physics and memory verifier
  *   analyze --memory [--model X|--all]
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -96,8 +98,11 @@ usage()
         << "  --stream-weights            peel weight traffic of\n"
         << "                              memory-bound kernels onto\n"
         << "                              the copy stream\n"
-        << "serve options:\n"
-        << "  --rate R --gpus N --batch B --horizon S --seed S\n"
+        << "serve options (every option applies to every replica):\n"
+        << "  --rate R --batch B --horizon S --seed S\n"
+        << "  --replicas N                replica pools behind the\n"
+        << "                              router (default 1)\n"
+        << "  --gpus N                    GPUs per replica (default 1)\n"
         << "  --mix NAME                  client workload mix\n"
         << "                              (poisson|interactive|\n"
         << "                              bursty|diurnal|production)\n"
@@ -116,10 +121,6 @@ usage()
         << "  --degrade-threshold N       queue depth to degrade at\n"
         << "  --degrade-steps F           fraction of denoise steps\n"
         << "                              kept in degraded mode\n"
-        << "serve cluster options (--replicas or --chaos runs several\n"
-        << "replica pools; --gpus then means GPUs per replica, and\n"
-        << "every serve option above applies to each replica):\n"
-        << "  --replicas N                replica pools behind router\n"
         << "  --router round-robin|least-loaded|domain-aware\n"
         << "  --chaos NAME                none|kill-replica|\n"
         << "                              kill-replica-at-zero|\n"
@@ -128,6 +129,7 @@ usage()
         << "  --hedge-delay S             hedge after S seconds, or\n"
         << "  --hedge-quantile Q          derive delay from the\n"
         << "                              Q-quantile batch service\n"
+        << "                              (needs --replicas >= 2)\n"
         << "  --breaker-threshold N       failures to open breaker\n"
         << "  --breaker-open S            open duration before probe\n"
         << "  --ckpt-interval N           checkpoint every N iters of\n"
@@ -277,9 +279,8 @@ struct Options
     bool continuous = false;
     bool useSurface = false;
 
-    // serve cluster knobs (--replicas or --chaos selects the
-    // cluster simulator)
-    int replicas = 0;
+    // serve replica-pool and cluster-policy knobs
+    int replicas = 1;
     serving::RouterPolicy router = serving::RouterPolicy::LeastLoaded;
     std::string chaosName;
     double hedgeDelay = 0.0;
@@ -522,27 +523,6 @@ profileOptions(const Options& opts)
     return popts;
 }
 
-/**
- * Write a serve run's telemetry. `--trace-out` also streams the
- * pipeline's exec timeline below the serving spans; its kept-plan
- * profile goes through the plan cache, so it reuses the plan
- * `profileLatencyModel` lowered instead of lowering a second time.
- */
-void
-writeServeTelemetry(const Options& opts,
-                    const telemetry::MetricsRegistry& registry,
-                    const telemetry::TraceSink& sink,
-                    const graph::Pipeline& pipeline)
-{
-    std::shared_ptr<const profiler::ProfileResult> exec;
-    if (!opts.traceOut.empty()) {
-        profiler::ProfileOptions popts = profileOptions(opts);
-        popts.keepPlan = true;
-        exec = runtime::cachedProfile(pipeline, popts);
-    }
-    writeTelemetryOutputs(opts, registry, sink, exec.get());
-}
-
 int
 cmdList()
 {
@@ -666,143 +646,24 @@ serveSurface(const graph::Pipeline& pipeline, const Options& opts,
     return surface;
 }
 
-int
-cmdServeCluster(const Options& opts, const graph::Pipeline& pipeline,
-                const serving::ServingConfig& scfg,
-                const serving::LatencyModel& latency,
-                const serving::BatchLatencySurface& surface,
-                const serving::ResilienceConfig& res)
-{
-    serving::ClusterConfig cc = serving::singlePoolCluster(scfg, latency);
-    cc.resilience = res;
-    cc.router = opts.router;
-    cc.breaker = opts.breaker;
-    cc.probe = opts.probe;
-
-    const int numReplicas = std::max(1, opts.replicas);
-    MMGEN_CHECK(opts.domainSize >= 1,
-                "--domain-size must be >= 1, got "
-                    << opts.domainSize);
-    cc.replicas.clear();
-    for (int r = 0; r < numReplicas; ++r)
-        cc.replicas.push_back(serving::ReplicaSpec{
-            latency, scfg.numGpus, r / opts.domainSize, surface});
-
-    if (opts.hedgeDelay > 0.0)
-        cc.hedge.delaySeconds = opts.hedgeDelay;
-    else if (opts.hedgeQuantile > 0.0)
-        cc.hedge.delaySeconds = serving::hedgeDelayForQuantile(
-            latency, cc.maxBatch, opts.hedgeQuantile);
-    if (opts.ckptInterval > 0)
-        cc.checkpoint = serving::checkpointFromPipeline(
-            pipeline, opts.ckptInterval, opts.ckptCost);
-    if (!opts.chaosName.empty())
-        cc.chaos = serving::namedChaosScenario(
-            opts.chaosName, numReplicas, cc.horizonSeconds);
-
-    telemetry::MetricsRegistry registry;
-    telemetry::TraceSink sink;
-    telemetry::Telemetry tel;
-    tel.metrics = &registry;
-    tel.trace = &sink;
-    tel.sampleIntervalSeconds = opts.sampleInterval;
-
-    const serving::ClusterReport r = serving::simulateCluster(
-        cc, opts.wantsTelemetry() ? &tel : nullptr);
-
-    std::cout << pipeline.name << " on " << numReplicas
-              << " replica(s) x " << scfg.numGpus << " "
-              << opts.gpu.name << " ["
-              << serving::routerPolicyName(cc.router)
-              << " router, chaos: " << cc.chaos.name
-              << "] (batch-1 latency "
-              << formatTime(latency.baseSeconds) << ")\n\n";
-
-    const serving::ServingReport& s = r.serving;
-    TextTable table({"Metric", "Value"});
-    table.addRow({"offered load", formatFixed(s.offeredLoad, 2)});
-    table.addRow({"mean availability",
-                  formatPercent(s.meanAvailability)});
-    table.addRow({"arrived / completed",
-                  std::to_string(s.arrived) + " / " +
-                      std::to_string(s.completed)});
-    table.addRow({"goodput", formatFixed(s.goodput, 2) + " req/s"});
-    table.addRow(
-        {"p50 / p95 / p99 latency",
-         formatTime(s.p50Latency) + " / " + formatTime(s.p95Latency) +
-             " / " + formatTime(s.p99Latency)});
-    table.addRow({"shed / expired / dropped",
-                  std::to_string(s.shed) + " / " +
-                      std::to_string(s.expired) + " / " +
-                      std::to_string(s.dropped)});
-    if (cc.continuousBatching)
-        table.addRow({"iterations dispatched",
-                      std::to_string(s.iterationsDispatched)});
-    table.addRow({"retries", std::to_string(s.retries)});
-    table.addRow({"hedges issued / won / cancelled",
-                  std::to_string(s.hedgesIssued) + " / " +
-                      std::to_string(s.hedgesWon) + " / " +
-                      std::to_string(s.hedgesCancelled)});
-    table.addRow({"hedge waste",
-                  formatTime(s.hedgeWastedSeconds) + " GPU"});
-    table.addRow({"breaker opens / closes",
-                  std::to_string(s.breakerOpens) + " / " +
-                      std::to_string(s.breakerCloses)});
-    table.addRow({"checkpoints / resumes",
-                  std::to_string(s.checkpointsTaken) + " / " +
-                      std::to_string(s.resumes)});
-    table.addRow({"checkpoint overhead",
-                  formatTime(s.checkpointOverheadSeconds) + " GPU"});
-    table.addRow({"wasted / restored GPU-seconds",
-                  formatFixed(s.wastedGpuSeconds, 1) + " / " +
-                      formatFixed(s.restoredGpuSeconds, 1)});
-    table.addRow({"backlog", std::to_string(s.backlog)});
-    std::cout << table.render() << "\n";
-
-    TextTable reps({"Replica", "Domain", "Batches", "Completed",
-                    "Aborted", "Breaker opens", "Busy",
-                    "Availability"});
-    for (std::size_t i = 0; i < r.replicas.size(); ++i) {
-        const serving::ReplicaStats& rs = r.replicas[i];
-        reps.addRow({std::to_string(i),
-                     std::to_string(cc.replicas[i].domain),
-                     std::to_string(rs.dispatchedBatches),
-                     std::to_string(rs.completedRequests),
-                     std::to_string(rs.abortedBatches),
-                     std::to_string(rs.breakerOpens),
-                     formatTime(rs.busySeconds),
-                     formatPercent(rs.availability)});
-    }
-    std::cout << reps.render();
-
-    if (opts.wantsTelemetry()) {
-        writeServeTelemetry(opts, registry, sink, pipeline);
-        if (opts.sampleInterval > 0.0) {
-            telemetry::SeriesExpectations expect;
-            expect.horizonSeconds = cc.horizonSeconds;
-            expect.totalGpus = cc.totalGpus();
-            expect.arrived = s.arrived;
-            expect.shed = s.shed;
-            expect.inHorizonCompleted =
-                s.completed - s.drainCompleted;
-            expect.retries = s.retries;
-            expect.hedgesIssued = s.hedgesIssued;
-            const verify::DiagnosticReport check =
-                telemetry::checkSeriesConsistency(registry, expect);
-            if (!check.diagnostics().empty())
-                std::cout << "\n" << check.render();
-            if (check.hasErrors())
-                return 1;
-        }
-    }
-    return 0;
-}
-
+/**
+ * `serve`: one replica pool, or `--replicas N` pools behind a router.
+ * Every run builds one cluster configuration, simulates it once and
+ * prints one report.
+ */
 int
 cmdServe(const Options& opts)
 {
     MMGEN_CHECK(opts.positional.size() == 1,
                 "serve needs exactly one model name");
+    MMGEN_CHECK(opts.replicas >= 1, "--replicas must be >= 1, got "
+                                        << opts.replicas);
+    MMGEN_CHECK(opts.domainSize >= 1,
+                "--domain-size must be >= 1, got " << opts.domainSize);
+    MMGEN_CHECK(opts.replicas >= 2 ||
+                    (opts.hedgeDelay <= 0.0 && opts.hedgeQuantile <= 0.0),
+                "hedging needs --replicas >= 2: a hedge runs on another "
+                "replica than its primary");
     const models::ModelId id = parseModel(opts.positional[0]);
     const graph::Pipeline pipeline = models::buildModel(id);
     const serving::LatencyModel latency =
@@ -831,8 +692,6 @@ cmdServe(const Options& opts)
         res.degradation.queueThreshold = opts.degradeThreshold;
     }
 
-    MMGEN_CHECK(opts.replicas >= 0, "--replicas must be >= 0, got "
-                                        << opts.replicas);
     serving::ServingConfig scfg = opts.serving;
     if (!opts.mixName.empty())
         scfg.workload = workload::namedWorkloadMix(opts.mixName);
@@ -840,9 +699,27 @@ cmdServe(const Options& opts)
     serving::BatchLatencySurface surface;
     if (opts.continuous || opts.useSurface)
         surface = serveSurface(pipeline, opts, scfg);
-    if (opts.replicas > 0 || !opts.chaosName.empty())
-        return cmdServeCluster(opts, pipeline, scfg, latency, surface,
-                               res);
+
+    serving::ClusterConfig cc = serving::singlePoolCluster(scfg, latency);
+    cc.resilience = res;
+    cc.router = opts.router;
+    cc.breaker = opts.breaker;
+    cc.probe = opts.probe;
+    cc.replicas.clear();
+    for (int r = 0; r < opts.replicas; ++r)
+        cc.replicas.push_back(serving::ReplicaSpec{
+            latency, scfg.numGpus, r / opts.domainSize, surface});
+    if (opts.hedgeDelay > 0.0)
+        cc.hedge.delaySeconds = opts.hedgeDelay;
+    else if (opts.hedgeQuantile > 0.0)
+        cc.hedge.delaySeconds = serving::hedgeDelayForQuantile(
+            latency, cc.maxBatch, opts.hedgeQuantile);
+    if (opts.ckptInterval > 0)
+        cc.checkpoint = serving::checkpointFromPipeline(
+            pipeline, opts.ckptInterval, opts.ckptCost);
+    if (!opts.chaosName.empty())
+        cc.chaos = serving::namedChaosScenario(
+            opts.chaosName, opts.replicas, cc.horizonSeconds);
 
     telemetry::MetricsRegistry registry;
     telemetry::TraceSink sink;
@@ -851,73 +728,116 @@ cmdServe(const Options& opts)
     tel.trace = &sink;
     tel.sampleIntervalSeconds = opts.sampleInterval;
 
-    const telemetry::Telemetry* telp =
-        opts.wantsTelemetry() ? &tel : nullptr;
-    const serving::ServingReport r =
-        surface.empty()
-            ? serving::simulateServing(scfg, latency, res, telp)
-            : serving::simulateServing(scfg, surface, res, telp);
+    const serving::ClusterReport r = serving::simulateCluster(
+        cc, opts.wantsTelemetry() ? &tel : nullptr);
 
-    std::cout << pipeline.name << " on " << opts.serving.numGpus
-              << "x " << opts.gpu.name << " (batch-1 latency "
+    std::cout << pipeline.name << " on " << opts.replicas
+              << " replica(s) x " << scfg.numGpus << " "
+              << opts.gpu.name << " ["
+              << serving::routerPolicyName(cc.router)
+              << " router, chaos: " << cc.chaos.name
+              << "] (batch-1 latency "
               << formatTime(latency.baseSeconds) << ")\n\n";
+
+    const serving::ServingReport& s = r.serving;
+    auto counts = [](std::initializer_list<std::int64_t> values) {
+        std::string out;
+        for (std::int64_t v : values)
+            out += (out.empty() ? "" : " / ") + std::to_string(v);
+        return out;
+    };
     TextTable table({"Metric", "Value"});
-    table.addRow({"offered load", formatFixed(r.offeredLoad, 2)});
+    table.addRow({"offered load", formatFixed(s.offeredLoad, 2)});
     table.addRow({"mean availability",
-                  formatPercent(r.meanAvailability)});
-    table.addRow({"arrived", std::to_string(r.arrived)});
-    table.addRow({"completed", std::to_string(r.completed)});
+                  formatPercent(s.meanAvailability)});
+    table.addRow({"arrived", std::to_string(s.arrived)});
+    table.addRow({"completed", std::to_string(s.completed)});
     table.addRow({"throughput",
-                  formatFixed(r.throughput, 2) + " req/s"});
-    table.addRow({"goodput", formatFixed(r.goodput, 2) + " req/s"});
+                  formatFixed(s.throughput, 2) + " req/s"});
+    table.addRow({"goodput", formatFixed(s.goodput, 2) + " req/s"});
     table.addRow(
         {"p50 / p95 / p99 latency",
-         formatTime(r.p50Latency) + " / " + formatTime(r.p95Latency) +
-             " / " + formatTime(r.p99Latency)});
-    table.addRow({"mean batch", formatFixed(r.meanBatch, 2)});
-    if (scfg.workload.enabled())
+         formatTime(s.p50Latency) + " / " + formatTime(s.p95Latency) +
+             " / " + formatTime(s.p99Latency)});
+    table.addRow({"mean batch", formatFixed(s.meanBatch, 2)});
+    if (cc.workload.enabled())
         table.addRow({"mean request size",
-                      formatFixed(r.meanRequestSize, 2)});
-    if (scfg.continuousBatching)
+                      formatFixed(s.meanRequestSize, 2)});
+    if (cc.continuousBatching)
         table.addRow({"iterations dispatched",
-                      std::to_string(r.iterationsDispatched)});
+                      std::to_string(s.iterationsDispatched)});
     table.addRow({"GPU utilization",
-                  formatPercent(r.gpuUtilization)});
+                  formatPercent(s.gpuUtilization)});
     table.addRow({"deadline miss rate",
-                  formatPercent(r.deadlineMissRate)});
-    table.addRow({"retries", std::to_string(r.retries)});
+                  formatPercent(s.deadlineMissRate)});
+    table.addRow({"retries", std::to_string(s.retries)});
     table.addRow({"shed / expired / dropped",
-                  std::to_string(r.shed) + " / " +
-                      std::to_string(r.expired) + " / " +
-                      std::to_string(r.dropped)});
-    table.addRow({"degraded", formatPercent(r.degradedFraction)});
-    table.addRow({"backlog", std::to_string(r.backlog)});
-    table.addRow({"drain completions",
-                  std::to_string(r.drainCompleted)});
+                  counts({s.shed, s.expired, s.dropped})});
+    table.addRow({"degraded", formatPercent(s.degradedFraction)});
+    table.addRow({"hedges issued / won / cancelled",
+                  counts({s.hedgesIssued, s.hedgesWon,
+                          s.hedgesCancelled})});
+    table.addRow({"hedge waste",
+                  formatTime(s.hedgeWastedSeconds) + " GPU"});
+    table.addRow({"breaker opens / closes",
+                  counts({s.breakerOpens, s.breakerCloses})});
+    table.addRow({"checkpoints / resumes",
+                  counts({s.checkpointsTaken, s.resumes})});
+    table.addRow({"checkpoint overhead",
+                  formatTime(s.checkpointOverheadSeconds) + " GPU"});
+    table.addRow({"wasted / restored GPU-seconds",
+                  formatFixed(s.wastedGpuSeconds, 1) + " / " +
+                      formatFixed(s.restoredGpuSeconds, 1)});
     table.addRow({"lost GPU-seconds",
-                  formatFixed(r.lostGpuSeconds, 1)});
-    std::cout << table.render();
+                  formatFixed(s.lostGpuSeconds, 1)});
+    table.addRow({"backlog", std::to_string(s.backlog)});
+    table.addRow({"drain completions",
+                  std::to_string(s.drainCompleted)});
+    std::cout << table.render() << "\n";
 
-    if (opts.wantsTelemetry()) {
-        writeServeTelemetry(opts, registry, sink, pipeline);
-        if (opts.sampleInterval > 0.0) {
-            telemetry::SeriesExpectations expect;
-            expect.horizonSeconds = opts.serving.horizonSeconds;
-            expect.totalGpus = opts.serving.numGpus;
-            expect.arrived = r.arrived;
-            expect.shed = r.shed;
-            expect.inHorizonCompleted =
-                r.completed - r.drainCompleted;
-            expect.retries = r.retries;
-            const verify::DiagnosticReport check =
-                telemetry::checkSeriesConsistency(registry, expect);
-            if (!check.diagnostics().empty())
-                std::cout << "\n" << check.render();
-            if (check.hasErrors())
-                return 1;
-        }
+    TextTable reps({"Replica", "Domain", "Batches", "Completed",
+                    "Aborted", "Breaker opens", "Busy",
+                    "Availability"});
+    for (std::size_t i = 0; i < r.replicas.size(); ++i) {
+        const serving::ReplicaStats& rs = r.replicas[i];
+        reps.addRow({std::to_string(i),
+                     std::to_string(cc.replicas[i].domain),
+                     std::to_string(rs.dispatchedBatches),
+                     std::to_string(rs.completedRequests),
+                     std::to_string(rs.abortedBatches),
+                     std::to_string(rs.breakerOpens),
+                     formatTime(rs.busySeconds),
+                     formatPercent(rs.availability)});
     }
-    return 0;
+    std::cout << reps.render();
+
+    if (!opts.wantsTelemetry())
+        return 0;
+    // `--trace-out` streams the pipeline's exec timeline below the
+    // serving spans. The kept-plan profile goes through the plan
+    // cache, so it reuses the plan `profileLatencyModel` lowered.
+    std::shared_ptr<const profiler::ProfileResult> exec;
+    if (!opts.traceOut.empty()) {
+        profiler::ProfileOptions popts = profileOptions(opts);
+        popts.keepPlan = true;
+        exec = runtime::cachedProfile(pipeline, popts);
+    }
+    writeTelemetryOutputs(opts, registry, sink, exec.get());
+    if (opts.sampleInterval <= 0.0)
+        return 0;
+    telemetry::SeriesExpectations expect;
+    expect.horizonSeconds = cc.horizonSeconds;
+    expect.totalGpus = cc.totalGpus();
+    expect.arrived = s.arrived;
+    expect.shed = s.shed;
+    expect.inHorizonCompleted = s.completed - s.drainCompleted;
+    expect.retries = s.retries;
+    expect.hedgesIssued = s.hedgesIssued;
+    const verify::DiagnosticReport check =
+        telemetry::checkSeriesConsistency(registry, expect);
+    if (!check.diagnostics().empty())
+        std::cout << "\n" << check.render();
+    return check.hasErrors() ? 1 : 0;
 }
 
 int
