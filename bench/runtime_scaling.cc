@@ -31,7 +31,6 @@
 #include "profiler/engine.hh"
 #include "runtime/parallel.hh"
 #include "runtime/profile_cache.hh"
-#include "runtime/thread_pool.hh"
 #include "util/format.hh"
 #include "util/table.hh"
 
@@ -136,7 +135,7 @@ main(int argc, char** argv)
     bool all_identical = true;
 
     for (const int jobs : {1, 2, 4, 8}) {
-        runtime::ThreadPool::setGlobalJobs(jobs);
+        runtime::setGlobalJobs(jobs);
         // Fresh, private cache per point so hit rates and timings are
         // cold-start comparable.
         runtime::ProfileCache cache(256);
@@ -170,7 +169,7 @@ main(int argc, char** argv)
         all_identical = all_identical && pt.identical;
         points.push_back(pt);
     }
-    runtime::ThreadPool::setGlobalJobs(0);
+    runtime::setGlobalJobs(0);
 
     TextTable table({"Jobs", "Wall", "Speedup", "Cache hits",
                      "Cache misses", "Hit rate", "Identical"});

@@ -32,7 +32,6 @@
 
 #include "models/model_suite.hh"
 #include "runtime/parallel.hh"
-#include "runtime/thread_pool.hh"
 #include "serving/cluster.hh"
 #include "telemetry/export.hh"
 #include "telemetry/telemetry.hh"
@@ -156,9 +155,9 @@ main(int argc, char** argv)
 
     // -- determinism: exports byte-identical across --jobs ---------
     // Run the instrumented simulation as a parallel 3-point sweep at
-    // several pool sizes; every serialized artifact must match.
+    // several job counts; every serialized artifact must match.
     auto sweepExports = [&](int jobs) {
-        runtime::ThreadPool::setGlobalJobs(jobs);
+        runtime::setGlobalJobs(jobs);
         const std::vector<std::string> parts = runtime::parallelMap(
             3, [&](std::int64_t i) {
                 serving::ClusterConfig c = cfg;
@@ -180,7 +179,7 @@ main(int argc, char** argv)
     const std::string exports1 = sweepExports(1);
     const std::string exports2 = sweepExports(2);
     const std::string exports8 = sweepExports(8);
-    runtime::ThreadPool::setGlobalJobs(0);
+    runtime::setGlobalJobs(0);
     const bool exportsStable =
         exports1 == exports2 && exports1 == exports8;
 

@@ -250,7 +250,7 @@ lintAll(const LintOptions& opts)
     // The runtime-check toggle is process-global; hoist one guard
     // over the whole parallel region so the per-pipeline guards
     // inside lintPipeline become no-ops (they capture and restore
-    // "disabled") and the restore order across pool threads cannot
+    // "disabled") and the restore order across loop threads cannot
     // matter.
     RuntimeCheckGuard guard(false);
     const std::vector<models::ModelId>& ids = models::allModels();

@@ -1,6 +1,9 @@
 #include "plan.hh"
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <unordered_map>
 
 #include "hw/roofline.hh"
 #include "util/logging.hh"
@@ -68,39 +71,6 @@ ExecutionPlan::clearDeps(std::size_t n)
     nodes[n].depCount = 0;
 }
 
-void
-ExecutionPlan::clearKeepCapacity()
-{
-    model.clear();
-    backend = graph::AttentionBackend::Flash;
-    dtype = DType::F16;
-    stageNames.clear();
-    ops.clear();
-    nodes.clear();
-    strArena.clear();
-    depPool.clear();
-    costs.clear();
-    totalParams = 0;
-    hasWeightStreams = false;
-}
-
-LoweringContext::LoweringContext(LoweringOptions options)
-    : opts(options)
-{
-    MMGEN_CHECK(opts.minStreamedWeightBytes >= 0,
-                "minStreamedWeightBytes must be non-negative");
-}
-
-StrRef
-LoweringContext::intern(std::string_view s)
-{
-    if (const auto it = interned_.find(s); it != interned_.end())
-        return it->second;
-    const StrRef ref = plan_.intern(s);
-    interned_.emplace(std::string(s), ref);
-    return ref;
-}
-
 namespace {
 
 /**
@@ -143,17 +113,59 @@ costNode(const hw::GpuSpec& gpu, const PlanNode& node)
     return hw::estimateTime(gpu, in);
 }
 
-} // namespace
+/**
+ * The state of one lowering: the plan under construction, the
+ * string-intern index over its arena, and the last node on each lane
+ * (the next node on that lane depends on it).
+ */
+struct Lowering
+{
+    struct StrHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
+    Lowering(const LoweringOptions& options,
+             const kernels::CostModel& cost_model)
+        : opts(options), model(cost_model)
+    {
+    }
+
+    const LoweringOptions& opts;
+    const kernels::CostModel& model;
+    ExecutionPlan plan;
+    std::unordered_map<std::string, StrRef, StrHash, std::equal_to<>>
+        interned;
+    std::string scratch;
+    std::int32_t lastComputeNode = -1;
+    std::int32_t lastCopyNode = -1;
+
+    StrRef
+    intern(std::string_view s)
+    {
+        if (const auto it = interned.find(s); it != interned.end())
+            return it->second;
+        const StrRef ref = plan.intern(s);
+        interned.emplace(std::string(s), ref);
+        return ref;
+    }
+
+    void lowerTrace(const graph::Trace& trace, std::size_t stage_index,
+                    std::int64_t repeat);
+};
 
 void
-LoweringContext::lowerTrace(const graph::Trace& trace,
-                            std::size_t stage_index, std::int64_t repeat,
-                            const kernels::CostModel& model)
+Lowering::lowerTrace(const graph::Trace& trace, std::size_t stage_index,
+                     std::int64_t repeat)
 {
     // Do not reserve per trace: an autoregressive stage lowers one
     // trace per token, so an exact-size reserve here would copy the
     // whole op array on every token. Geometric growth keeps it linear.
-    ExecutionPlan& plan = plan_;
     for (const auto& op : trace.ops()) {
         const kernels::OpCost cost = model.cost(op);
 
@@ -188,9 +200,9 @@ LoweringContext::lowerTrace(const graph::Trace& trace,
             PlanNode w;
             w.opIndex = plan.ops.size();
             w.klass = kernels::KernelClass::Memory;
-            scratch_.assign(part.label);
-            scratch_ += ".weight_stream";
-            w.label = intern(scratch_);
+            scratch.assign(part.label);
+            scratch += ".weight_stream";
+            w.label = intern(scratch);
             w.lane = Lane::Copy;
             w.weightStream = true;
             w.flops = 0.0;
@@ -204,12 +216,12 @@ LoweringContext::lowerTrace(const graph::Trace& trace,
             w.dtype = op.dtype;
             w.depOffset =
                 static_cast<std::uint32_t>(plan.depPool.size());
-            if (lastCopyNode_ >= 0) {
-                plan.depPool.push_back(lastCopyNode_);
+            if (lastCopyNode >= 0) {
+                plan.depPool.push_back(lastCopyNode);
                 w.depCount = 1;
             }
             weight_node = static_cast<std::int32_t>(plan.nodes.size());
-            lastCopyNode_ = weight_node;
+            lastCopyNode = weight_node;
             const hw::TimeEstimate est = costNode(model.gpu(), w);
             plan.costs.seconds.push_back(est.seconds);
             plan.costs.execSeconds.push_back(
@@ -239,8 +251,8 @@ LoweringContext::lowerTrace(const graph::Trace& trace,
             node.depOffset =
                 static_cast<std::uint32_t>(plan.depPool.size());
             if (first_compute) {
-                if (lastComputeNode_ >= 0) {
-                    plan.depPool.push_back(lastComputeNode_);
+                if (lastComputeNode >= 0) {
+                    plan.depPool.push_back(lastComputeNode);
                     ++node.depCount;
                 }
                 if (weight_node >= 0) {
@@ -248,10 +260,10 @@ LoweringContext::lowerTrace(const graph::Trace& trace,
                     ++node.depCount;
                 }
             } else {
-                plan.depPool.push_back(lastComputeNode_);
+                plan.depPool.push_back(lastComputeNode);
                 node.depCount = 1;
             }
-            lastComputeNode_ =
+            lastComputeNode =
                 static_cast<std::int32_t>(plan.nodes.size());
             const hw::TimeEstimate est = costNode(model.gpu(), node);
             plan.costs.seconds.push_back(est.seconds);
@@ -267,64 +279,37 @@ LoweringContext::lowerTrace(const graph::Trace& trace,
     }
 }
 
-const ExecutionPlan&
-LoweringContext::lower(const graph::Pipeline& pipeline,
-                       const kernels::CostModel& model)
-{
-    // Keep the string arena and intern index across lowers: StrRefs
-    // address arena offsets that never move, so labels interned for an
-    // earlier pipeline stay valid and repeated lowering reuses them.
-    plan_.stageNames.clear();
-    plan_.ops.clear();
-    plan_.nodes.clear();
-    plan_.depPool.clear();
-    plan_.costs.clear();
-    plan_.hasWeightStreams = false;
-
-    plan_.model = pipeline.name;
-    plan_.backend = model.backend();
-    plan_.dtype = pipeline.dtype;
-    plan_.totalParams = pipeline.totalParams();
-    plan_.costs.gpuKey = model.gpu().fingerprint();
-
-    lastComputeNode_ = -1;
-    lastCopyNode_ = -1;
-
-    for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
-        const graph::Stage& stage = pipeline.stages[si];
-        plan_.stageNames.push_back(stage.name);
-        if (stage.perIterationShapes) {
-            for (std::int64_t it = 0; it < stage.iterations; ++it) {
-                const graph::Trace trace = pipeline.traceStage(si, it);
-                lowerTrace(trace, si, 1, model);
-            }
-        } else {
-            const graph::Trace trace = pipeline.traceStage(si, 0);
-            lowerTrace(trace, si, stage.iterations, model);
-        }
-    }
-    return plan_;
-}
-
-ExecutionPlan
-LoweringContext::takePlan()
-{
-    // The arena moves out with the plan; interned offsets would point
-    // into the moved storage, so the index resets.
-    interned_.clear();
-    ExecutionPlan out = std::move(plan_);
-    plan_ = ExecutionPlan();
-    return out;
-}
+} // namespace
 
 ExecutionPlan
 lowerPipeline(const graph::Pipeline& pipeline,
               const kernels::CostModel& model,
               const LoweringOptions& options)
 {
-    LoweringContext ctx(options);
-    ctx.lower(pipeline, model);
-    return ctx.takePlan();
+    MMGEN_CHECK(options.minStreamedWeightBytes >= 0,
+                "minStreamedWeightBytes must be non-negative");
+    Lowering lowering(options, model);
+    ExecutionPlan& plan = lowering.plan;
+    plan.model = pipeline.name;
+    plan.backend = model.backend();
+    plan.dtype = pipeline.dtype;
+    plan.totalParams = pipeline.totalParams();
+    plan.costs.gpuKey = model.gpu().fingerprint();
+
+    for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
+        const graph::Stage& stage = pipeline.stages[si];
+        plan.stageNames.push_back(stage.name);
+        if (stage.perIterationShapes) {
+            for (std::int64_t it = 0; it < stage.iterations; ++it) {
+                const graph::Trace trace = pipeline.traceStage(si, it);
+                lowering.lowerTrace(trace, si, 1);
+            }
+        } else {
+            const graph::Trace trace = pipeline.traceStage(si, 0);
+            lowering.lowerTrace(trace, si, stage.iterations);
+        }
+    }
+    return std::move(plan);
 }
 
 } // namespace mmgen::exec

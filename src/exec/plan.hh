@@ -18,11 +18,11 @@
  * are interned `StrRef`s into one character arena, dependency lists
  * are [offset, count) windows into one shared `std::int32_t` pool.
  * The plan owns no per-node heap blocks, so copying it is a handful
- * of vector copies, clearing it keeps capacity, and the scheduler's
- * inner loop touches only contiguous memory. Lowering also records a
- * per-node roofline cost table (`NodeCostTable`) keyed by the GPU it
- * was costed for, so a scheduler on the same GPU replays the exact
- * same `hw::estimateTime` outputs without re-deriving them.
+ * of vector copies and the scheduler's inner loop touches only
+ * contiguous memory. Lowering also records a per-node roofline cost
+ * table (`NodeCostTable`) keyed by the GPU it was costed for, so a
+ * scheduler on the same GPU replays the exact same
+ * `hw::estimateTime` outputs without re-deriving them.
  */
 
 #ifndef MMGEN_EXEC_PLAN_HH
@@ -32,7 +32,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/op.hh"
@@ -186,15 +185,6 @@ struct NodeCostTable
     {
         return gpuKey == key && seconds.size() == nodes;
     }
-
-    void
-    clear()
-    {
-        gpuKey = 0;
-        seconds.clear();
-        execSeconds.clear();
-        overheadSeconds.clear();
-    }
 };
 
 /**
@@ -280,57 +270,6 @@ struct ExecutionPlan
 
     /** Drop all of node `n`'s dependencies. */
     void clearDeps(std::size_t n);
-
-    /** Drop all content but keep vector capacity (arena reuse). */
-    void clearKeepCapacity();
-};
-
-/**
- * Reusable lowering state: owns the plan storage and the string-intern
- * index, so repeatedly lowering pipelines through one context does no
- * steady-state allocation in the plan structures (vectors and the
- * intern arena keep their high-water capacity).
- *
- * `lower()` returns a reference valid until the next `lower()` or
- * `takePlan()` call.
- */
-class LoweringContext
-{
-  public:
-    explicit LoweringContext(LoweringOptions options = LoweringOptions());
-
-    /** Lower a pipeline into the reusable plan; returns it. */
-    const ExecutionPlan& lower(const graph::Pipeline& pipeline,
-                               const kernels::CostModel& model);
-
-    /** Move the current plan out (resets the intern index). */
-    ExecutionPlan takePlan();
-
-    const LoweringOptions& options() const { return opts; }
-
-  private:
-    struct StrHash
-    {
-        using is_transparent = void;
-        std::size_t
-        operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-
-    StrRef intern(std::string_view s);
-
-    void lowerTrace(const graph::Trace& trace, std::size_t stage_index,
-                    std::int64_t repeat, const kernels::CostModel& model);
-
-    LoweringOptions opts;
-    ExecutionPlan plan_;
-    std::unordered_map<std::string, StrRef, StrHash, std::equal_to<>>
-        interned_;
-    std::string scratch_;
-    std::int32_t lastComputeNode_ = -1;
-    std::int32_t lastCopyNode_ = -1;
 };
 
 /**

@@ -27,12 +27,8 @@ ProfileCache::peek(std::uint64_t key) const
 ProfileCacheStats
 ProfileCache::stats() const
 {
-    const SingleFlightStats m = mem.stats();
     ProfileCacheStats s;
-    s.hits = m.hits;
-    s.misses = m.misses;
-    s.evictions = m.evictions;
-    s.entries = m.entries;
+    static_cast<SingleFlightStats&>(s) = mem.stats();
     if (const std::shared_ptr<DiskProfileCache> tier = diskCache()) {
         const DiskCacheStats d = tier->stats();
         s.diskHits = d.hits;

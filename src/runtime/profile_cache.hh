@@ -47,33 +47,15 @@
 namespace mmgen::runtime {
 
 /**
- * Cache effectiveness counters (monotonic over the cache lifetime).
- * The disk fields are zero unless a disk tier is attached.
+ * The in-memory tier's counters plus the disk tier's. The disk fields
+ * are zero unless a disk tier is attached.
  */
-struct ProfileCacheStats
+struct ProfileCacheStats : SingleFlightStats
 {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-    std::int64_t entries = 0;
-
     std::int64_t diskHits = 0;
     std::int64_t diskMisses = 0;
     std::int64_t diskWrites = 0;
     std::int64_t diskCorrupt = 0;
-
-    std::int64_t lookups() const { return hits + misses; }
-
-    /** Hit fraction in [0, 1]; 0 when nothing was looked up. */
-    double
-    hitRate() const
-    {
-        const std::int64_t total = lookups();
-        return total > 0
-                   ? static_cast<double>(hits) /
-                         static_cast<double>(total)
-                   : 0.0;
-    }
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "exec/memory.hh"
 #include "profiler/engine.hh"
 #include "runtime/profile_cache.hh"
 #include "serving/cluster.hh"
@@ -59,6 +60,11 @@ TrafficConfig::validate() const
                     << arrivalRate);
     MMGEN_CHECK(maxBatch >= 1,
                 "need max batch >= 1, got " << maxBatch);
+    // A model-priced replica stores one surface node per batch size,
+    // so the cap bounds that array; no memory analysis reports more.
+    MMGEN_CHECK(maxBatch <= exec::kUnboundedBatch,
+                "max batch must be <= " << exec::kUnboundedBatch
+                                        << ", got " << maxBatch);
     MMGEN_CHECK(std::isfinite(horizonSeconds) && horizonSeconds > 0.0,
                 "horizon must be positive and finite, got "
                     << horizonSeconds);

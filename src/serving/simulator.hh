@@ -96,8 +96,9 @@ struct TrafficConfig
 
     /**
      * Throw `FatalError` with a clear message on any non-positive or
-     * non-finite knob (arrival rate, max batch, horizon) or malformed
-     * workload mix instead of running a degenerate simulation.
+     * non-finite knob (arrival rate, max batch, horizon), a max batch
+     * above `exec::kUnboundedBatch`, or a malformed workload mix
+     * instead of running a degenerate simulation.
      */
     void validate() const;
 };

@@ -12,7 +12,7 @@
  * observations; exporters in telemetry/export.hh render it.
  *
  * Registries are not thread-safe: all simulator instrumentation runs
- * on the simulating thread. Runtime-layer counters (thread pool,
+ * on the simulating thread. Runtime-layer counters (parallel loop,
  * profile cache) are aggregated atomically at their source and only
  * *published* into a registry at read time.
  */

@@ -7,7 +7,7 @@ namespace mmgen::verify {
 namespace {
 
 // Atomic because the parallel zoo lint and sweep drivers read (and
-// the lint's scope guards toggle) this flag from pool threads.
+// the lint's scope guards toggle) this flag from loop threads.
 #ifdef NDEBUG
 std::atomic<bool> runtime_checks{false};
 #else

@@ -21,7 +21,6 @@
 #include "models/model_suite.hh"
 #include "models/stable_diffusion.hh"
 #include "runtime/parallel.hh"
-#include "runtime/thread_pool.hh"
 
 namespace mmgen::exec {
 namespace {
@@ -189,10 +188,10 @@ sweepZoo()
 
 TEST(MemoryProfile, BitIdenticalAcrossJobs)
 {
-    runtime::ThreadPool::setGlobalJobs(1);
+    runtime::setGlobalJobs(1);
     const std::vector<MemoryProfile> serial = sweepZoo();
     for (const int jobs : {2, 8}) {
-        runtime::ThreadPool::setGlobalJobs(jobs);
+        runtime::setGlobalJobs(jobs);
         const std::vector<MemoryProfile> parallel = sweepZoo();
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -211,7 +210,7 @@ TEST(MemoryProfile, BitIdenticalAcrossJobs)
                       serial[i].bufferCount);
         }
     }
-    runtime::ThreadPool::setGlobalJobs(0);
+    runtime::setGlobalJobs(0);
 }
 
 TEST(MemoryProfile, SweepMatchesReferenceSort)

@@ -13,7 +13,6 @@
 
 #include "core/suite.hh"
 #include "runtime/parallel.hh"
-#include "runtime/thread_pool.hh"
 #include "serving/cluster.hh"
 #include "serving/simulator.hh"
 
@@ -36,10 +35,10 @@ profileZoo()
 
 TEST(DeterminismAcrossJobs, ZooProfilesBitIdentical)
 {
-    ThreadPool::setGlobalJobs(1);
+    setGlobalJobs(1);
     const std::vector<profiler::ProfileResult> serial = profileZoo();
     for (const int jobs : {2, 8}) {
-        ThreadPool::setGlobalJobs(jobs);
+        setGlobalJobs(jobs);
         const std::vector<profiler::ProfileResult> parallel =
             profileZoo();
         ASSERT_EQ(parallel.size(), serial.size());
@@ -55,7 +54,7 @@ TEST(DeterminismAcrossJobs, ZooProfilesBitIdentical)
                       serial[i].totalLaunches);
         }
     }
-    ThreadPool::setGlobalJobs(0);
+    setGlobalJobs(0);
 }
 
 std::vector<serving::ServingReport>
@@ -81,11 +80,11 @@ TEST(DeterminismAcrossJobs, ServingReportsBitIdentical)
             models::buildModel(models::ModelId::Muse),
             hw::GpuSpec::a100_80gb());
 
-    ThreadPool::setGlobalJobs(1);
+    setGlobalJobs(1);
     const std::vector<serving::ServingReport> serial =
         sweepServing(latency);
     for (const int jobs : {2, 8}) {
-        ThreadPool::setGlobalJobs(jobs);
+        setGlobalJobs(jobs);
         const std::vector<serving::ServingReport> parallel =
             sweepServing(latency);
         ASSERT_EQ(parallel.size(), serial.size());
@@ -100,7 +99,7 @@ TEST(DeterminismAcrossJobs, ServingReportsBitIdentical)
             EXPECT_EQ(parallel[i].backlog, serial[i].backlog);
         }
     }
-    ThreadPool::setGlobalJobs(0);
+    setGlobalJobs(0);
 }
 
 std::vector<serving::ClusterReport>
@@ -136,11 +135,11 @@ TEST(DeterminismAcrossJobs, ClusterReportsBitIdentical)
             models::buildModel(models::ModelId::StableDiffusion),
             hw::GpuSpec::a100_80gb());
 
-    ThreadPool::setGlobalJobs(1);
+    setGlobalJobs(1);
     const std::vector<serving::ClusterReport> serial =
         sweepCluster(latency);
     for (const int jobs : {2, 8}) {
-        ThreadPool::setGlobalJobs(jobs);
+        setGlobalJobs(jobs);
         const std::vector<serving::ClusterReport> parallel =
             sweepCluster(latency);
         ASSERT_EQ(parallel.size(), serial.size());
@@ -167,7 +166,7 @@ TEST(DeterminismAcrossJobs, ClusterReportsBitIdentical)
             }
         }
     }
-    ThreadPool::setGlobalJobs(0);
+    setGlobalJobs(0);
 }
 
 TEST(DeterminismAcrossJobs, SuiteRunAllMatchesSerialBaseline)
@@ -177,13 +176,13 @@ TEST(DeterminismAcrossJobs, SuiteRunAllMatchesSerialBaseline)
         models::ModelId::StableDiffusion, models::ModelId::Muse,
         models::ModelId::LLaMA};
 
-    ThreadPool::setGlobalJobs(1);
+    setGlobalJobs(1);
     const std::vector<core::ModelRunResult> serial =
         suite.runAll(ids);
-    ThreadPool::setGlobalJobs(8);
+    setGlobalJobs(8);
     const std::vector<core::ModelRunResult> parallel =
         suite.runAll(ids);
-    ThreadPool::setGlobalJobs(0);
+    setGlobalJobs(0);
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

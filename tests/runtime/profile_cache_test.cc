@@ -94,7 +94,7 @@ TEST(ProfileCache, SingleFlightComputesOnceUnderContention)
     ProfileCache cache(8);
     std::atomic<int> computed{0};
     constexpr std::int64_t n = 64;
-    ThreadPool::setGlobalJobs(8);
+    setGlobalJobs(8);
     const std::vector<double> out =
         parallelMap(n, [&](std::int64_t) {
             return cache
@@ -105,7 +105,7 @@ TEST(ProfileCache, SingleFlightComputesOnceUnderContention)
                               })
                 ->totalSeconds;
         });
-    ThreadPool::setGlobalJobs(0);
+    setGlobalJobs(0);
     EXPECT_EQ(computed.load(), 1);
     for (double v : out)
         EXPECT_EQ(v, 9.0);

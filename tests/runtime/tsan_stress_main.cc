@@ -1,32 +1,33 @@
 /**
  * @file
- * ThreadSanitizer stress driver for the work-stealing thread pool.
+ * ThreadSanitizer stress driver for the parallel loop.
  *
  * Plain `main` (no gtest — the sanitize flow for this binary swaps
  * the whole toolchain to -fsanitize=thread, and TSan must see every
- * synchronizing object, so we keep the dependency surface to the pool
- * itself). Hammers every concurrency path: submit + work stealing,
- * the shared-cursor forEach, nested loops, exception propagation, and
- * pool teardown with queued work. Exits nonzero on any lost or
- * duplicated index; TSan failures abort the process by themselves.
+ * synchronizing object, so we keep the dependency surface to the loop
+ * itself). Hammers every concurrency path: the shared index cursor,
+ * nested loops, exception propagation, and job-count changes between
+ * and during loops. Exits nonzero on any lost or duplicated index;
+ * TSan failures abort the process by themselves.
  *
  * Built and run by the `tsan` CMake preset (MMGEN_TSAN=ON) and also
- * registered un-instrumented in the default test flow as a cheap
- * stress test.
+ * registered in the default test flow with -fsanitize=thread on this
+ * binary alone.
  */
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/parallel.hh"
-#include "runtime/thread_pool.hh"
 
 namespace {
 
-using mmgen::runtime::ThreadPool;
+using mmgen::runtime::parallelMap;
+using mmgen::runtime::setGlobalJobs;
 
 int failures = 0;
 
@@ -39,68 +40,64 @@ check(bool ok, const char* what)
     }
 }
 
+/** True when `out` is exactly {0, 1, ..., out.size() - 1}. */
+bool
+isIota(const std::vector<std::int64_t>& out)
+{
+    for (std::size_t i = 0; i < out.size(); ++i)
+        if (out[i] != static_cast<std::int64_t>(i))
+            return false;
+    return true;
+}
+
 /** Every index of a large loop runs exactly once, many rounds. */
 void
-stressForEach()
+stressLoop()
 {
-    ThreadPool pool(8);
+    setGlobalJobs(8);
     constexpr std::int64_t n = 20000;
     for (int round = 0; round < 10; ++round) {
         std::vector<std::atomic<int>> counts(n);
-        pool.forEach(n, [&](std::int64_t i) {
-            counts[static_cast<std::size_t>(i)].fetch_add(
+        parallelMap(n, [&](std::int64_t i) {
+            return counts[static_cast<std::size_t>(i)].fetch_add(
                 1, std::memory_order_relaxed);
         });
         for (std::int64_t i = 0; i < n; ++i)
             if (counts[static_cast<std::size_t>(i)].load() != 1) {
-                check(false, "forEach index count != 1");
+                check(false, "loop index count != 1");
                 return;
             }
     }
 }
 
-/** Fire-and-forget submits racing work stealing and teardown. */
-void
-stressSubmit()
-{
-    std::atomic<std::int64_t> ran{0};
-    {
-        ThreadPool pool(8);
-        for (int i = 0; i < 20000; ++i)
-            pool.submit([&] {
-                ran.fetch_add(1, std::memory_order_relaxed);
-            });
-    } // destructor must drain the queues before joining
-    check(ran.load() == 20000, "submit drained before destruction");
-}
-
-/** Nested loops from inside workers must run inline, not deadlock. */
+/** Nested loops run inline on their thread, not deadlock. */
 void
 stressNested()
 {
-    ThreadPool pool(4);
+    setGlobalJobs(4);
     std::atomic<std::int64_t> total{0};
-    pool.forEach(64, [&](std::int64_t) {
-        ThreadPool::global().forEach(64, [&](std::int64_t) {
-            total.fetch_add(1, std::memory_order_relaxed);
-        });
+    parallelMap(64, [&](std::int64_t) {
+        return parallelMap(64, [&](std::int64_t) {
+                   return total.fetch_add(1, std::memory_order_relaxed);
+               }).size();
     });
-    check(total.load() == 64 * 64, "nested forEach completed");
+    check(total.load() == 64 * 64, "nested loop completed");
 }
 
 /** Exceptions under contention: lowest index wins, all indices run. */
 void
 stressExceptions()
 {
-    ThreadPool pool(8);
+    setGlobalJobs(8);
     for (int round = 0; round < 20; ++round) {
         std::atomic<std::int64_t> executed{0};
         bool threw = false;
         try {
-            pool.forEach(512, [&](std::int64_t i) {
+            parallelMap(512, [&](std::int64_t i) {
                 executed.fetch_add(1, std::memory_order_relaxed);
                 if (i % 31 == 7)
                     throw std::runtime_error("stress");
+                return i;
             });
         } catch (const std::runtime_error&) {
             threw = true;
@@ -110,22 +107,36 @@ stressExceptions()
     }
 }
 
-/** Concurrent parallelMap through the global pool, resized midway. */
+/** Loops in order at several job counts, resized between loops. */
 void
 stressGlobalResize()
 {
     for (const int jobs : {1, 2, 8, 4}) {
-        ThreadPool::setGlobalJobs(jobs);
-        const std::vector<std::int64_t> out =
-            mmgen::runtime::parallelMap(
-                4096, [](std::int64_t i) { return i; });
-        for (std::int64_t i = 0; i < 4096; ++i)
-            if (out[static_cast<std::size_t>(i)] != i) {
-                check(false, "parallelMap order after resize");
-                return;
-            }
+        setGlobalJobs(jobs);
+        if (!isIota(parallelMap(4096,
+                                [](std::int64_t i) { return i; }))) {
+            check(false, "parallelMap order after resize");
+            return;
+        }
     }
-    ThreadPool::setGlobalJobs(0);
+}
+
+/** A second thread changes the job count while loops run. */
+void
+stressResizeDuringLoops()
+{
+    std::atomic<bool> done{false};
+    std::thread resizer([&] {
+        for (int k = 0; !done.load(); ++k)
+            setGlobalJobs(1 + k % 8);
+    });
+    bool ordered = true;
+    for (int round = 0; round < 200 && ordered; ++round)
+        ordered = isIota(
+            parallelMap(257, [](std::int64_t i) { return i; }));
+    done.store(true);
+    resizer.join();
+    check(ordered, "parallelMap order while resized concurrently");
 }
 
 } // namespace
@@ -133,11 +144,12 @@ stressGlobalResize()
 int
 main()
 {
-    stressForEach();
-    stressSubmit();
+    stressLoop();
     stressNested();
     stressExceptions();
     stressGlobalResize();
+    stressResizeDuringLoops();
+    setGlobalJobs(0);
     if (failures == 0)
         std::printf("tsan_stress: all clear\n");
     return failures == 0 ? 0 : 1;

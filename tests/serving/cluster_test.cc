@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/memory.hh"
 #include "models/stable_diffusion.hh"
 #include "serving/cluster.hh"
 #include "serving/latency_surface.hh"
@@ -173,6 +174,9 @@ TEST(Cluster, ValidationRejectsBadKnobs)
 
     ClusterConfig c = good;
     c.arrivalRate = 0.0;
+    EXPECT_THROW(c.validate(), FatalError);
+    c = good;
+    c.maxBatch = exec::kUnboundedBatch + 1;
     EXPECT_THROW(c.validate(), FatalError);
     c = good;
     c.replicas.clear();

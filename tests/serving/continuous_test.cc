@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "runtime/parallel.hh"
-#include "runtime/thread_pool.hh"
 #include "serving/latency_surface.hh"
 #include "serving/simulator.hh"
 #include "util/logging.hh"
@@ -240,7 +239,7 @@ TEST(Continuous, MemoryInfeasibleBatchShedsEverything)
 TEST(Continuous, ReportsAreByteIdenticalAtAnyJobsCount)
 {
     // The sweep-level determinism contract: fanning simulations out
-    // over the global pool at --jobs 1/2/8 must produce identical
+    // through parallelMap at --jobs 1/2/8 must produce identical
     // reports in identical order.
     const BatchLatencySurface surface =
         BatchLatencySurface::fromLatencyModel(testModel(), 8, 50);
@@ -261,17 +260,17 @@ TEST(Continuous, ReportsAreByteIdenticalAtAnyJobsCount)
             });
     };
 
-    runtime::ThreadPool::setGlobalJobs(1);
+    runtime::setGlobalJobs(1);
     const std::vector<ServingReport> base = sweep();
     for (int jobs : {2, 8}) {
-        runtime::ThreadPool::setGlobalJobs(jobs);
+        runtime::setGlobalJobs(jobs);
         const std::vector<ServingReport> again = sweep();
         ASSERT_EQ(again.size(), base.size());
         for (std::size_t i = 0; i < base.size(); ++i)
             EXPECT_TRUE(base[i] == again[i])
                 << "jobs " << jobs << ", point " << i;
     }
-    runtime::ThreadPool::setGlobalJobs(0); // restore auto
+    runtime::setGlobalJobs(0); // restore auto
 }
 
 TEST(Continuous, InvalidSurfaceRejectedBeforeSimulation)

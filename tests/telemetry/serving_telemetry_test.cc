@@ -4,7 +4,7 @@
  * zero-cost-disabled contract (reports bit-for-bit identical with
  * telemetry on or off, doubles compared exactly), sampling cadence,
  * chaos trace contents, the P009 consistency check, and byte-identical
- * exports across thread-pool job counts.
+ * exports across job counts.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <sstream>
 #include <string>
 
-#include "runtime/thread_pool.hh"
+#include "runtime/parallel.hh"
 #include "serving/cluster.hh"
 #include "serving/simulator.hh"
 #include "telemetry/consistency.hh"
@@ -292,7 +292,7 @@ TEST(ServingTelemetry, ExportsByteIdenticalAcrossJobCounts)
     const ClusterConfig cfg = chaosCluster();
     std::string reference;
     for (int jobs : {1, 2, 8}) {
-        runtime::ThreadPool::setGlobalJobs(jobs);
+        runtime::setGlobalJobs(jobs);
         telemetry::MetricsRegistry registry;
         telemetry::TraceSink sink;
         telemetry::Telemetry tel;
@@ -306,7 +306,7 @@ TEST(ServingTelemetry, ExportsByteIdenticalAcrossJobCounts)
         else
             EXPECT_EQ(exported, reference) << "jobs=" << jobs;
     }
-    runtime::ThreadPool::setGlobalJobs(0);
+    runtime::setGlobalJobs(0);
     EXPECT_FALSE(reference.empty());
 }
 

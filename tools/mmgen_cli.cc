@@ -41,9 +41,9 @@
 #include "core/taxonomy.hh"
 #include "models/stable_diffusion.hh"
 #include "runtime/disk_cache.hh"
+#include "runtime/parallel.hh"
 #include "runtime/profile_cache.hh"
 #include "runtime/runtime_metrics.hh"
-#include "runtime/thread_pool.hh"
 #include "serving/cluster.hh"
 #include "serving/latency_surface.hh"
 #include "serving/simulator.hh"
@@ -349,7 +349,7 @@ parseOptions(int argc, char** argv, int first)
             const int jobs = nextInt32();
             MMGEN_CHECK(jobs >= 1, "--jobs must be >= 1, got "
                                        << jobs);
-            runtime::ThreadPool::setGlobalJobs(jobs);
+            runtime::setGlobalJobs(jobs);
         }
         else if (arg == "--rate")
             opts.serving.arrivalRate = nextDouble();
@@ -696,6 +696,9 @@ cmdServe(const Options& opts)
     if (!opts.mixName.empty())
         scfg.workload = workload::namedWorkloadMix(opts.mixName);
     scfg.continuousBatching = opts.continuous;
+    // Reject bad knobs before pricing: the surface grid is sized by
+    // --batch.
+    scfg.validate();
     serving::BatchLatencySurface surface;
     if (opts.continuous || opts.useSurface)
         surface = serveSurface(pipeline, opts, scfg);
