@@ -41,14 +41,13 @@ main()
         // sequence lengths of interest" angle the paper raises.
         std::map<std::int64_t, double> seconds_by_len;
         double attn_seconds = 0.0;
-        for (std::size_t oi = 0; oi < res.plan->ops.size(); ++oi) {
-            const exec::PlanOp& op = res.plan->ops[oi];
-            if (op.kind != graph::OpKind::Attention ||
-                op.attnKind == graph::AttentionKind::CrossText) {
+        for (const exec::ExecutedOp e : res.plan->executed()) {
+            if (e.op.kind != graph::OpKind::Attention ||
+                e.op.attnKind == graph::AttentionKind::CrossText) {
                 continue;
             }
-            seconds_by_len[op.seqKv] += res.timeline.opSeconds[oi];
-            attn_seconds += res.timeline.opSeconds[oi];
+            seconds_by_len[e.op.seqKv] += res.timeline.opSeconds[e.index];
+            attn_seconds += res.timeline.opSeconds[e.index];
         }
 
         std::cout << "image " << size << "x" << size << " (latent "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "hw/roofline.hh"
 #include "util/format.hh"
@@ -110,16 +111,20 @@ hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
         std::int64_t calls = 0;
     };
     std::map<std::pair<std::string, graph::OpKind>, Agg> by_site;
-    for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
-        const exec::PlanOp& op = plan.ops[oi];
+    // Every executed instance of a stored op lands on the same site.
+    std::vector<Agg*> site_of(plan.ops.size(), nullptr);
+    for (const exec::ExecutedOp e : plan.executed()) {
+        const exec::PlanOp& op = e.op;
+        Agg*& site = site_of[e.opIndex];
+        if (site == nullptr)
+            site = &by_site[{std::string(plan.str(op.scope)), op.kind}];
         double flops = 0.0;
         for (std::size_t n = op.firstNode;
              n < op.firstNode + op.nodeCount; ++n)
             flops += plan.nodes[n].flops;
-        Agg& a = by_site[{std::string(plan.opScope(oi)), op.kind}];
-        a.seconds += result.timeline.opSeconds[oi];
-        a.flops += flops * static_cast<double>(op.repeat);
-        a.calls += op.repeat;
+        site->seconds += result.timeline.opSeconds[e.index];
+        site->flops += flops * static_cast<double>(op.repeat);
+        site->calls += op.repeat;
     }
     std::vector<std::pair<std::pair<std::string, graph::OpKind>, Agg>>
         sites(by_site.begin(), by_site.end());

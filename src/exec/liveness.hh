@@ -11,8 +11,9 @@
  * prefetched staging buffer from the copy node until its last compute
  * kernel retires. Parameters are resident for the whole run.
  *
- * The derivation emits every buffer as a closed [defNode, lastUseNode]
- * interval in node-index (program) order. The memory analyzer sweeps
+ * The derivation walks the plan's executed ops and emits every buffer
+ * as a closed [defNode, lastUseNode] interval of executed-kernel
+ * indices, in program order. The memory analyzer sweeps
  * those intervals directly for the program-order peak, and maps them
  * through the scheduled timeline (event start of the def node, event
  * end of the last use) so stream overlap correctly widens lifetimes.
@@ -48,12 +49,12 @@ std::string bufferKindName(BufferKind kind);
 struct LiveBuffer
 {
     BufferKind kind = BufferKind::Activation;
-    /** Owning op (index into ExecutionPlan::ops). */
+    /** Owning op's stored record (index into ExecutionPlan::ops). */
     std::size_t opIndex = 0;
     double bytes = 0.0;
-    /** Node whose execution allocates the buffer. */
+    /** Executed kernel whose execution allocates the buffer. */
     std::size_t defNode = 0;
-    /** Last node that reads the buffer (>= defNode). */
+    /** Last executed kernel that reads the buffer (>= defNode). */
     std::size_t lastUseNode = 0;
 };
 
@@ -62,7 +63,7 @@ struct Liveness
 {
     /** Parameter bytes resident for the whole run. */
     double weightBytes = 0.0;
-    /** Dynamic buffers in def-node order. */
+    /** Dynamic buffers in def order (executed program order). */
     std::vector<LiveBuffer> buffers;
 };
 

@@ -34,10 +34,10 @@ sortByTime(std::vector<std::uint32_t>& order, TimeOf time_of)
 MemoryProfile
 analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
 {
-    MMGEN_CHECK(timeline.eventCount() == plan.nodes.size(),
+    MMGEN_CHECK(timeline.eventCount() == plan.executedNodeCount(),
                 "timeline has " << timeline.eventCount()
                                 << " events for a plan of "
-                                << plan.nodes.size() << " nodes");
+                                << plan.executedNodeCount() << " nodes");
     const Liveness lv = deriveLiveness(plan);
 
     MemoryProfile profile;
@@ -50,12 +50,12 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
     for (const LiveBuffer& b : lv.buffers)
         profile.noReuseBytes += b.bytes;
 
-    // ---- program-order sweep (node-index time axis) ------------------
+    // ---- program-order sweep (executed-kernel time axis) -------------
     //
-    // Closed intervals: a buffer [d, u] is live at every node k with
+    // Closed intervals: a buffer [d, u] is live at every kernel k with
     // d <= k <= u, so allocations apply before the residency at k is
     // recorded and frees apply after.
-    const std::size_t num_nodes = plan.nodes.size();
+    const std::size_t num_nodes = plan.executedNodeCount();
     std::vector<double> alloc_at(num_nodes, 0.0);
     std::vector<double> free_after(num_nodes, 0.0);
     for (const LiveBuffer& b : lv.buffers) {
@@ -68,15 +68,16 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
 
     double cur = lv.weightBytes;
     profile.programPeakBytes = lv.weightBytes;
-    for (std::size_t k = 0; k < num_nodes; ++k) {
-        cur += alloc_at[k];
-        profile.programPeakBytes =
-            std::max(profile.programPeakBytes, cur);
-        const std::size_t stage =
-            plan.ops[plan.nodes[k].opIndex].stageIndex;
-        StageResidency& sr = profile.stageResidency[stage];
-        sr.peakBytes = std::max(sr.peakBytes, cur);
-        cur -= free_after[k];
+    for (const ExecutedOp e : plan.executed()) {
+        StageResidency& sr = profile.stageResidency[e.op.stageIndex];
+        for (std::size_t k = e.firstNode;
+             k < e.firstNode + e.op.nodeCount; ++k) {
+            cur += alloc_at[k];
+            profile.programPeakBytes =
+                std::max(profile.programPeakBytes, cur);
+            sr.peakBytes = std::max(sr.peakBytes, cur);
+            cur -= free_after[k];
+        }
     }
 
     // ---- scheduled-order sweep (sim-time axis) -----------------------
@@ -98,8 +99,8 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
         return timeline.eventEnd[buffers[bi].lastUseNode];
     };
 
-    // Allocations start in def-node order, frees in last-use node order
-    // (a counting sort on the node).
+    // Allocations start in def order, frees in last-use order (a
+    // counting sort on the executed kernel).
     std::vector<std::uint32_t> allocs(num_buffers);
     std::iota(allocs.begin(), allocs.end(), 0u);
     sortByTime(allocs, start_of);

@@ -62,7 +62,10 @@ struct MemoryProfile
     /** Upper bound: weights plus every buffer, never freed. */
     double noReuseBytes = 0.0;
 
-    /** Def nodes of the dynamic buffers live at the scheduled peak. */
+    /**
+     * Def kernels (executed-kernel indices) of the dynamic buffers
+     * live at the scheduled peak.
+     */
     std::vector<std::size_t> peakNodes;
 
     /** Per-stage residency curve, in pipeline stage order. */

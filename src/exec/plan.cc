@@ -20,8 +20,12 @@ std::int64_t
 ExecutionPlan::totalLaunches() const
 {
     std::int64_t total = 0;
-    for (const PlanNode& node : nodes)
-        total += static_cast<std::int64_t>(node.launches) * node.repeat;
+    for (const ExecutedOp e : executed()) {
+        for (std::size_t n = e.op.firstNode;
+             n < e.op.firstNode + e.op.nodeCount; ++n)
+            total += static_cast<std::int64_t>(nodes[n].launches) *
+                     nodes[n].repeat;
+    }
     return total;
 }
 
@@ -38,37 +42,37 @@ ExecutionPlan::intern(std::string_view s)
 void
 ExecutionPlan::addDep(std::size_t n, std::int32_t dep)
 {
-    MMGEN_CHECK(n < nodes.size(), "node " << n << " out of range");
-    PlanNode& node = nodes[n];
-    if (node.depOffset + node.depCount != depPool.size()) {
+    MMGEN_CHECK(n < depWindows.size(), "node " << n << " out of range");
+    DepWindow& window = depWindows[n];
+    if (window.offset + window.count != depPool.size()) {
         // The window is not at the pool tail; relocate it there so the
         // append stays contiguous. Old slots become dead pool space.
         const std::uint32_t new_off =
             static_cast<std::uint32_t>(depPool.size());
-        for (std::uint32_t i = 0; i < node.depCount; ++i)
-            depPool.push_back(depPool[node.depOffset + i]);
-        node.depOffset = new_off;
+        for (std::uint32_t i = 0; i < window.count; ++i)
+            depPool.push_back(depPool[window.offset + i]);
+        window.offset = new_off;
     }
     depPool.push_back(dep);
-    ++node.depCount;
+    ++window.count;
 }
 
 void
 ExecutionPlan::setDeps(std::size_t n,
                        std::span<const std::int32_t> new_deps)
 {
-    MMGEN_CHECK(n < nodes.size(), "node " << n << " out of range");
-    PlanNode& node = nodes[n];
-    node.depOffset = static_cast<std::uint32_t>(depPool.size());
-    node.depCount = static_cast<std::uint32_t>(new_deps.size());
+    MMGEN_CHECK(n < depWindows.size(), "node " << n << " out of range");
+    DepWindow& window = depWindows[n];
+    window.offset = static_cast<std::uint32_t>(depPool.size());
+    window.count = static_cast<std::uint32_t>(new_deps.size());
     depPool.insert(depPool.end(), new_deps.begin(), new_deps.end());
 }
 
 void
 ExecutionPlan::clearDeps(std::size_t n)
 {
-    MMGEN_CHECK(n < nodes.size(), "node " << n << " out of range");
-    nodes[n].depCount = 0;
+    MMGEN_CHECK(n < depWindows.size(), "node " << n << " out of range");
+    depWindows[n].count = 0;
 }
 
 namespace {
@@ -115,8 +119,8 @@ costNode(const hw::GpuSpec& gpu, const PlanNode& node)
 
 /**
  * The state of one lowering: the plan under construction, the
- * string-intern index over its arena, and the last node on each lane
- * (the next node on that lane depends on it).
+ * string-intern index over its arena, and the last executed kernel on
+ * each lane (the next kernel on that lane depends on it).
  */
 struct Lowering
 {
@@ -155,127 +159,177 @@ struct Lowering
         return ref;
     }
 
-    void lowerTrace(const graph::Trace& trace, std::size_t stage_index,
-                    std::int64_t repeat);
+    void lowerStage(const graph::Pipeline& pipeline,
+                    std::size_t stage_index);
+    /** Cost one op and store its records; returns the stored op. */
+    std::uint32_t store(const graph::Op& op, std::size_t stage_index,
+                        std::int64_t repeat);
+    /** Store one kernel and its roofline cost row. */
+    void storeNode(const PlanNode& node);
+    /** Append one executed instance of a stored op. */
+    void execute(std::uint32_t op_index);
 };
 
 void
-Lowering::lowerTrace(const graph::Trace& trace, std::size_t stage_index,
-                     std::int64_t repeat)
+Lowering::lowerStage(const graph::Pipeline& pipeline,
+                     std::size_t stage_index)
 {
-    // Do not reserve per trace: an autoregressive stage lowers one
-    // trace per token, so an exact-size reserve here would copy the
-    // whole op array on every token. Geometric growth keeps it linear.
-    for (const auto& op : trace.ops()) {
-        const kernels::OpCost cost = model.cost(op);
-
-        PlanOp pop;
-        pop.stageIndex = stage_index;
-        pop.kind = op.kind;
-        pop.category = graph::opCategory(op);
-        pop.scope = intern(op.scope);
-        pop.dtype = op.dtype;
-        pop.repeat = repeat;
-        pop.paramCount = graph::opParamCount(op);
-        if (op.kind == graph::OpKind::Attention) {
-            const auto& a = op.as<graph::AttentionAttrs>();
-            pop.seqQ = a.seqQ;
-            pop.seqKv = a.seqKv;
-            pop.attnKind = a.kind;
+    const graph::Stage& stage = pipeline.stages[stage_index];
+    const std::int64_t traces =
+        stage.perIterationShapes ? stage.iterations : 1;
+    const std::int64_t repeat =
+        stage.perIterationShapes ? 1 : stage.iterations;
+    // Each iteration is traced, so the emitter may change any op on
+    // any iteration. An op equal to the previous iteration's op at the
+    // same position lowers to the same records, so it executes that
+    // stored op again instead of being costed and stored anew. Do not
+    // reserve per trace: the executed arrays grow on every token, and
+    // an exact-size reserve would copy them each time. Geometric
+    // growth keeps lowering linear.
+    graph::Trace prev;
+    std::vector<std::uint32_t> prev_stored;
+    std::vector<std::uint32_t> stored;
+    for (std::int64_t it = 0; it < traces; ++it) {
+        graph::Trace trace = pipeline.traceStage(stage_index, it);
+        const std::span<const graph::Op> ops = trace.ops();
+        const std::span<const graph::Op> prev_ops = prev.ops();
+        stored.clear();
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const std::uint32_t oi =
+                i < prev_ops.size() && ops[i] == prev_ops[i]
+                    ? prev_stored[i]
+                    : store(ops[i], stage_index, repeat);
+            execute(oi);
+            stored.push_back(oi);
         }
-        const kernels::OpMemoryDemand dem = model.memoryDemand(op);
-        pop.inputBytes = dem.inputBytes;
-        pop.outputBytes = dem.outputBytes;
-        pop.weightResidentBytes = dem.weightResidentBytes;
-        pop.weightReadBytes = dem.weightReadBytes;
-        pop.workspaceBytes = dem.workspaceBytes;
-        pop.firstNode = plan.nodes.size();
+        prev = std::move(trace);
+        std::swap(prev_stored, stored);
+    }
+}
 
-        std::int32_t weight_node = -1;
-        // Weight-stream nodes precede the kernels that consume them so
-        // node order remains a valid serial execution order.
-        for (const auto& part : cost.parts) {
-            if (!worthStreaming(model.gpu(), part, op.dtype, opts))
-                continue;
-            PlanNode w;
-            w.opIndex = plan.ops.size();
-            w.klass = kernels::KernelClass::Memory;
-            scratch.assign(part.label);
-            scratch += ".weight_stream";
-            w.label = intern(scratch);
-            w.lane = Lane::Copy;
-            w.weightStream = true;
-            w.flops = 0.0;
-            w.hbmBytes = part.weightBytes;
-            // The streamed traffic was issued by the original kernel's
-            // launch; the copy lane adds no host-side launches.
-            w.launches = 0;
-            w.computeEff = 1.0;
-            w.memEff = part.memEff;
-            w.repeat = repeat;
-            w.dtype = op.dtype;
-            w.depOffset =
-                static_cast<std::uint32_t>(plan.depPool.size());
-            if (lastCopyNode >= 0) {
+std::uint32_t
+Lowering::store(const graph::Op& op, std::size_t stage_index,
+                std::int64_t repeat)
+{
+    MMGEN_CHECK(plan.ops.size() < UINT32_MAX,
+                "plan exceeds " << UINT32_MAX << " stored ops");
+    const kernels::OpCost cost = model.cost(op);
+    const auto op_index = static_cast<std::uint32_t>(plan.ops.size());
+
+    PlanOp pop;
+    pop.stageIndex = stage_index;
+    pop.kind = op.kind;
+    pop.category = graph::opCategory(op);
+    pop.scope = intern(op.scope);
+    pop.dtype = op.dtype;
+    pop.repeat = repeat;
+    pop.paramCount = graph::opParamCount(op);
+    if (op.kind == graph::OpKind::Attention) {
+        const auto& a = op.as<graph::AttentionAttrs>();
+        pop.seqQ = a.seqQ;
+        pop.seqKv = a.seqKv;
+        pop.attnKind = a.kind;
+    }
+    const kernels::OpMemoryDemand dem = model.memoryDemand(op);
+    pop.inputBytes = dem.inputBytes;
+    pop.outputBytes = dem.outputBytes;
+    pop.weightResidentBytes = dem.weightResidentBytes;
+    pop.weightReadBytes = dem.weightReadBytes;
+    pop.workspaceBytes = dem.workspaceBytes;
+    pop.firstNode = plan.nodes.size();
+
+    bool streamed = false;
+    // Weight-stream nodes precede the kernels that consume them so
+    // node order remains a valid serial execution order.
+    for (const auto& part : cost.parts) {
+        if (!worthStreaming(model.gpu(), part, op.dtype, opts))
+            continue;
+        PlanNode w;
+        w.opIndex = op_index;
+        w.klass = kernels::KernelClass::Memory;
+        scratch.assign(part.label);
+        scratch += ".weight_stream";
+        w.label = intern(scratch);
+        w.lane = Lane::Copy;
+        w.weightStream = true;
+        w.flops = 0.0;
+        w.hbmBytes = part.weightBytes;
+        // The streamed traffic was issued by the original kernel's
+        // launch; the copy lane adds no host-side launches.
+        w.launches = 0;
+        w.computeEff = 1.0;
+        w.memEff = part.memEff;
+        w.repeat = repeat;
+        w.dtype = op.dtype;
+        storeNode(w);
+        plan.hasWeightStreams = true;
+        streamed = true;
+        break; // every weight-carrying op lowers to one kernel
+    }
+
+    for (const auto& part : cost.parts) {
+        PlanNode node;
+        node.opIndex = op_index;
+        node.klass = part.klass;
+        node.label = intern(part.label);
+        node.lane = Lane::Compute;
+        node.flops = part.flops;
+        node.hbmBytes = streamed ? part.hbmBytes - part.weightBytes
+                                 : part.hbmBytes;
+        node.launches = part.launches;
+        node.computeEff = part.computeEff;
+        node.memEff = part.memEff;
+        node.repeat = repeat;
+        node.dtype = op.dtype;
+        storeNode(node);
+    }
+
+    pop.nodeCount = plan.nodes.size() - pop.firstNode;
+    plan.ops.push_back(pop);
+    return op_index;
+}
+
+void
+Lowering::storeNode(const PlanNode& node)
+{
+    const hw::TimeEstimate est = costNode(model.gpu(), node);
+    plan.costs.seconds.push_back(est.seconds);
+    plan.costs.execSeconds.push_back(
+        std::max(est.computeSeconds, est.memorySeconds));
+    plan.costs.overheadSeconds.push_back(est.overheadSeconds);
+    plan.nodes.push_back(node);
+}
+
+void
+Lowering::execute(std::uint32_t op_index)
+{
+    plan.opSequence.push_back(op_index);
+    const PlanOp& op = plan.ops[op_index];
+    std::int32_t weight_node = -1;
+    bool first_compute = true;
+    for (std::size_t n = op.firstNode; n < op.firstNode + op.nodeCount;
+         ++n) {
+        const auto k = static_cast<std::int32_t>(plan.depWindows.size());
+        DepWindow window;
+        window.offset = static_cast<std::uint32_t>(plan.depPool.size());
+        if (plan.nodes[n].lane == Lane::Copy) {
+            if (lastCopyNode >= 0)
                 plan.depPool.push_back(lastCopyNode);
-                w.depCount = 1;
-            }
-            weight_node = static_cast<std::int32_t>(plan.nodes.size());
-            lastCopyNode = weight_node;
-            const hw::TimeEstimate est = costNode(model.gpu(), w);
-            plan.costs.seconds.push_back(est.seconds);
-            plan.costs.execSeconds.push_back(
-                std::max(est.computeSeconds, est.memorySeconds));
-            plan.costs.overheadSeconds.push_back(est.overheadSeconds);
-            plan.nodes.push_back(w);
-            plan.hasWeightStreams = true;
-            break; // every weight-carrying op lowers to one kernel
-        }
-
-        bool first_compute = true;
-        for (const auto& part : cost.parts) {
-            PlanNode node;
-            node.opIndex = plan.ops.size();
-            node.klass = part.klass;
-            node.label = intern(part.label);
-            node.lane = Lane::Compute;
-            node.flops = part.flops;
-            node.hbmBytes = weight_node >= 0
-                                ? part.hbmBytes - part.weightBytes
-                                : part.hbmBytes;
-            node.launches = part.launches;
-            node.computeEff = part.computeEff;
-            node.memEff = part.memEff;
-            node.repeat = repeat;
-            node.dtype = op.dtype;
-            node.depOffset =
-                static_cast<std::uint32_t>(plan.depPool.size());
-            if (first_compute) {
-                if (lastComputeNode >= 0) {
-                    plan.depPool.push_back(lastComputeNode);
-                    ++node.depCount;
-                }
-                if (weight_node >= 0) {
-                    plan.depPool.push_back(weight_node);
-                    ++node.depCount;
-                }
-            } else {
+            weight_node = k;
+            lastCopyNode = k;
+        } else {
+            // The first compute kernel chains to the previous op's and
+            // consumes the weight prefetch; later ones chain in order.
+            if (lastComputeNode >= 0)
                 plan.depPool.push_back(lastComputeNode);
-                node.depCount = 1;
-            }
-            lastComputeNode =
-                static_cast<std::int32_t>(plan.nodes.size());
-            const hw::TimeEstimate est = costNode(model.gpu(), node);
-            plan.costs.seconds.push_back(est.seconds);
-            plan.costs.execSeconds.push_back(
-                std::max(est.computeSeconds, est.memorySeconds));
-            plan.costs.overheadSeconds.push_back(est.overheadSeconds);
-            plan.nodes.push_back(node);
+            if (first_compute && weight_node >= 0)
+                plan.depPool.push_back(weight_node);
+            lastComputeNode = k;
             first_compute = false;
         }
-
-        pop.nodeCount = plan.nodes.size() - pop.firstNode;
-        plan.ops.push_back(pop);
+        window.count = static_cast<std::uint32_t>(plan.depPool.size()) -
+                       window.offset;
+        plan.depWindows.push_back(window);
     }
 }
 
@@ -297,17 +351,8 @@ lowerPipeline(const graph::Pipeline& pipeline,
     plan.costs.gpuKey = model.gpu().fingerprint();
 
     for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
-        const graph::Stage& stage = pipeline.stages[si];
-        plan.stageNames.push_back(stage.name);
-        if (stage.perIterationShapes) {
-            for (std::int64_t it = 0; it < stage.iterations; ++it) {
-                const graph::Trace trace = pipeline.traceStage(si, it);
-                lowering.lowerTrace(trace, si, 1);
-            }
-        } else {
-            const graph::Trace trace = pipeline.traceStage(si, 0);
-            lowering.lowerTrace(trace, si, stage.iterations);
-        }
+        plan.stageNames.push_back(pipeline.stages[si].name);
+        lowering.lowerStage(pipeline, si);
     }
     return std::move(plan);
 }

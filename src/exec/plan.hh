@@ -7,11 +7,22 @@
  * traced stage by stage exactly as the profiler always has — folded
  * stages once with a repeat count, per-iteration-shape stages every
  * iteration — and each graph op is lowered through the CostModel into
- * its device kernels. The plan keeps one PlanNode per SubKernelCost,
- * carrying stage/op provenance, explicit dependencies, and a lane
- * assignment (compute vs. memcpy/weight-stream), so a scheduler can
- * play the same work onto a GPU under different concurrency models
- * without re-tracing anything.
+ * its device kernels. Each kernel carries stage/op provenance and a
+ * lane assignment (compute vs. memcpy/weight-stream), and each
+ * executed kernel its explicit dependencies, so a scheduler can play
+ * the same work onto a GPU under different concurrency models without
+ * re-tracing anything.
+ *
+ * The plan stores each distinct op once. An autoregressive stage
+ * traces every token, but most of a token's ops equal the op at the
+ * same position one token earlier (only the attention ops see the KV
+ * cache grow); such an op executes the earlier token's stored record
+ * again. So `ops`, `nodes` and `costs` hold stored records, and
+ * `opSequence` lists the stored op of every executed op instance in
+ * program order. Readers walk that sequence with `executed()`, which
+ * numbers executed ops and executed kernels in program order: the
+ * indices timelines, dependency windows and liveness intervals use.
+ * For a folded stage the sequence is the identity.
  *
  * Storage is arena-style: nodes and ops are plain flat records whose
  * variable-size payloads live in per-plan pools — labels and scopes
@@ -19,9 +30,9 @@
  * are [offset, count) windows into one shared `std::int32_t` pool.
  * The plan owns no per-node heap blocks, so copying it is a handful
  * of vector copies and the scheduler's inner loop touches only
- * contiguous memory. Lowering also records a per-node roofline cost
- * table (`NodeCostTable`) keyed by the GPU it was costed for, so a
- * scheduler on the same GPU replays the exact same
+ * contiguous memory. Lowering also records a roofline cost table
+ * (`NodeCostTable`) row per stored node, keyed by the GPU it was
+ * costed for, so a scheduler on the same GPU replays the exact same
  * `hw::estimateTime` outputs without re-deriving them.
  */
 
@@ -82,7 +93,10 @@ struct StrRef
     std::uint32_t size = 0;
 };
 
-/** One graph-level operator instance in the plan (op provenance). */
+/**
+ * One stored graph-level operator (op provenance). Every executed
+ * instance of the op in ExecutionPlan::opSequence shares it.
+ */
 struct PlanOp
 {
     /** Index of the owning stage in the pipeline. */
@@ -116,25 +130,19 @@ struct PlanOp
     /** Transient scratch live only across this op's own kernels. */
     double workspaceBytes = 0.0;
 
-    /** Nodes [firstNode, firstNode + nodeCount) belong to this op. */
+    /** Stored nodes [firstNode, firstNode + nodeCount) are its kernels. */
     std::size_t firstNode = 0;
     std::size_t nodeCount = 0;
 };
 
 /**
- * One device kernel instance: the schedulable unit of the plan.
- *
- * Dependency edges always point at lower node indices, so a single
- * forward pass can schedule or analyse the plan. A node's implicit
- * program-order position is its index; its dependency window (resolve
- * with ExecutionPlan::deps()) carries only the true ordering
- * constraints: previous kernel of the same op, the program-order
- * predecessor on the compute chain, and the weight-stream node an
- * op's first kernel consumes.
+ * One stored device kernel: the schedulable unit of the plan. Its
+ * executed instances get their program-order position and dependency
+ * window from ExecutionPlan::executed() and ExecutionPlan::deps().
  */
 struct PlanNode
 {
-    /** Index of the owning PlanOp. */
+    /** Index of the owning stored PlanOp. */
     std::size_t opIndex = 0;
     kernels::KernelClass klass = kernels::KernelClass::Elementwise;
     /** Kernel label from the cost model, e.g. "flash_fused" (interned). */
@@ -152,10 +160,95 @@ struct PlanNode
     /** Folded execution count (copied from the owning op). */
     std::int64_t repeat = 1;
     DType dtype = DType::F16;
+};
 
-    /** Window [depOffset, depOffset + depCount) into the dep pool. */
-    std::uint32_t depOffset = 0;
-    std::uint32_t depCount = 0;
+/**
+ * Dependency window of one executed kernel: [offset, offset + count)
+ * into ExecutionPlan::depPool.
+ *
+ * Edges always point at lower executed-kernel indices, so a single
+ * forward pass can schedule or analyse the plan. A kernel's implicit
+ * program-order position is its index; its window carries only the
+ * true ordering constraints: previous kernel of the same op, the
+ * program-order predecessor on the compute chain, and the
+ * weight-stream kernel an op's first kernel consumes. A stored op
+ * executed on many tokens has different predecessors on each, so
+ * windows belong to executed kernels, not to stored records.
+ */
+struct DepWindow
+{
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;
+};
+
+struct ExecutionPlan;
+
+/** One executed op instance, as ExecutionPlan::executed() yields it. */
+struct ExecutedOp
+{
+    /** Program-order position (index into Timeline::opSeconds). */
+    std::size_t index = 0;
+    /** Index of the stored record in ExecutionPlan::ops. */
+    std::size_t opIndex = 0;
+    /** The stored record. */
+    const PlanOp& op;
+    /**
+     * The op's first executed kernel. Executed kernel firstNode + p
+     * instantiates stored node op.firstNode + p.
+     */
+    std::size_t firstNode = 0;
+};
+
+/**
+ * Forward range over a plan's executed ops in program order. Each step
+ * reads one sequence entry and one stored record.
+ */
+class ExecutedOps
+{
+  public:
+    class iterator
+    {
+      public:
+        ExecutedOp
+        operator*() const
+        {
+            const std::uint32_t oi = sequence_[index_];
+            return {index_, oi, ops_[oi], firstNode_};
+        }
+
+        iterator&
+        operator++()
+        {
+            firstNode_ += ops_[sequence_[index_]].nodeCount;
+            ++index_;
+            return *this;
+        }
+
+        bool operator==(const iterator& o) const
+        {
+            return index_ == o.index_;
+        }
+
+      private:
+        friend class ExecutedOps;
+        iterator(const PlanOp* ops, const std::uint32_t* sequence,
+                 std::size_t index)
+            : ops_(ops), sequence_(sequence), index_(index)
+        {}
+
+        const PlanOp* ops_;
+        const std::uint32_t* sequence_;
+        std::size_t index_;
+        std::size_t firstNode_ = 0;
+    };
+
+    explicit ExecutedOps(const ExecutionPlan& plan) : plan_(&plan) {}
+
+    iterator begin() const;
+    iterator end() const;
+
+  private:
+    const ExecutionPlan* plan_;
 };
 
 /**
@@ -163,10 +256,10 @@ struct PlanNode
  *
  * The table stores the exact `hw::estimateTime` outputs for the GPU
  * the plan was lowered against (`gpuKey` = that GpuSpec's
- * fingerprint), in node order. A scheduler whose GPU fingerprint
- * matches replays these doubles verbatim — bit-identical to calling
- * the roofline per node — and one whose GPU differs ignores the table
- * and recomputes.
+ * fingerprint), one row per stored node. A scheduler whose GPU
+ * fingerprint matches replays these doubles verbatim — bit-identical
+ * to calling the roofline per node — and one whose GPU differs
+ * ignores the table and recomputes.
  */
 struct NodeCostTable
 {
@@ -179,7 +272,7 @@ struct NodeCostTable
     /** Host launch overhead per iteration. */
     std::vector<double> overheadSeconds;
 
-    /** True when the table covers `nodes` nodes costed under `key`. */
+    /** True when the table covers `nodes` stored nodes under `key`. */
     bool
     matches(std::uint64_t key, std::size_t nodes) const
     {
@@ -188,8 +281,9 @@ struct NodeCostTable
 };
 
 /**
- * A lowered pipeline: every kernel of one full inference, in program
- * order, with provenance and dependencies.
+ * A lowered pipeline: the stored op and kernel records of one full
+ * inference, the executed sequence that orders them, and the
+ * dependencies of every executed kernel.
  */
 struct ExecutionPlan
 {
@@ -200,19 +294,25 @@ struct ExecutionPlan
     /** Stage names in pipeline order (indexed by PlanOp::stageIndex). */
     std::vector<std::string> stageNames;
 
-    /** Graph-level ops in execution order. */
+    /** Stored graph-level ops, in the order they were first lowered. */
     std::vector<PlanOp> ops;
 
-    /** Device kernels in program order (grouped per op). */
+    /** Stored device kernels, grouped per stored op. */
     std::vector<PlanNode> nodes;
+
+    /** Stored op of each executed op instance, in program order. */
+    std::vector<std::uint32_t> opSequence;
+
+    /** Dependency window of each executed kernel, in program order. */
+    std::vector<DepWindow> depWindows;
 
     /** Interned label/scope characters (StrRef targets). */
     std::vector<char> strArena;
 
-    /** Flat dependency pool (PlanNode dep windows point here). */
+    /** Flat dependency pool (DepWindows point here). */
     std::vector<std::int32_t> depPool;
 
-    /** Roofline estimates per node for the lowering GPU. */
+    /** Roofline estimates per stored node for the lowering GPU. */
     NodeCostTable costs;
 
     /** Trainable parameters of the whole pipeline. */
@@ -224,6 +324,15 @@ struct ExecutionPlan
     /** Total device launches across the plan (repeats applied). */
     std::int64_t totalLaunches() const;
 
+    /** Executed op instances (the length of opSequence). */
+    std::size_t executedOpCount() const { return opSequence.size(); }
+
+    /** Executed kernels: one timeline event each. */
+    std::size_t executedNodeCount() const { return depWindows.size(); }
+
+    /** Walk the executed ops in program order. */
+    ExecutedOps executed() const { return ExecutedOps(*this); }
+
     /** Resolve an interned string. */
     std::string_view
     str(StrRef ref) const
@@ -231,29 +340,23 @@ struct ExecutionPlan
         return {strArena.data() + ref.offset, ref.size};
     }
 
-    /** Label of node `n`. */
+    /** Label of stored node `n`. */
     std::string_view nodeLabel(std::size_t n) const
     {
         return str(nodes[n].label);
     }
 
-    /** Scope of op `oi`. */
+    /** Scope of stored op `oi`. */
     std::string_view opScope(std::size_t oi) const
     {
         return str(ops[oi].scope);
     }
 
-    /** Dependency window of one node. */
-    std::span<const std::int32_t>
-    deps(const PlanNode& node) const
-    {
-        return {depPool.data() + node.depOffset, node.depCount};
-    }
-
-    /** Dependency window of node `n`. */
+    /** Dependencies of executed kernel `n`. */
     std::span<const std::int32_t> deps(std::size_t n) const
     {
-        return deps(nodes[n]);
+        return {depPool.data() + depWindows[n].offset,
+                depWindows[n].count};
     }
 
     /** Intern a string into the arena (no deduplication). */
@@ -262,22 +365,38 @@ struct ExecutionPlan
     // -- dependency mutators (verifier tests corrupt plans on purpose;
     //    regular lowering never rewrites dep windows) --
 
-    /** Append one dependency edge to node `n`. */
+    /** Append one dependency edge to executed kernel `n`. */
     void addDep(std::size_t n, std::int32_t dep);
 
-    /** Replace node `n`'s dependency list. */
+    /** Replace executed kernel `n`'s dependency list. */
     void setDeps(std::size_t n, std::span<const std::int32_t> new_deps);
 
-    /** Drop all of node `n`'s dependencies. */
+    /** Drop all of executed kernel `n`'s dependencies. */
     void clearDeps(std::size_t n);
 };
+
+inline ExecutedOps::iterator
+ExecutedOps::begin() const
+{
+    return {plan_->ops.data(), plan_->opSequence.data(), 0};
+}
+
+inline ExecutedOps::iterator
+ExecutedOps::end() const
+{
+    return {plan_->ops.data(), plan_->opSequence.data(),
+            plan_->opSequence.size()};
+}
 
 /**
  * Lower a pipeline through a cost model into an ExecutionPlan.
  *
  * Stage traversal matches the profiler contract exactly: stages with
  * shape-invariant iterations are traced once and folded into repeat
- * counts; per-iteration-shape stages are traced every iteration.
+ * counts; per-iteration-shape stages are traced every iteration. An
+ * op equal to the op at the same position of the previous iteration
+ * executes that iteration's stored record again, so only the ops that
+ * change from iteration to iteration are costed and stored.
  */
 ExecutionPlan lowerPipeline(const graph::Pipeline& pipeline,
                             const kernels::CostModel& model,

@@ -4,8 +4,8 @@
  * plays an ExecutionPlan onto a GpuSpec.
  *
  * This is the second half of the profiler split. The scheduler walks
- * the plan in program order and assigns every node a real [start, end)
- * interval on a stream, modeling:
+ * the plan's executed kernels in program order and assigns each a real
+ * [start, end) interval on a stream, modeling:
  *
  *  - per-stream in-order (FIFO) execution,
  *  - compute/copy overlap when `streams >= 2` routes the Copy lane
@@ -24,14 +24,15 @@
  * seconds of its kernels in part order and multiplies by the repeat
  * count — the exact arithmetic `CostModel::time` performed.
  *
- * The timeline is stored structure-of-arrays: one event per plan node
- * in node order, split into parallel start/end/stream columns. Event
- * `i` always describes node `i` (its op is `plan.nodes[i].opIndex`),
- * so the scheduler's inner loop and every consumer stream through
- * flat double arrays. When the plan carries a `NodeCostTable` for the
- * scheduler's GPU (the lowering GPU fingerprint matches), per-node
- * roofline estimates are read from the table — the identical doubles
- * `hw::estimateTime` would produce — instead of recomputed.
+ * The timeline is stored structure-of-arrays: one event per executed
+ * kernel in program order, split into parallel start/end/stream
+ * columns. Event `i` always describes executed kernel `i` (walk
+ * `plan.executed()` to find its stored record), so the scheduler's
+ * inner loop and every consumer stream through flat double arrays.
+ * When the plan carries a `NodeCostTable` for the scheduler's GPU (the
+ * lowering GPU fingerprint matches), per-kernel roofline estimates are
+ * read from the table — the identical doubles `hw::estimateTime` would
+ * produce — instead of recomputed.
  */
 
 #ifndef MMGEN_EXEC_SCHEDULE_HH
@@ -80,12 +81,12 @@ struct ScheduleOptions
 
 /**
  * One scheduled kernel occurrence, materialized from the timeline's
- * SoA columns by Timeline::event(). The node index doubles as the
- * event index; the owning op is `plan.nodes[node].opIndex`.
+ * SoA columns by Timeline::event(). The executed-kernel index doubles
+ * as the event index.
  */
 struct TimelineEvent
 {
-    /** Index into ExecutionPlan::nodes (== the event index). */
+    /** Executed-kernel index (== the event index). */
     std::size_t node = 0;
     /** Stream the node ran on (0 = compute, 1 = copy). */
     int stream = 0;
@@ -98,7 +99,7 @@ struct TimelineEvent
 /** The scheduled timeline of one plan (structure-of-arrays). */
 struct Timeline
 {
-    /** Event start times, one per plan node in node order. */
+    /** Event start times, one per executed kernel in program order. */
     std::vector<double> eventStart;
 
     /** Event end times, aligned with eventStart. */
@@ -114,24 +115,25 @@ struct Timeline
     std::vector<double> streamBusySeconds;
 
     /**
-     * Roofline busy seconds per node (repeats applied), in node
-     * order. This is the per-kernel attribution quantity (what
+     * Roofline busy seconds per executed kernel (repeats applied), in
+     * program order. This is the per-kernel attribution quantity (what
      * kernel-class breakdowns sum); it matches each event's duration
      * up to the last ulp of the op-level grouping arithmetic.
      */
     std::vector<double> nodeSeconds;
 
     /**
-     * Busy seconds per plan op (sum of its nodes' durations), aligned
-     * with ExecutionPlan::ops. Under overlap these can sum to more
-     * than the makespan, like GPU-busy time in a real profile.
+     * Busy seconds per executed op (sum of its kernels' durations), in
+     * program order: indexed by ExecutedOp::index. Under overlap these
+     * can sum to more than the makespan, like GPU-busy time in a real
+     * profile.
      */
     std::vector<double> opSeconds;
 
     /** Total host launch overhead (seconds, repeats applied). */
     double launchOverheadSeconds = 0.0;
 
-    /** Number of scheduled events (== plan node count). */
+    /** Number of scheduled events (== executed kernel count). */
     std::size_t eventCount() const { return eventStart.size(); }
 
     /** Materialize one event from the SoA columns. */

@@ -107,6 +107,8 @@ struct ConvAttrs
     std::int64_t outH() const { return (inH + strideH - 1) / strideH; }
     std::int64_t outW() const { return (inW + strideW - 1) / strideW; }
     std::int64_t outD() const { return inD; }
+
+    bool operator==(const ConvAttrs&) const = default;
 };
 
 /** Dimensions of a (batched-rows) fully connected layer. */
@@ -117,6 +119,8 @@ struct LinearAttrs
     std::int64_t inFeatures = 0;
     std::int64_t outFeatures = 0;
     bool hasBias = true;
+
+    bool operator==(const LinearAttrs&) const = default;
 };
 
 /** Dimensions of a weightless batched matrix multiply. */
@@ -126,6 +130,8 @@ struct MatmulAttrs
     std::int64_t m = 0;
     std::int64_t n = 0;
     std::int64_t k = 0;
+
+    bool operator==(const MatmulAttrs&) const = default;
 };
 
 /**
@@ -179,6 +185,8 @@ struct AttentionAttrs
         const double s = static_cast<double>(featureStrideElems);
         return s <= 1.0 ? 1.0 : (s < per_sector ? s : per_sector);
     }
+
+    bool operator==(const AttentionAttrs&) const = default;
 };
 
 /** Dimensions of a normalization layer (group or layer norm). */
@@ -190,6 +198,8 @@ struct NormAttrs
     std::int64_t channels = 0;
     /** Number of groups (1 for LayerNorm). */
     std::int64_t groups = 1;
+
+    bool operator==(const NormAttrs&) const = default;
 };
 
 /** Dimensions of a standalone softmax (outside fused attention). */
@@ -197,6 +207,8 @@ struct SoftmaxAttrs
 {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
+
+    bool operator==(const SoftmaxAttrs&) const = default;
 };
 
 /** A pointwise operator over a tensor. */
@@ -209,6 +221,8 @@ struct ElemAttrs
     double flopsPerElement = 1.0;
     /** Label for reports, e.g. "silu", "add". */
     std::string label = "elementwise";
+
+    bool operator==(const ElemAttrs&) const = default;
 };
 
 /** An embedding-table lookup. */
@@ -217,6 +231,8 @@ struct EmbeddingAttrs
     std::int64_t tokens = 0;
     std::int64_t dim = 0;
     std::int64_t vocab = 0;
+
+    bool operator==(const EmbeddingAttrs&) const = default;
 };
 
 /** Nearest/bilinear resampling of a feature map. */
@@ -224,12 +240,16 @@ struct ResampleAttrs
 {
     std::int64_t numelIn = 0;
     std::int64_t numelOut = 0;
+
+    bool operator==(const ResampleAttrs&) const = default;
 };
 
 /** A device-to-device copy (e.g. permute + contiguous). */
 struct CopyAttrs
 {
     std::int64_t bytes = 0;
+
+    bool operator==(const CopyAttrs&) const = default;
 };
 
 /** Attribute payload, discriminated by Op::kind. */
@@ -261,6 +281,9 @@ struct Op
     {
         return std::get<T>(attrs);
     }
+
+    /** Equal ops lower to equal kernels: every field is compared. */
+    bool operator==(const Op&) const = default;
 };
 
 /** Reporting category of an operator. */

@@ -63,24 +63,23 @@ Profiler::profileWithPlan(
     std::vector<double> stage_seconds(num_stages, 0.0);
     std::vector<BreakdownReport> stage_breakdowns(num_stages);
 
-    for (std::size_t oi = 0; oi < plan->ops.size(); ++oi) {
-        const exec::PlanOp& op = plan->ops[oi];
+    for (const exec::ExecutedOp e : plan->executed()) {
+        const exec::PlanOp& op = e.op;
         const double r = static_cast<double>(op.repeat);
 
         double flops = 0.0;
         double bytes = 0.0;
         std::int64_t launches = 0;
-        for (std::size_t n = op.firstNode;
-             n < op.firstNode + op.nodeCount; ++n) {
-            const exec::PlanNode& node = plan->nodes[n];
+        for (std::size_t p = 0; p < op.nodeCount; ++p) {
+            const exec::PlanNode& node = plan->nodes[op.firstNode + p];
             flops += node.flops;
             bytes += node.hbmBytes;
             launches += node.launches;
             result.kernelClassSeconds[node.klass] +=
-                timeline.nodeSeconds[n];
+                timeline.nodeSeconds[e.firstNode + p];
         }
 
-        const double seconds = timeline.opSeconds[oi];
+        const double seconds = timeline.opSeconds[e.index];
         const double op_flops = flops * r;
 
         if (op.kind == graph::OpKind::Attention) {

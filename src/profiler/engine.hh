@@ -12,9 +12,11 @@
  * "fundamental period" the paper plots in Fig. 7, while autoregressive
  * stages are traced iteration by iteration so KV-cache growth is
  * captured exactly — and expands every op through the CostModel into
- * kernel-level plan nodes. The TimelineScheduler (exec/schedule.hh)
- * then plays the plan onto the GPU, producing real per-kernel
- * [start, end) intervals. The profiler only aggregates the result.
+ * kernel-level plan nodes (an op unchanged since the previous decode
+ * step reuses that step's stored nodes). The TimelineScheduler
+ * (exec/schedule.hh) then plays the plan onto the GPU, producing real
+ * per-kernel [start, end) intervals. The profiler only aggregates the
+ * result.
  *
  * With default options the schedule is one serial stream and
  * `totalSeconds` is bit-identical to summing every op's roofline time
@@ -55,9 +57,11 @@ struct ProfileOptions
 
     /**
      * Keep the lowered plan and scheduled timeline in the result; per-op
-     * readers (hotspots, trace export) index `plan->ops` together with
-     * `timeline.opSeconds`. Costs memory on models with hundreds of
-     * thousands of decode-step ops; aggregate reports are always
+     * readers (hotspots, trace export) walk `plan->executed()` together
+     * with `timeline.opSeconds`, and the timeline is the per-kernel
+     * cost (one event and one `nodeSeconds` entry per executed
+     * kernel). The plan stores each distinct op once, but the timeline
+     * grows with every decode step; aggregate reports are always
      * produced regardless.
      */
     bool keepPlan = false;
@@ -101,8 +105,9 @@ struct ProfileResult
 
     /**
      * The lowered plan and its scheduled timeline (only when
-     * ProfileOptions::keepPlan — they are per-kernel-sized).
-     * Hotspot tables and Chrome-trace export read these.
+     * ProfileOptions::keepPlan — the timeline holds one event per
+     * executed kernel). Hotspot tables and Chrome-trace export read
+     * these.
      */
     std::shared_ptr<const exec::ExecutionPlan> plan;
     exec::Timeline timeline;

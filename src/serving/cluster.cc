@@ -1611,6 +1611,8 @@ simulateCluster(const ClusterConfig& cfg,
                     m.hedgedAt = now;
                     ++m.liveCopies;
                     ++report.hedgesIssued;
+                    if (now > horizon)
+                        ++report.drainHedgesIssued;
                     if (trace != nullptr) {
                         telemetry::Labels args;
                         args.set("target", std::to_string(target));

@@ -145,6 +145,8 @@ struct ServingReport
 
     /** Of `completed`, how many finished after the horizon. */
     std::int64_t drainCompleted = 0;
+    /** Of `hedgesIssued`, how many were issued after the horizon. */
+    std::int64_t drainHedgesIssued = 0;
     /** GPU busy-seconds spent past the horizon. */
     double drainGpuSeconds = 0.0;
 

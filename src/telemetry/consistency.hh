@@ -35,6 +35,7 @@ struct SeriesExpectations
     /** Completions inside the horizon (report completed - drain). */
     std::int64_t inHorizonCompleted = 0;
     std::int64_t retries = 0;
+    /** Hedges issued inside the horizon (report issued - drain). */
     std::int64_t hedgesIssued = 0;
 };
 

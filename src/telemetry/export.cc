@@ -328,16 +328,25 @@ void
 writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
                 const exec::Timeline& timeline, int pidBase)
 {
-    MMGEN_CHECK(timeline.eventCount() == plan.nodes.size(),
+    MMGEN_CHECK(timeline.eventCount() == plan.executedNodeCount(),
                 "timeline has " << timeline.eventCount()
                                 << " events for a plan of "
-                                << plan.nodes.size() << " nodes");
+                                << plan.executedNodeCount() << " nodes");
+
+    // The (stage, stream) lanes in use.
+    std::set<std::pair<std::size_t, int>> used_lanes;
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t k = e.firstNode; k < e.firstNode + e.op.nodeCount;
+             ++k)
+            used_lanes.emplace(e.op.stageIndex,
+                               static_cast<int>(timeline.eventStream[k]));
+    }
 
     // Process metadata: one lane per stage that scheduled any work,
     // in stage order.
     std::set<std::size_t> used_stages;
-    for (const exec::PlanNode& node : plan.nodes)
-        used_stages.insert(plan.ops[node.opIndex].stageIndex);
+    for (const auto& lane : used_lanes)
+        used_stages.insert(lane.first);
     for (const std::size_t si : used_stages) {
         const std::string& stage = plan.stageNames[si];
         events.metadata(
@@ -348,10 +357,6 @@ writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
     }
 
     // Thread metadata: one lane per (stage, stream) in use.
-    std::set<std::pair<std::size_t, int>> used_lanes;
-    for (std::size_t i = 0; i < timeline.eventCount(); ++i)
-        used_lanes.emplace(plan.ops[plan.nodes[i].opIndex].stageIndex,
-                           static_cast<int>(timeline.eventStream[i]));
     for (const auto& [si, stream] : used_lanes) {
         const exec::Lane lane = stream == 0 ? exec::Lane::Compute
                                             : exec::Lane::Copy;
@@ -365,47 +370,49 @@ writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
 
     // Complete events at the scheduler's timestamps.
     std::vector<char> buf(512);
-    for (std::size_t i = 0; i < timeline.eventCount(); ++i) {
-        const exec::TimelineEvent ev = timeline.event(i);
-        const exec::PlanNode& node = plan.nodes[i];
-        const exec::PlanOp& op = plan.ops[node.opIndex];
+    for (const exec::ExecutedOp e : plan.executed()) {
+        const exec::PlanOp& op = e.op;
         const int pid = pidBase + static_cast<int>(op.stageIndex) + 1;
-        const int tid = ev.stream + 1;
-        const std::int64_t instances =
-            std::min<std::int64_t>(node.repeat, kMaxRepeatSlices);
-        const double per_instance_us =
-            ev.durationSeconds() * 1e6 /
-            static_cast<double>(node.repeat);
-
-        std::string name(plan.str(node.label));
-        if (instances < node.repeat) {
-            name += " [x" + std::to_string(node.repeat) +
-                    ", showing " + std::to_string(instances) + "]";
-        }
-
-        const std::string esc_name = json::escape(name);
-        const std::string esc_cat =
-            json::escape(kernels::kernelClassName(node.klass));
         const std::string esc_scope =
             json::escape(std::string(plan.str(op.scope)));
-        const std::string lane = exec::laneName(node.lane);
-        double ts = ev.startSeconds * 1e6;
-        for (std::int64_t k = 0; k < instances; ++k) {
-            events.event(printGrowing(buf, [&](char* dst,
-                                               std::size_t cap) {
-                return std::snprintf(
-                    dst, cap,
-                    "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                    "\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"%s\","
-                    "\"args\":{\"scope\":\"%s\",\"lane\":\"%s\","
-                    "\"flops\":%.3e,\"hbm_bytes\":%.3e,"
-                    "\"repeat\":%lld}}",
-                    pid, tid, ts, per_instance_us, esc_name.c_str(),
-                    esc_cat.c_str(), esc_scope.c_str(), lane.c_str(),
-                    node.flops, node.hbmBytes,
-                    static_cast<long long>(node.repeat));
-            }));
-            ts += per_instance_us;
+        for (std::size_t p = 0; p < op.nodeCount; ++p) {
+            const exec::TimelineEvent ev = timeline.event(e.firstNode + p);
+            const exec::PlanNode& node = plan.nodes[op.firstNode + p];
+            const int tid = ev.stream + 1;
+            const std::int64_t instances =
+                std::min<std::int64_t>(node.repeat, kMaxRepeatSlices);
+            const double per_instance_us =
+                ev.durationSeconds() * 1e6 /
+                static_cast<double>(node.repeat);
+
+            std::string name(plan.str(node.label));
+            if (instances < node.repeat) {
+                name += " [x" + std::to_string(node.repeat) +
+                        ", showing " + std::to_string(instances) + "]";
+            }
+
+            const std::string esc_name = json::escape(name);
+            const std::string esc_cat =
+                json::escape(kernels::kernelClassName(node.klass));
+            const std::string lane = exec::laneName(node.lane);
+            double ts = ev.startSeconds * 1e6;
+            for (std::int64_t k = 0; k < instances; ++k) {
+                events.event(printGrowing(buf, [&](char* dst,
+                                                   std::size_t cap) {
+                    return std::snprintf(
+                        dst, cap,
+                        "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
+                        "\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\","
+                        "\"cat\":\"%s\",\"args\":{\"scope\":\"%s\","
+                        "\"lane\":\"%s\",\"flops\":%.3e,"
+                        "\"hbm_bytes\":%.3e,\"repeat\":%lld}}",
+                        pid, tid, ts, per_instance_us, esc_name.c_str(),
+                        esc_cat.c_str(), esc_scope.c_str(), lane.c_str(),
+                        node.flops, node.hbmBytes,
+                        static_cast<long long>(node.repeat));
+                }));
+                ts += per_instance_us;
+            }
         }
     }
 }

@@ -102,18 +102,44 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                    "plan", oss.str());
     }
 
+    // ---- the executed sequence names stored ops and covers every
+    //      executed kernel's dependency window ------------------------
+    std::size_t executed_nodes = 0;
+    for (const std::uint32_t oi : plan.opSequence) {
+        if (oi >= plan.ops.size()) {
+            std::ostringstream oss;
+            oss << "executed op names stored op " << oi << " of "
+                << plan.ops.size();
+            addFinding(report, Severity::Error, rules::DanglingDefUse,
+                       ctx, "plan", oss.str());
+            return; // the walk below would read past the records
+        }
+        executed_nodes += plan.ops[oi].nodeCount;
+    }
+    if (executed_nodes != plan.executedNodeCount()) {
+        std::ostringstream oss;
+        oss << "executed ops run " << executed_nodes << " kernels but "
+            << plan.executedNodeCount() << " have dependency windows";
+        addFinding(report, Severity::Error, rules::DanglingDefUse, ctx,
+                   "plan", oss.str());
+        return;
+    }
+
     // ---- dependency edges point strictly backwards -------------------
-    for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-        const exec::PlanNode& node = plan.nodes[n];
-        for (std::int32_t d : plan.deps(node)) {
-            if (d < 0 || static_cast<std::size_t>(d) >= n) {
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const std::size_t n = e.firstNode + p;
+            for (std::int32_t d : plan.deps(n)) {
+                if (d >= 0 && static_cast<std::size_t>(d) < n)
+                    continue;
                 std::ostringstream oss;
-                oss << "node " << n << " (" << plan.str(node.label)
+                oss << "node " << n << " ("
+                    << plan.nodeLabel(e.op.firstNode + p)
                     << ") depends on node " << d
                     << ", which no predecessor defines";
                 addFinding(report, Severity::Error,
                            rules::DanglingDefUse, ctx,
-                           plan.opScope(node.opIndex), oss.str(),
+                           plan.str(e.op.scope), oss.str(),
                            "dependency edges must point at lower "
                            "node indices");
             }
@@ -121,58 +147,63 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
     }
 
     // ---- staged weights sit on the copy lane and are consumed --------
-    for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-        const exec::PlanNode& node = plan.nodes[n];
-        if (!node.weightStream)
-            continue;
-        const exec::PlanOp& op = plan.ops[node.opIndex];
-        const std::string_view op_scope = plan.str(op.scope);
-        if (node.lane != exec::Lane::Copy) {
-            // exec::laneName is also what links exec/plan.cc into
-            // hostbench, whose weak __real_lowerPipeline needs it.
-            std::ostringstream oss;
-            oss << "weight-stream node " << n << " runs on the "
-                << exec::laneName(node.lane) << " lane";
-            addFinding(report, Severity::Error, rules::DanglingDefUse,
-                       ctx, op_scope, oss.str());
-        }
-        bool consumed = false;
-        for (std::size_t j = n + 1;
-             j < op.firstNode + op.nodeCount && !consumed; ++j) {
-            const exec::PlanNode& reader = plan.nodes[j];
-            if (reader.lane != exec::Lane::Compute)
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const std::size_t n = e.firstNode + p;
+            const exec::PlanNode& node = plan.nodes[e.op.firstNode + p];
+            if (!node.weightStream)
                 continue;
-            const auto reader_deps = plan.deps(reader);
-            consumed = std::find(reader_deps.begin(),
-                                 reader_deps.end(),
-                                 static_cast<std::int32_t>(n)) !=
-                       reader_deps.end();
-        }
-        if (!consumed) {
-            std::ostringstream oss;
-            oss << "weight-stream node " << n
-                << " stages bytes no compute kernel of its op reads";
-            addFinding(report, Severity::Error, rules::DanglingDefUse,
-                       ctx, op_scope, oss.str(),
-                       "the consumer's first compute kernel must "
-                       "depend on the prefetch");
+            const std::string_view op_scope = plan.str(e.op.scope);
+            if (node.lane != exec::Lane::Copy) {
+                // exec::laneName is also what links exec/plan.cc into
+                // hostbench, whose weak __real_lowerPipeline needs it.
+                std::ostringstream oss;
+                oss << "weight-stream node " << n << " runs on the "
+                    << exec::laneName(node.lane) << " lane";
+                addFinding(report, Severity::Error,
+                           rules::DanglingDefUse, ctx, op_scope,
+                           oss.str());
+            }
+            bool consumed = false;
+            for (std::size_t r = p + 1; r < e.op.nodeCount && !consumed;
+                 ++r) {
+                if (plan.nodes[e.op.firstNode + r].lane !=
+                    exec::Lane::Compute)
+                    continue;
+                const auto reader_deps = plan.deps(e.firstNode + r);
+                consumed = std::find(reader_deps.begin(),
+                                     reader_deps.end(),
+                                     static_cast<std::int32_t>(n)) !=
+                           reader_deps.end();
+            }
+            if (!consumed) {
+                std::ostringstream oss;
+                oss << "weight-stream node " << n
+                    << " stages bytes no compute kernel of its op reads";
+                addFinding(report, Severity::Error,
+                           rules::DanglingDefUse, ctx, op_scope,
+                           oss.str(),
+                           "the consumer's first compute kernel must "
+                           "depend on the prefetch");
+            }
         }
     }
 
     // ---- the compute chain is serial: each compute node depends on
     //      its compute predecessor, so activations flow op to op ------
-    std::size_t prev_compute = plan.nodes.size();
-    for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-        const exec::PlanNode& node = plan.nodes[n];
-        if (node.lane != exec::Lane::Compute)
-            continue;
-        if (prev_compute < plan.nodes.size()) {
-            const auto node_deps = plan.deps(node);
-            const bool chained =
+    bool seen_compute = false;
+    std::size_t prev_compute = 0;
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const std::size_t n = e.firstNode + p;
+            const exec::PlanNode& node = plan.nodes[e.op.firstNode + p];
+            if (node.lane != exec::Lane::Compute)
+                continue;
+            const auto node_deps = plan.deps(n);
+            if (seen_compute &&
                 std::find(node_deps.begin(), node_deps.end(),
-                          static_cast<std::int32_t>(prev_compute)) !=
-                node_deps.end();
-            if (!chained) {
+                          static_cast<std::int32_t>(prev_compute)) ==
+                    node_deps.end()) {
                 std::ostringstream oss;
                 oss << "compute node " << n << " ("
                     << plan.str(node.label)
@@ -181,10 +212,11 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                     << "; its input activation has no defining edge";
                 addFinding(report, Severity::Error,
                            rules::DanglingDefUse, ctx,
-                           plan.opScope(node.opIndex), oss.str());
+                           plan.str(e.op.scope), oss.str());
             }
+            seen_compute = true;
+            prev_compute = n;
         }
-        prev_compute = n;
     }
 }
 
@@ -236,7 +268,8 @@ checkMemoryProfile(const exec::ExecutionPlan& plan,
     }
 
     // ---- P011: per-op demand conserved against cost-model traffic ----
-    for (const exec::PlanOp& op : plan.ops) {
+    for (const exec::ExecutedOp e : plan.executed()) {
+        const exec::PlanOp& op = e.op;
         const std::string_view op_scope = plan.str(op.scope);
         bool op_sane = true;
         op_sane &= finiteBytes(report, ctx, op_scope, "inputBytes",

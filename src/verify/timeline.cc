@@ -32,16 +32,16 @@ addError(DiagnosticReport& report, const char* rule,
                           std::move(hint)});
 }
 
+/** "scope:label" of one executed kernel of `op`, for findings. */
 std::string
-nodeScope(const exec::ExecutionPlan& plan, std::size_t node)
+nodeScope(const exec::ExecutionPlan& plan, const exec::PlanOp& op,
+          std::size_t p)
 {
+    const std::size_t node = op.firstNode + p;
     if (node >= plan.nodes.size())
         return "";
-    const exec::PlanNode& n = plan.nodes[node];
-    const std::string_view scope = n.opIndex < plan.ops.size()
-                                       ? plan.opScope(n.opIndex)
-                                       : std::string_view();
-    const std::string_view label = plan.str(n.label);
+    const std::string_view scope = plan.str(op.scope);
+    const std::string_view label = plan.nodeLabel(node);
     if (scope.empty())
         return std::string(label);
     std::string out(scope);
@@ -57,7 +57,7 @@ timelineCriticalPath(const exec::ExecutionPlan& plan,
                      const exec::Timeline& timeline)
 {
     const std::size_t n =
-        std::min(plan.nodes.size(), timeline.eventCount());
+        std::min(plan.executedNodeCount(), timeline.eventCount());
     std::vector<double> finish(n, 0.0);
     double longest = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -78,10 +78,10 @@ checkTimeline(const exec::ExecutionPlan& plan,
               const exec::Timeline& timeline,
               const PhysicsContext& ctx, DiagnosticReport& report)
 {
-    if (timeline.eventCount() != plan.nodes.size()) {
+    if (timeline.eventCount() != plan.executedNodeCount()) {
         std::ostringstream oss;
         oss << "timeline has " << timeline.eventCount()
-            << " events for a plan of " << plan.nodes.size()
+            << " events for a plan of " << plan.executedNodeCount()
             << " nodes";
         addError(report, rules::TimelineConsistency, ctx, "",
                  oss.str());
@@ -95,77 +95,74 @@ checkTimeline(const exec::ExecutionPlan& plan,
 
     // P007: every event finite and forward-running, within [0,
     // makespan], its dependencies finished, and no two events on one
-    // stream overlapping (streams execute in order, so walking node
+    // stream overlapping (streams execute in order, so walking program
     // order per stream visits each stream's events in issue order).
     std::vector<double> stream_end;
-    for (std::size_t i = 0; i < timeline.eventCount(); ++i) {
-        const exec::TimelineEvent ev = timeline.event(i);
-        const std::string scope = nodeScope(plan, i);
-        if (!std::isfinite(ev.startSeconds) ||
-            !std::isfinite(ev.endSeconds) || ev.startSeconds < 0.0 ||
-            ev.endSeconds < ev.startSeconds) {
-            std::ostringstream oss;
-            oss << "event runs [" << ev.startSeconds << ", "
-                << ev.endSeconds << ")";
-            addError(report, rules::TimelineConsistency, ctx, scope,
-                     oss.str(), "events must run forward from t >= 0");
-            events_ok = false;
-            continue;
-        }
-        if (ev.endSeconds > timeline.makespan + eps) {
-            std::ostringstream oss;
-            oss << "event ends at " << ev.endSeconds
-                << "s, past the makespan " << timeline.makespan << "s";
-            addError(report, rules::TimelineConsistency, ctx, scope,
-                     oss.str());
-            events_ok = false;
-        }
-        if (ev.stream < 0) {
-            std::ostringstream oss;
-            oss << "negative stream id " << ev.stream;
-            addError(report, rules::TimelineConsistency, ctx, scope,
-                     oss.str());
-            events_ok = false;
-            continue;
-        }
-        if (static_cast<std::size_t>(ev.stream) >= stream_end.size())
-            stream_end.resize(
-                static_cast<std::size_t>(ev.stream) + 1, 0.0);
-        if (ev.startSeconds + eps <
-            stream_end[static_cast<std::size_t>(ev.stream)]) {
-            std::ostringstream oss;
-            oss << "event starts at " << ev.startSeconds
-                << "s while stream " << ev.stream << " is busy until "
-                << stream_end[static_cast<std::size_t>(ev.stream)]
-                << "s";
-            addError(report, rules::TimelineConsistency, ctx, scope,
-                     oss.str(),
-                     "streams execute their kernels in order");
-            events_ok = false;
-        }
-        stream_end[static_cast<std::size_t>(ev.stream)] =
-            std::max(stream_end[static_cast<std::size_t>(ev.stream)],
-                     ev.endSeconds);
-        for (const std::int32_t dep : plan.deps(i)) {
-            if (dep < 0 || static_cast<std::size_t>(dep) >= i) {
-                std::ostringstream oss;
-                oss << "dependency edge " << dep
-                    << " does not point at an earlier node";
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const std::size_t i = e.firstNode + p;
+            const exec::TimelineEvent ev = timeline.event(i);
+            // Findings are rare: name the kernel only when one fires.
+            const auto error = [&](std::string msg,
+                                   std::string hint = "") {
                 addError(report, rules::TimelineConsistency, ctx,
-                         scope, oss.str());
+                         nodeScope(plan, e.op, p), std::move(msg),
+                         std::move(hint));
                 events_ok = false;
+            };
+            if (!std::isfinite(ev.startSeconds) ||
+                !std::isfinite(ev.endSeconds) ||
+                ev.startSeconds < 0.0 ||
+                ev.endSeconds < ev.startSeconds) {
+                std::ostringstream oss;
+                oss << "event runs [" << ev.startSeconds << ", "
+                    << ev.endSeconds << ")";
+                error(oss.str(), "events must run forward from t >= 0");
                 continue;
             }
-            const double dep_end =
-                timeline.eventEnd[static_cast<std::size_t>(dep)];
-            if (ev.startSeconds + eps < dep_end) {
+            if (ev.endSeconds > timeline.makespan + eps) {
+                std::ostringstream oss;
+                oss << "event ends at " << ev.endSeconds
+                    << "s, past the makespan " << timeline.makespan
+                    << "s";
+                error(oss.str());
+            }
+            if (ev.stream < 0) {
+                std::ostringstream oss;
+                oss << "negative stream id " << ev.stream;
+                error(oss.str());
+                continue;
+            }
+            const auto stream = static_cast<std::size_t>(ev.stream);
+            if (stream >= stream_end.size())
+                stream_end.resize(stream + 1, 0.0);
+            if (ev.startSeconds + eps < stream_end[stream]) {
                 std::ostringstream oss;
                 oss << "event starts at " << ev.startSeconds
-                    << "s before its dependency (node " << dep
-                    << ") finishes at " << dep_end << "s";
-                addError(report, rules::TimelineConsistency, ctx,
-                         scope, oss.str());
-                events_ok = false;
+                    << "s while stream " << ev.stream
+                    << " is busy until " << stream_end[stream] << "s";
+                error(oss.str(),
+                      "streams execute their kernels in order");
+            }
+            stream_end[stream] =
+                std::max(stream_end[stream], ev.endSeconds);
+            for (const std::int32_t dep : plan.deps(i)) {
+                if (dep < 0 || static_cast<std::size_t>(dep) >= i) {
+                    std::ostringstream oss;
+                    oss << "dependency edge " << dep
+                        << " does not point at an earlier node";
+                    error(oss.str());
+                    continue;
+                }
+                const double dep_end =
+                    timeline.eventEnd[static_cast<std::size_t>(dep)];
+                if (ev.startSeconds + eps < dep_end) {
+                    std::ostringstream oss;
+                    oss << "event starts at " << ev.startSeconds
+                        << "s before its dependency (node " << dep
+                        << ") finishes at " << dep_end << "s";
+                    error(oss.str());
+                }
             }
         }
     }

@@ -60,15 +60,16 @@ referenceSweep(const ExecutionPlan& plan, const Timeline& timeline)
     for (const LiveBuffer& b : lv.buffers)
         ref.noReuseBytes += b.bytes;
 
-    std::vector<double> alloc_at(plan.nodes.size(), 0.0);
-    std::vector<double> free_after(plan.nodes.size(), 0.0);
+    const std::size_t num_nodes = plan.executedNodeCount();
+    std::vector<double> alloc_at(num_nodes, 0.0);
+    std::vector<double> free_after(num_nodes, 0.0);
     for (const LiveBuffer& b : lv.buffers) {
         alloc_at[b.defNode] += b.bytes;
         free_after[b.lastUseNode] += b.bytes;
     }
     double cur = lv.weightBytes;
     ref.programPeakBytes = lv.weightBytes;
-    for (std::size_t k = 0; k < plan.nodes.size(); ++k) {
+    for (std::size_t k = 0; k < num_nodes; ++k) {
         cur += alloc_at[k];
         ref.programPeakBytes = std::max(ref.programPeakBytes, cur);
         cur -= free_after[k];
@@ -132,7 +133,7 @@ TEST(Liveness, IntervalsAreClosedAndOrdered)
     std::size_t prev_def = 0;
     for (const LiveBuffer& b : live.buffers) {
         EXPECT_LE(b.defNode, b.lastUseNode);
-        EXPECT_LT(b.lastUseNode, plan.nodes.size());
+        EXPECT_LT(b.lastUseNode, plan.executedNodeCount());
         EXPECT_LT(b.opIndex, plan.ops.size());
         EXPECT_GE(b.bytes, 0.0);
         EXPECT_GE(b.defNode, prev_def) << "buffers not in def order";

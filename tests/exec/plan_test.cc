@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "exec/plan.hh"
 #include "graph/builder.hh"
@@ -153,6 +154,57 @@ TEST(LowerPipeline, PerIterationStagesTraceEveryStep)
     }
 }
 
+TEST(LowerPipeline, UnchangedDecodeOpsReuseStoredRecords)
+{
+    // Each step runs the same projection and attends one more cached
+    // token: the projection is stored once, every attention anew.
+    Pipeline p;
+    p.name = "ar";
+    Stage s;
+    s.name = "decode";
+    s.iterations = 4;
+    s.perIterationShapes = true;
+    s.emit = [](GraphBuilder& b, std::int64_t iter) {
+        b.linear(TensorDesc({1, 1, 32}, DType::F16), 32);
+        b.attention(graph::AttentionKind::CausalSelf, 1, 2, 1, iter + 1,
+                    16);
+    };
+    p.stages.push_back(std::move(s));
+    const ExecutionPlan plan = lowerPipeline(p, costModel());
+
+    ASSERT_EQ(plan.ops.size(), 5u);
+    ASSERT_EQ(plan.nodes.size(), 5u);
+    EXPECT_EQ(plan.opSequence,
+              (std::vector<std::uint32_t>{0, 1, 0, 2, 0, 3, 0, 4}));
+    ASSERT_EQ(plan.executedNodeCount(), 8u);
+    // Dependencies chain the executed kernels, not the stored ones.
+    EXPECT_TRUE(plan.deps(0).empty());
+    for (std::size_t k = 1; k < plan.executedNodeCount(); ++k) {
+        ASSERT_EQ(plan.deps(k).size(), 1u) << "kernel " << k;
+        EXPECT_EQ(plan.deps(k)[0], static_cast<std::int32_t>(k) - 1);
+    }
+    std::size_t next = 0;
+    for (const ExecutedOp e : plan.executed()) {
+        EXPECT_EQ(e.opIndex, plan.opSequence[e.index]);
+        EXPECT_EQ(e.firstNode, next);
+        next += e.op.nodeCount;
+    }
+    EXPECT_EQ(next, plan.executedNodeCount());
+}
+
+TEST(LowerPipeline, DecodeStoresChangedOpsOnce)
+{
+    // Parti decodes 1,024 tokens of 1,363 ops. After the first token
+    // only its 80 self-attention ops change (the KV cache grows), so
+    // 1,363 + 1,023 x 80 decode ops plus 255 others are stored.
+    const ExecutionPlan plan = lowerPipeline(
+        models::buildModel(models::ModelId::Parti), costModel());
+    EXPECT_EQ(plan.executedOpCount(), 1395967u);
+    EXPECT_EQ(plan.ops.size(), 83458u);
+    EXPECT_EQ(plan.executedNodeCount(), 1395967u);
+    EXPECT_EQ(plan.nodes.size(), 83458u);
+}
+
 TEST(LowerPipeline, DepsAlwaysPointBackward)
 {
     LoweringOptions split;
@@ -211,8 +263,10 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
         EXPECT_FALSE(k.weightStream);
         EXPECT_EQ(k.lane, Lane::Compute);
         // The compute kernel depends on its weight prefetch, and
-        // traffic is conserved: split bytes sum to the fused bytes.
-        const auto k_deps = streamed.deps(k);
+        // traffic is conserved: split bytes sum to the fused bytes. A
+        // folded stage executes its stored kernels once each, in
+        // order, so stored node n is executed kernel n.
+        const auto k_deps = streamed.deps(op.firstNode + 1);
         EXPECT_NE(std::find(k_deps.begin(), k_deps.end(),
                             static_cast<std::int32_t>(op.firstNode)),
                   k_deps.end());

@@ -225,7 +225,8 @@ TEST(ServingTelemetry, ConsistencyCheckPassesOnSampledChaosRun)
     expect.inHorizonCompleted =
         r.serving.completed - r.serving.drainCompleted;
     expect.retries = r.serving.retries;
-    expect.hedgesIssued = r.serving.hedgesIssued;
+    expect.hedgesIssued =
+        r.serving.hedgesIssued - r.serving.drainHedgesIssued;
     const verify::DiagnosticReport report =
         telemetry::checkSeriesConsistency(registry, expect);
     EXPECT_TRUE(report.diagnostics().empty()) << report.render();

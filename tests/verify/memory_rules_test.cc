@@ -81,6 +81,25 @@ TEST(PlanDataflow, BrokenOpRangeFiresS013)
     EXPECT_TRUE(report.fired(rules::DanglingDefUse));
 }
 
+TEST(PlanDataflow, BrokenExecutedSequenceFiresS013)
+{
+    // An executed op that names no stored record...
+    Lowered l = lowerStableDiffusion();
+    l.plan.opSequence.back() =
+        static_cast<std::uint32_t>(l.plan.ops.size());
+    DiagnosticReport named;
+    checkPlanDataflow(l.plan, ctxFor(l.plan), named);
+    EXPECT_TRUE(named.fired(rules::DanglingDefUse)) << named.render();
+
+    // ...and one whose kernels have no dependency windows.
+    Lowered m = lowerStableDiffusion();
+    m.plan.opSequence.push_back(0);
+    DiagnosticReport covered;
+    checkPlanDataflow(m.plan, ctxFor(m.plan), covered);
+    EXPECT_TRUE(covered.fired(rules::DanglingDefUse))
+        << covered.render();
+}
+
 TEST(PlanDataflow, BrokenComputeChainFiresS013)
 {
     Lowered l = lowerStableDiffusion();

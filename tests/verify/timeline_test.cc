@@ -90,6 +90,11 @@ TEST(TimelineVerifier, BackwardsEventFiresP007)
     const DiagnosticReport report =
         verifyTimeline(plan, tl, PhysicsContext{"muse", ""});
     EXPECT_TRUE(report.fired(rules::TimelineConsistency));
+    // The finding names the kernel as "scope:label".
+    ASSERT_FALSE(report.diagnostics().empty());
+    EXPECT_EQ(report.diagnostics()[0].scope,
+              std::string(plan.opScope(0)) + ":" +
+                  std::string(plan.nodeLabel(0)));
 }
 
 TEST(TimelineVerifier, StreamOverlapFiresP007)

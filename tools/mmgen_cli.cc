@@ -835,7 +835,7 @@ cmdServe(const Options& opts)
     expect.shed = s.shed;
     expect.inHorizonCompleted = s.completed - s.drainCompleted;
     expect.retries = s.retries;
-    expect.hedgesIssued = s.hedgesIssued;
+    expect.hedgesIssued = s.hedgesIssued - s.drainHedgesIssued;
     const verify::DiagnosticReport check =
         telemetry::checkSeriesConsistency(registry, expect);
     if (!check.diagnostics().empty())
