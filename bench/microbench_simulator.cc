@@ -29,26 +29,38 @@
  *    Copying the plan on every token made this ~15 per executed
  *    kernel; linear lowering of every token took ~0.14. Unlike a
  *    rate, it does not depend on CPU speed.
+ *  - `lower_allocs_per_executed_op`: heap allocations (calls of the
+ *    global `operator new`, replaced in this binary only to count
+ *    them) made during the lowering, per executed op. Tracing every
+ *    token into a fresh trace took ~3.2: a scope string, two shape
+ *    vectors per tensor and the regrowing op array. Re-emitting each
+ *    token into the previous token's op slots, with dims stored
+ *    inline, takes ~0.07. Like the fault count, it does not depend
+ *    on CPU speed.
  *  - `lower_stored_nodes` and `lower_executed_nodes`: both counts.
  *
  * Emits `BENCH_simulator.json` (path overridable via the last
  * argument) with the measured rates, the recorded pre-optimization
  * baselines, and speedups. `--gate` exits nonzero when the serial
- * event rate falls below `kGateEventsPerSec` or the lowering takes
- * more than `kGateLowerFaultsPerNode` faults per node — the CI
- * Release-mode regression gate. The baselines were measured on this
- * repo at the commit before the arena-IR / SoA-scheduler rework
- * (Release, one core), so speedups are apples-to-apples on comparable
- * hardware and indicative elsewhere.
+ * event rate falls below `kGateEventsPerSec`, the lowering takes
+ * more than `kGateLowerFaultsPerNode` faults per node, or it makes
+ * more than `kGateLowerAllocsPerOp` heap allocations per executed op
+ * — the CI Release-mode regression gate. The baselines were measured
+ * on this repo at the commit before the arena-IR / SoA-scheduler
+ * rework (Release, one core), so speedups are apples-to-apples on
+ * comparable hardware and indicative elsewhere.
  */
 
 #include <sys/resource.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <string>
 
 #include "cache/hierarchy.hh"
@@ -59,6 +71,82 @@
 #include "profiler/engine.hh"
 #include "util/format.hh"
 #include "util/table.hh"
+
+namespace {
+
+/** Calls of the global `operator new` (unaligned forms) so far. */
+std::atomic<std::uint64_t> heapAllocations{0};
+
+} // namespace
+
+// Counting replacements of the global allocation functions. Every
+// unaligned form is replaced, so a block is always released by the
+// family that made it (a sanitizer's runtime would report a block
+// made here and freed by its own operator delete); the aligned forms
+// keep their defaults, which pair among themselves.
+void*
+operator new(std::size_t size)
+{
+    heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -84,6 +172,14 @@ constexpr double kGateEventsPerSec = 9.0e7;
  * so this is the stricter reading of the same bound.
  */
 constexpr double kGateLowerFaultsPerNode = 1.0;
+
+/**
+ * Gate ceiling for heap allocations per executed op while lowering
+ * Parti: between the ~3.2 of a fresh trace per token (which a
+ * regression to per-op heap blocks brings back) and the ~0.07 of
+ * re-emitting into reused op slots.
+ */
+constexpr double kGateLowerAllocsPerOp = 0.25;
 
 /** Minimum timed window per metric; repeats are calibrated up to it. */
 constexpr double kMinSeconds = 0.3;
@@ -132,13 +228,18 @@ benchEventsPerSec(const exec::ExecutionPlan& plan,
         });
 }
 
-/** One cold lowering: plan size, wall time, and minor faults. */
+/**
+ * One cold lowering: plan size, wall time, minor faults and heap
+ * allocations.
+ */
 struct LoweringRun
 {
     std::size_t storedNodes = 0;
     std::size_t executedNodes = 0;
+    std::size_t executedOps = 0;
     double seconds = 0.0;
     long minorFaults = 0;
+    std::uint64_t allocations = 0;
 };
 
 long
@@ -155,12 +256,15 @@ benchLowering(const graph::Pipeline& pipeline)
     const profiler::Profiler profiler;
     LoweringRun run;
     const long faults = minorFaults();
+    const std::uint64_t allocations = heapAllocations.load();
     const double start = nowSeconds();
     const exec::ExecutionPlan plan = profiler.lower(pipeline);
     run.seconds = nowSeconds() - start;
+    run.allocations = heapAllocations.load() - allocations;
     run.minorFaults = minorFaults() - faults;
     run.storedNodes = plan.nodes.size();
     run.executedNodes = plan.executedNodeCount();
+    run.executedOps = plan.executedOpCount();
     return run;
 }
 
@@ -233,6 +337,9 @@ main(int argc, char** argv)
     const double faults_per_node =
         static_cast<double>(lowering.minorFaults) /
         static_cast<double>(lowering.storedNodes);
+    const double allocs_per_op =
+        static_cast<double>(lowering.allocations) /
+        static_cast<double>(lowering.executedOps);
 
     TextTable table(
         {"Metric", "Rate", "Baseline", "Speedup"});
@@ -253,13 +360,18 @@ main(int argc, char** argv)
               << " s (" << formatCount(lower_rate) << " nodes/s), "
               << formatFixed(faults_per_node, 3)
               << " minor faults/stored node\n";
+    std::cout << "lower_allocs_per_executed_op: "
+              << formatFixed(allocs_per_op, 4) << " ("
+              << lowering.allocations << " allocations for "
+              << lowering.executedOps << " executed ops)\n";
     std::cout << "lower_stored_nodes: " << lowering.storedNodes << "\n";
     std::cout << "lower_executed_nodes: " << lowering.executedNodes
               << "\n\n";
 
     const bool events_ok = serial >= kGateEventsPerSec;
     const bool faults_ok = faults_per_node <= kGateLowerFaultsPerNode;
-    const bool gate_ok = events_ok && faults_ok;
+    const bool allocs_ok = allocs_per_op <= kGateLowerAllocsPerOp;
+    const bool gate_ok = events_ok && faults_ok && allocs_ok;
     std::ofstream out(out_path);
     if (out) {
         out << "{\n  \"bench\": \"microbench_simulator\",\n";
@@ -279,6 +391,8 @@ main(int argc, char** argv)
             << formatFixed(lower_rate, 0) << ",\n";
         out << "  \"lower_faults_per_node\": "
             << formatFixed(faults_per_node, 4) << ",\n";
+        out << "  \"lower_allocs_per_executed_op\": "
+            << formatFixed(allocs_per_op, 4) << ",\n";
         out << "  \"baseline_events_per_sec_serial\": "
             << formatFixed(kBaselineEventsPerSecSerial, 0) << ",\n";
         out << "  \"baseline_events_per_sec_overlap\": "
@@ -314,5 +428,11 @@ main(int argc, char** argv)
                   << " minor faults per stored plan node, above the gate "
                   << "ceiling " << formatFixed(kGateLowerFaultsPerNode, 1)
                   << "\n";
+    if (gate && !allocs_ok)
+        std::cerr << "FAIL: lowering Parti made "
+                  << formatFixed(allocs_per_op, 3)
+                  << " heap allocations per executed op, above the "
+                  << "gate ceiling "
+                  << formatFixed(kGateLowerAllocsPerOp, 2) << "\n";
     return gate && !gate_ok ? 1 : 0;
 }

@@ -180,30 +180,25 @@ Lowering::lowerStage(const graph::Pipeline& pipeline,
     const std::int64_t repeat =
         stage.perIterationShapes ? 1 : stage.iterations;
     // Each iteration is traced, so the emitter may change any op on
-    // any iteration. An op equal to the previous iteration's op at the
-    // same position lowers to the same records, so it executes that
-    // stored op again instead of being costed and stored anew. Do not
-    // reserve per trace: the executed arrays grow on every token, and
-    // an exact-size reserve would copy them each time. Geometric
-    // growth keeps lowering linear.
-    graph::Trace prev;
-    std::vector<std::uint32_t> prev_stored;
+    // any iteration. Every iteration is re-emitted into one trace, which
+    // flags the ops that differ from the previous iteration's op at the
+    // same position. An unchanged op lowers to the same records, so it
+    // executes the stored op of the previous iteration again instead
+    // of being costed and stored anew. Do not reserve per trace: the
+    // executed arrays grow on every token, and an exact-size reserve
+    // would copy them each time. Geometric growth keeps lowering
+    // linear.
+    graph::Trace trace;
     std::vector<std::uint32_t> stored;
     for (std::int64_t it = 0; it < traces; ++it) {
-        graph::Trace trace = pipeline.traceStage(stage_index, it);
+        pipeline.traceStage(stage_index, it, trace);
         const std::span<const graph::Op> ops = trace.ops();
-        const std::span<const graph::Op> prev_ops = prev.ops();
-        stored.clear();
+        stored.resize(ops.size());
         for (std::size_t i = 0; i < ops.size(); ++i) {
-            const std::uint32_t oi =
-                i < prev_ops.size() && ops[i] == prev_ops[i]
-                    ? prev_stored[i]
-                    : store(ops[i], stage_index, repeat);
-            execute(oi);
-            stored.push_back(oi);
+            if (trace.changed(i))
+                stored[i] = store(ops[i], stage_index, repeat);
+            execute(stored[i]);
         }
-        prev = std::move(trace);
-        std::swap(prev_stored, stored);
     }
 }
 

@@ -17,12 +17,15 @@
  * traces every token, but most of a token's ops equal the op at the
  * same position one token earlier (only the attention ops see the KV
  * cache grow); such an op executes the earlier token's stored record
- * again. So `ops`, `nodes` and `costs` hold stored records, and
- * `opSequence` lists the stored op of every executed op instance in
- * program order. Readers walk that sequence with `executed()`, which
- * numbers executed ops and executed kernels in program order: the
- * indices timelines, dependency windows and liveness intervals use.
- * For a folded stage the sequence is the identity.
+ * again. Each token is re-emitted into the previous token's op slots,
+ * and graph::Trace::changed flags the ops that differ, so finding them
+ * needs no copy of the previous token's trace. So `ops`, `nodes` and
+ * `costs` hold stored records, and `opSequence` lists the stored op of
+ * every executed op instance in program order. Readers walk that
+ * sequence with `executed()`, which numbers executed ops and executed
+ * kernels in program order: the indices timelines, dependency windows
+ * and liveness intervals use. For a folded stage the sequence is the
+ * identity.
  *
  * Storage is arena-style: nodes and ops are plain flat records whose
  * variable-size payloads live in per-plan pools — labels and scopes
@@ -393,10 +396,11 @@ ExecutedOps::end() const
  *
  * Stage traversal matches the profiler contract exactly: stages with
  * shape-invariant iterations are traced once and folded into repeat
- * counts; per-iteration-shape stages are traced every iteration. An
- * op equal to the op at the same position of the previous iteration
- * executes that iteration's stored record again, so only the ops that
- * change from iteration to iteration are costed and stored.
+ * counts; per-iteration-shape stages are traced every iteration, each
+ * into the previous iteration's trace. An op equal to the op at the
+ * same position of the previous iteration (graph::Trace::changed is
+ * false) executes that iteration's stored record again, so only the
+ * ops that change from iteration to iteration are costed and stored.
  */
 ExecutionPlan lowerPipeline(const graph::Pipeline& pipeline,
                             const kernels::CostModel& model,

@@ -41,22 +41,31 @@ void
 GraphBuilder::appendOp(Op op)
 {
     trace.append(std::move(op));
-    if (!hooks.empty()) {
-        const Op& emitted = trace.ops().back();
-        for (const auto& hook : hooks)
-            hook(emitted);
-    }
+    for (const auto& hook : hooks)
+        hook(trace.ops().back());
 }
 
 void
 GraphBuilder::emit(OpKind kind, OpAttrs attrs)
 {
-    Op op;
-    op.kind = kind;
-    op.scope = scopePath;
-    op.attrs = std::move(attrs);
-    op.dtype = dtype_;
-    appendOp(std::move(op));
+    // Compare with the op the slot holds before writing into it, field
+    // by field as Op::operator== does, so no temporary Op is built and
+    // a changed op's scope reuses the slot's string capacity.
+    const Op& op = trace.put(
+        [&](const Op& slot) {
+            return slot.kind == kind && slot.scope == scopePath &&
+                   slot.attrs == attrs && slot.dtype == dtype_ &&
+                   slot.repeat == 1;
+        },
+        [&](Op& slot) {
+            slot.kind = kind;
+            slot.scope.assign(scopePath);
+            slot.attrs = std::move(attrs);
+            slot.dtype = dtype_;
+            slot.repeat = 1;
+        });
+    for (const auto& hook : hooks)
+        hook(op);
 }
 
 TensorDesc
@@ -123,10 +132,10 @@ GraphBuilder::linear(const TensorDesc& x, std::int64_t out_features,
     a.outFeatures = out_features;
     a.rows = x.numel() / a.inFeatures;
     a.hasBias = bias;
-    std::vector<std::int64_t> out_shape = x.shape();
+    Dims out_shape = x.shape();
     out_shape.back() = out_features;
     emit(OpKind::Linear, a);
-    return TensorDesc(std::move(out_shape), dtype_);
+    return TensorDesc(out_shape, dtype_);
 }
 
 TensorDesc
@@ -259,10 +268,10 @@ GraphBuilder::upsample2x(const TensorDesc& x)
     a.numelIn = x.numel();
     a.numelOut = x.numel() * 4;
     emit(OpKind::Upsample, a);
-    std::vector<std::int64_t> shape = x.shape();
+    Dims shape = x.shape();
     shape[shape.size() - 2] *= 2;
     shape[shape.size() - 1] *= 2;
-    return TensorDesc(std::move(shape), dtype_);
+    return TensorDesc(shape, dtype_);
 }
 
 TensorDesc
@@ -275,10 +284,10 @@ GraphBuilder::downsample2x(const TensorDesc& x)
     a.numelIn = x.numel();
     a.numelOut = x.numel() / 4;
     emit(OpKind::Downsample, a);
-    std::vector<std::int64_t> shape = x.shape();
+    Dims shape = x.shape();
     shape[shape.size() - 2] /= 2;
     shape[shape.size() - 1] /= 2;
-    return TensorDesc(std::move(shape), dtype_);
+    return TensorDesc(shape, dtype_);
 }
 
 TensorDesc

@@ -282,7 +282,11 @@ struct Op
         return std::get<T>(attrs);
     }
 
-    /** Equal ops lower to equal kernels: every field is compared. */
+    /**
+     * Equal ops lower to equal kernels: every field is compared.
+     * GraphBuilder::emit compares a slot with these fields one by one;
+     * a new field must join that comparison.
+     */
     bool operator==(const Op&) const = default;
 };
 

@@ -161,6 +161,15 @@ Pipeline::fingerprint() const
 Trace
 Pipeline::traceStage(std::size_t stage_idx, std::int64_t iter) const
 {
+    Trace trace;
+    traceStage(stage_idx, iter, trace);
+    return trace;
+}
+
+void
+Pipeline::traceStage(std::size_t stage_idx, std::int64_t iter,
+                     Trace& into) const
+{
     MMGEN_CHECK(stage_idx < stages.size(),
                 "stage index " << stage_idx << " out of range");
     const Stage& stage = stages[stage_idx];
@@ -169,11 +178,10 @@ Pipeline::traceStage(std::size_t stage_idx, std::int64_t iter) const
                              << stage.iterations << ")");
     MMGEN_CHECK(static_cast<bool>(stage.emit),
                 "stage '" << stage.name << "' has no emitter");
-    Trace trace;
-    GraphBuilder builder(trace, dtype);
+    into.clear();
+    GraphBuilder builder(into, dtype);
     auto s = builder.scope(stage.name);
     stage.emit(builder, iter);
-    return trace;
 }
 
 } // namespace mmgen::graph

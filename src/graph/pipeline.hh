@@ -107,6 +107,16 @@ struct Pipeline
 
     /** Trace one iteration of one stage (by index) into a fresh trace. */
     Trace traceStage(std::size_t stage_idx, std::int64_t iter) const;
+
+    /**
+     * Re-emit one iteration of one stage into `into`, keeping its op
+     * slots: `into.changed(i)` then tells whether op `i` differs from
+     * the op `into` held at position `i` before the call (see Trace).
+     * Re-emitting iteration after iteration into one trace reuses the
+     * slots' heap blocks instead of allocating per op.
+     */
+    void traceStage(std::size_t stage_idx, std::int64_t iter,
+                    Trace& into) const;
 };
 
 } // namespace mmgen::graph

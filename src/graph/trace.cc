@@ -1,18 +1,29 @@
 #include "trace.hh"
 
+#include "util/logging.hh"
+
 namespace mmgen::graph {
 
 void
 Trace::append(Op op)
 {
-    ops_.push_back(std::move(op));
+    put([&op](const Op& slot) { return slot == op; },
+        [&op](Op& slot) { slot = std::move(op); });
+}
+
+bool
+Trace::changed(std::size_t i) const
+{
+    MMGEN_CHECK(i < count, "op " << i << " out of a " << count
+                                 << "-op trace");
+    return changedFlags[i];
 }
 
 std::int64_t
 Trace::totalParams() const
 {
     std::int64_t total = 0;
-    for (const auto& op : ops_)
+    for (const auto& op : ops())
         total += opParamCount(op);
     return total;
 }
@@ -20,7 +31,8 @@ Trace::totalParams() const
 void
 Trace::clear()
 {
-    ops_.clear();
+    previous = count;
+    count = 0;
 }
 
 } // namespace mmgen::graph

@@ -408,7 +408,7 @@ unetForward(GraphBuilder& b, const UNetConfig& cfg, std::int64_t h,
             const std::int64_t skip = skip_channels.back();
             skip_channels.pop_back();
             // Concatenate the skip tensor: widen the input channels.
-            std::vector<std::int64_t> cat_shape = x.shape();
+            Dims cat_shape = x.shape();
             cat_shape[1] += skip;
             x = resnetBlock(b, cfg, TensorDesc(cat_shape, b.dtype()), ch);
             if (cfg.hasAttnAt(factor) || cfg.hasCrossAttnAt(factor)) {

@@ -1,28 +1,46 @@
 #include "tensor_desc.hh"
 
-#include <numeric>
+#include <algorithm>
 #include <sstream>
 
 #include "util/logging.hh"
 
 namespace mmgen {
 
+Dims::Dims(std::initializer_list<std::int64_t> dims)
+{
+    assign(dims.begin(), dims.size());
+}
+
+Dims::Dims(const std::vector<std::int64_t>& dims)
+{
+    assign(dims.data(), dims.size());
+}
+
+void
+Dims::assign(const std::int64_t* values, std::size_t n)
+{
+    MMGEN_CHECK(n <= kCapacity, "rank " << n << " exceeds the "
+                                        << kCapacity
+                                        << " dimensions a tensor holds");
+    std::copy_n(values, n, values_.begin());
+    size_ = n;
+}
+
 TensorDesc::TensorDesc()
     : shape_(), strides_(), dtype_(DType::F16)
 {}
 
-TensorDesc::TensorDesc(std::vector<std::int64_t> shape, DType dtype)
-    : shape_(std::move(shape)),
-      strides_(contiguousStrides(shape_)),
-      dtype_(dtype)
+TensorDesc::TensorDesc(const Dims& shape, DType dtype)
+    : shape_(shape), strides_(contiguousStrides(shape_)), dtype_(dtype)
 {
     for (auto d : shape_)
         MMGEN_CHECK(d > 0, "non-positive dimension " << d);
 }
 
-TensorDesc::TensorDesc(std::vector<std::int64_t> shape,
-                       std::vector<std::int64_t> strides, DType dtype)
-    : shape_(std::move(shape)), strides_(std::move(strides)), dtype_(dtype)
+TensorDesc::TensorDesc(const Dims& shape, const Dims& strides,
+                       DType dtype)
+    : shape_(shape), strides_(strides), dtype_(dtype)
 {
     MMGEN_CHECK(shape_.size() == strides_.size(),
                 "shape rank " << shape_.size() << " != stride rank "
@@ -79,9 +97,9 @@ TensorDesc::permute(const std::vector<std::size_t>& perm) const
     MMGEN_CHECK(perm.size() == rank(),
                 "permutation arity " << perm.size() << " != rank "
                                      << rank());
-    std::vector<bool> seen(rank(), false);
-    std::vector<std::int64_t> new_shape(rank());
-    std::vector<std::int64_t> new_strides(rank());
+    std::array<bool, Dims::kCapacity> seen{};
+    Dims new_shape = shape_;
+    Dims new_strides = strides_;
     for (std::size_t i = 0; i < rank(); ++i) {
         MMGEN_CHECK(perm[i] < rank(), "permutation index out of range");
         MMGEN_CHECK(!seen[perm[i]], "duplicate permutation index");
@@ -89,11 +107,11 @@ TensorDesc::permute(const std::vector<std::size_t>& perm) const
         new_shape[i] = shape_[perm[i]];
         new_strides[i] = strides_[perm[i]];
     }
-    return TensorDesc(std::move(new_shape), std::move(new_strides), dtype_);
+    return TensorDesc(new_shape, new_strides, dtype_);
 }
 
 TensorDesc
-TensorDesc::reshape(std::vector<std::int64_t> new_shape) const
+TensorDesc::reshape(const Dims& new_shape) const
 {
     MMGEN_CHECK(isContiguous(),
                 "reshape of non-contiguous tensor " << str()
@@ -103,7 +121,7 @@ TensorDesc::reshape(std::vector<std::int64_t> new_shape) const
         n *= d;
     MMGEN_CHECK(n == numel(), "reshape element count mismatch: " << n
                                   << " vs " << numel());
-    return TensorDesc(std::move(new_shape), dtype_);
+    return TensorDesc(new_shape, dtype_);
 }
 
 TensorDesc
@@ -141,10 +159,10 @@ TensorDesc::str() const
     return oss.str();
 }
 
-std::vector<std::int64_t>
-TensorDesc::contiguousStrides(const std::vector<std::int64_t>& shape)
+Dims
+TensorDesc::contiguousStrides(const Dims& shape)
 {
-    std::vector<std::int64_t> strides(shape.size());
+    Dims strides = shape;
     std::int64_t acc = 1;
     for (std::size_t i = shape.size(); i-- > 0;) {
         strides[i] = acc;

@@ -12,13 +12,59 @@
 #ifndef MMGEN_TENSOR_TENSOR_DESC_HH
 #define MMGEN_TENSOR_TENSOR_DESC_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "tensor/dtype.hh"
 
 namespace mmgen {
+
+/**
+ * The extents or strides of one tensor, stored inline.
+ *
+ * A descriptor owns no heap block, so shape inference allocates
+ * nothing. Builds from braced lists and vectors; more than
+ * `kCapacity` dimensions is a FatalError, never an overflow.
+ */
+class Dims
+{
+  public:
+    /** Largest rank in the tree: NCDHW video tensors. */
+    static constexpr std::size_t kCapacity = 5;
+
+    using const_iterator = const std::int64_t*;
+
+    Dims() = default;
+    Dims(std::initializer_list<std::int64_t> dims);
+    Dims(const std::vector<std::int64_t>& dims);
+
+    std::size_t size() const { return size_; }
+
+    const_iterator begin() const { return values_.data(); }
+    const_iterator end() const { return values_.data() + size_; }
+
+    std::int64_t& operator[](std::size_t i) { return values_[i]; }
+    std::int64_t operator[](std::size_t i) const { return values_[i]; }
+    std::int64_t& back() { return values_[size_ - 1]; }
+
+    /** Same rank and same values (compares with vectors too). */
+    friend bool
+    operator==(const Dims& a, const Dims& b)
+    {
+        return std::ranges::equal(a, b);
+    }
+
+  private:
+    /** Copy `n` values, rejecting a rank above the capacity. */
+    void assign(const std::int64_t* values, std::size_t n);
+
+    std::array<std::int64_t, kCapacity> values_{};
+    std::size_t size_ = 0;
+};
 
 /**
  * Shape + dtype + strides of a symbolic tensor.
@@ -32,11 +78,10 @@ class TensorDesc
     TensorDesc();
 
     /** Contiguous row-major tensor of the given shape. */
-    TensorDesc(std::vector<std::int64_t> shape, DType dtype);
+    TensorDesc(const Dims& shape, DType dtype);
 
     /** Tensor with explicit strides (elements). */
-    TensorDesc(std::vector<std::int64_t> shape,
-               std::vector<std::int64_t> strides, DType dtype);
+    TensorDesc(const Dims& shape, const Dims& strides, DType dtype);
 
     /** Number of dimensions. */
     std::size_t rank() const { return shape_.size(); }
@@ -47,11 +92,11 @@ class TensorDesc
     /** Stride of a dimension in elements; negative indices allowed. */
     std::int64_t stride(std::int64_t i) const;
 
-    /** Full shape vector. */
-    const std::vector<std::int64_t>& shape() const { return shape_; }
+    /** Full shape. */
+    const Dims& shape() const { return shape_; }
 
-    /** Full stride vector (elements). */
-    const std::vector<std::int64_t>& strides() const { return strides_; }
+    /** Full strides (elements). */
+    const Dims& strides() const { return strides_; }
 
     /** Element type. */
     DType dtype() const { return dtype_; }
@@ -77,7 +122,7 @@ class TensorDesc
      * on contiguous tensors (mirrors framework semantics: reshaping a
      * permuted view first requires a copy).
      */
-    TensorDesc reshape(std::vector<std::int64_t> new_shape) const;
+    TensorDesc reshape(const Dims& new_shape) const;
 
     /** Contiguous tensor of the same shape and dtype (i.e. post-copy). */
     TensorDesc contiguous() const;
@@ -89,12 +134,11 @@ class TensorDesc
     std::string str() const;
 
     /** Compute dense row-major strides for a shape. */
-    static std::vector<std::int64_t>
-    contiguousStrides(const std::vector<std::int64_t>& shape);
+    static Dims contiguousStrides(const Dims& shape);
 
   private:
-    std::vector<std::int64_t> shape_;
-    std::vector<std::int64_t> strides_;
+    Dims shape_;
+    Dims strides_;
     DType dtype_;
 };
 

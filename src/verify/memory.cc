@@ -268,8 +268,9 @@ checkMemoryProfile(const exec::ExecutionPlan& plan,
     }
 
     // ---- P011: per-op demand conserved against cost-model traffic ----
-    for (const exec::ExecutedOp e : plan.executed()) {
-        const exec::PlanOp& op = e.op;
+    // The check reads only a stored op and its stored kernels, so every
+    // executed instance would repeat its verdict: check each once.
+    for (const exec::PlanOp& op : plan.ops) {
         const std::string_view op_scope = plan.str(op.scope);
         bool op_sane = true;
         op_sane &= finiteBytes(report, ctx, op_scope, "inputBytes",

@@ -338,6 +338,56 @@ TEST(StoredPlanEquivalence, ScaledPartiReusesRoundedAttention)
     EXPECT_LT(stored, executed);
 }
 
+TEST(StoredPlanEquivalence, ShrinkingAndRegrowingTraceMatches)
+{
+    // A decode stage whose op count alternates with iteration parity:
+    // odd iterations drop an op mid-trace and the last op. The wide
+    // projection moves to position iter % 4, the attention's KV length
+    // grows every other iteration, its scope is renamed every third
+    // iteration and the residual's label changes from iteration 5 on,
+    // so ops change at varying positions. The 32 MiB projections are
+    // memory-bound, so the split lowering streams their weights.
+    graph::Pipeline p;
+    p.name = "shifting";
+    graph::Stage prefill;
+    prefill.name = "prefill";
+    prefill.iterations = 2;
+    prefill.emit = [](graph::GraphBuilder& b, std::int64_t) {
+        b.linear(TensorDesc({1, 16, 4096}, b.dtype()), 4096, false);
+    };
+    p.stages.push_back(std::move(prefill));
+    graph::Stage decode;
+    decode.name = "decode";
+    decode.iterations = 11;
+    decode.perIterationShapes = true;
+    decode.emit = [](graph::GraphBuilder& b, std::int64_t iter) {
+        const TensorDesc x({1, 1, 4096}, b.dtype());
+        for (std::int64_t i = 0; i < 4; ++i)
+            b.linear(x, i == iter % 4 ? 8192 : 4096, false);
+        if (iter % 2 == 0)
+            b.layerNorm(x);
+        {
+            auto s = b.scope(iter % 3 == 0 ? "attn" : "self_attn");
+            b.attention(graph::AttentionKind::CausalSelf, 1, 32, 1,
+                        iter / 2 + 1, 128);
+        }
+        b.binary(x, iter < 5 ? "residual_add" : "add");
+        if (iter % 2 == 0)
+            b.gelu(x);
+    };
+    p.stages.push_back(std::move(decode));
+
+    expectBothLoweringsMatch(p, AttentionBackend::Flash);
+
+    const kernels::CostModel model(hw::GpuSpec::a100_80gb(),
+                                   AttentionBackend::Flash);
+    const ExecutionPlan plan = lowerPipeline(p, model);
+    EXPECT_LT(plan.ops.size(), plan.executedOpCount());
+    LoweringOptions split;
+    split.splitWeightStreams = true;
+    EXPECT_TRUE(lowerPipeline(p, model, split).hasWeightStreams);
+}
+
 TEST(StoredPlanEquivalence, ScaledLLaMAMatches)
 {
     expectBothLoweringsMatch(

@@ -14,6 +14,7 @@
 
 #include "profiler/engine.hh"
 #include "telemetry/export.hh"
+#include "verify/structural.hh"
 
 namespace mmgen::telemetry {
 namespace {
@@ -31,11 +32,14 @@ smallProfile(std::int64_t iterations = 5)
     s.name = "stage_a";
     s.iterations = iterations;
     s.emit = [](graph::GraphBuilder& b, std::int64_t) {
+        // Spatial self-attention attends every position of the 16x16 map.
         b.conv2d(TensorDesc({1, 8, 16, 16}, DType::F16), 8);
-        b.attention(graph::AttentionKind::SelfSpatial, 1, 2, 64, 64,
+        b.attention(graph::AttentionKind::SelfSpatial, 1, 2, 256, 256,
                     16);
     };
     p.stages.push_back(std::move(s));
+    // The fixture must lint clean, or runtime checks reject it.
+    EXPECT_EQ(verify::verifyPipeline(p).errorCount(), 0);
     ProfileOptions opts;
     opts.keepPlan = true;
     return Profiler(opts).profile(p);

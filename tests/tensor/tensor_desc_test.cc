@@ -96,6 +96,34 @@ TEST(TensorDesc, StrAnnotatesStridedViews)
     EXPECT_EQ(x.permute({1, 0}).str(), "f16[4, 2](strided)");
 }
 
+TEST(TensorDesc, FullInlineRankKeepsViewResults)
+{
+    // NCDHW, the largest rank in the tree, fills the inline capacity.
+    const TensorDesc x({2, 3, 4, 5, 6}, DType::F16);
+    EXPECT_EQ(x.strides(),
+              (std::vector<std::int64_t>{360, 120, 30, 6, 1}));
+    const TensorDesc v = x.permute({0, 2, 1, 3, 4});
+    EXPECT_EQ(v.shape(), (std::vector<std::int64_t>{2, 4, 3, 5, 6}));
+    EXPECT_EQ(v.strides(),
+              (std::vector<std::int64_t>{360, 30, 120, 6, 1}));
+    EXPECT_FALSE(v.isContiguous());
+    EXPECT_EQ(v.str(), "f16[2, 4, 3, 5, 6](strided)");
+    EXPECT_EQ(v.offsetOf({1, 3, 2, 4, 5}), 360 + 90 + 240 + 24 + 5);
+    EXPECT_THROW(v.reshape({720}), FatalError);
+    const TensorDesc r = v.contiguous().reshape({6, 4, 30});
+    EXPECT_EQ(r.shape(), (std::vector<std::int64_t>{6, 4, 30}));
+    EXPECT_TRUE(r.isContiguous());
+}
+
+TEST(TensorDesc, RankAboveInlineCapacityIsFatal)
+{
+    EXPECT_THROW(TensorDesc({1, 2, 3, 4, 5, 6}, DType::F16), FatalError);
+    EXPECT_THROW(TensorDesc(std::vector<std::int64_t>(6, 1), DType::F16),
+                 FatalError);
+    const TensorDesc x({2, 3, 4}, DType::F16);
+    EXPECT_THROW(x.reshape({1, 1, 1, 2, 3, 4}), FatalError);
+}
+
 /** Property: permute twice with inverse permutation is identity. */
 class PermuteRoundTrip
     : public ::testing::TestWithParam<std::vector<std::size_t>>

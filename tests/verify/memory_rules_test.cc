@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "exec/memory.hh"
 #include "exec/plan.hh"
@@ -176,6 +178,48 @@ TEST(MemoryRules, TamperedTrafficFiresP011)
     EXPECT_TRUE(report.fired(rules::MemoryConservation))
         << report.render();
     EXPECT_TRUE(report.hasErrors());
+}
+
+TEST(MemoryRules, TamperedStoredOpFiresP011Once)
+{
+    // A LLaMA decode FFN op is stored once and executed on every token.
+    // P011 reads only the stored record, so tampering with it is one
+    // finding, not one per token.
+    const graph::Pipeline p = models::buildModel(models::ModelId::LLaMA);
+    const hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
+    const kernels::CostModel model(gpu, graph::AttentionBackend::Flash,
+                                   kernels::EfficiencyParams::defaults());
+    exec::ExecutionPlan plan = exec::lowerPipeline(p, model);
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(gpu).schedule(plan);
+
+    std::vector<std::size_t> executions(plan.ops.size(), 0);
+    for (const exec::ExecutedOp e : plan.executed())
+        ++executions[e.opIndex];
+    std::size_t victim = plan.ops.size();
+    for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+        const exec::PlanOp& op = plan.ops[i];
+        if (plan.stageNames[op.stageIndex] == "decode" &&
+            plan.opScope(i).find(".ffn") != std::string_view::npos &&
+            op.inputBytes + op.outputBytes + op.weightReadBytes > 0.0 &&
+            executions[i] > 1) {
+            victim = i;
+            break;
+        }
+    }
+    ASSERT_LT(victim, plan.ops.size());
+    const exec::PlanOp& op = plan.ops[victim];
+    for (std::size_t n = op.firstNode; n < op.firstNode + op.nodeCount;
+         ++n)
+        plan.nodes[n].hbmBytes = 0.0;
+
+    const DiagnosticReport report =
+        verifyMemory(plan, timeline, gpu, ctxFor(plan));
+    const std::vector<Diagnostic> findings =
+        report.forRule(rules::MemoryConservation);
+    ASSERT_EQ(findings.size(), 1u) << report.render();
+    EXPECT_EQ(findings[0].scope, plan.opScope(victim));
+    EXPECT_EQ(report.errorCount(), 1) << report.render();
 }
 
 TEST(MemoryRules, CapacitySeverityIsCallerChosen)
