@@ -39,16 +39,27 @@
  *    on CPU speed.
  *  - `lower_stored_nodes` and `lower_executed_nodes`: both counts.
  *
+ * Plus one memory sweep (`exec::analyzeMemory`) of that Parti plan on
+ * its serial timeline:
+ *
+ *  - `memory_sweep_bytes_per_executed_kernel`: heap bytes requested
+ *    (the same counting `operator new` sums the sizes) during the
+ *    sweep, per executed kernel. Materializing every buffer, its
+ *    endpoint lists and per-kernel sums took ~110; streaming each
+ *    op's buffers through two pending heaps takes ~8, the one bound
+ *    per kernel the sweep keeps.
+ *
  * Emits `BENCH_simulator.json` (path overridable via the last
  * argument) with the measured rates, the recorded pre-optimization
  * baselines, and speedups. `--gate` exits nonzero when the serial
  * event rate falls below `kGateEventsPerSec`, the lowering takes
- * more than `kGateLowerFaultsPerNode` faults per node, or it makes
- * more than `kGateLowerAllocsPerOp` heap allocations per executed op
- * — the CI Release-mode regression gate. The baselines were measured
- * on this repo at the commit before the arena-IR / SoA-scheduler
- * rework (Release, one core), so speedups are apples-to-apples on
- * comparable hardware and indicative elsewhere.
+ * more than `kGateLowerFaultsPerNode` faults per node, it makes
+ * more than `kGateLowerAllocsPerOp` heap allocations per executed op,
+ * or the memory sweep requests more than `kGateSweepBytesPerKernel`
+ * heap bytes per executed kernel — the CI Release-mode regression
+ * gate. The baselines were measured on this repo at the commit before
+ * the arena-IR / SoA-scheduler rework (Release, one core), so speedups
+ * are apples-to-apples on comparable hardware and indicative elsewhere.
  */
 
 #include <sys/resource.h>
@@ -65,6 +76,7 @@
 
 #include "cache/hierarchy.hh"
 #include "cache/trace_gen.hh"
+#include "exec/memory.hh"
 #include "exec/plan.hh"
 #include "exec/schedule.hh"
 #include "models/model_suite.hh"
@@ -76,6 +88,8 @@ namespace {
 
 /** Calls of the global `operator new` (unaligned forms) so far. */
 std::atomic<std::uint64_t> heapAllocations{0};
+/** Bytes those calls requested. */
+std::atomic<std::uint64_t> heapBytes{0};
 
 } // namespace
 
@@ -88,6 +102,7 @@ void*
 operator new(std::size_t size)
 {
     heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    heapBytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -103,6 +118,7 @@ void*
 operator new(std::size_t size, const std::nothrow_t&) noexcept
 {
     heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    heapBytes.fetch_add(size, std::memory_order_relaxed);
     return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -181,6 +197,13 @@ constexpr double kGateLowerFaultsPerNode = 1.0;
  */
 constexpr double kGateLowerAllocsPerOp = 0.25;
 
+/**
+ * Gate ceiling for heap bytes per executed kernel one memory sweep of
+ * Parti requests: between the ~110 of materializing every buffer and
+ * the ~8 of streaming them.
+ */
+constexpr double kGateSweepBytesPerKernel = 16.0;
+
 /** Minimum timed window per metric; repeats are calibrated up to it. */
 constexpr double kMinSeconds = 0.3;
 
@@ -229,14 +252,12 @@ benchEventsPerSec(const exec::ExecutionPlan& plan,
 }
 
 /**
- * One cold lowering: plan size, wall time, minor faults and heap
+ * One cold lowering: the plan, its wall time, minor faults and heap
  * allocations.
  */
 struct LoweringRun
 {
-    std::size_t storedNodes = 0;
-    std::size_t executedNodes = 0;
-    std::size_t executedOps = 0;
+    exec::ExecutionPlan plan;
     double seconds = 0.0;
     long minorFaults = 0;
     std::uint64_t allocations = 0;
@@ -258,14 +279,25 @@ benchLowering(const graph::Pipeline& pipeline)
     const long faults = minorFaults();
     const std::uint64_t allocations = heapAllocations.load();
     const double start = nowSeconds();
-    const exec::ExecutionPlan plan = profiler.lower(pipeline);
+    run.plan = profiler.lower(pipeline);
     run.seconds = nowSeconds() - start;
     run.allocations = heapAllocations.load() - allocations;
     run.minorFaults = minorFaults() - faults;
-    run.storedNodes = plan.nodes.size();
-    run.executedNodes = plan.executedNodeCount();
-    run.executedOps = plan.executedOpCount();
     return run;
+}
+
+/** Heap bytes one memory sweep of `plan` requests, per executed kernel. */
+double
+benchSweepBytesPerKernel(const exec::ExecutionPlan& plan)
+{
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(hw::GpuSpec::a100_80gb()).schedule(plan);
+    const std::uint64_t before = heapBytes.load();
+    // The returned profile's own vectors count too.
+    exec::analyzeMemory(plan, timeline);
+    const std::uint64_t requested = heapBytes.load() - before;
+    return static_cast<double>(requested) /
+           static_cast<double>(plan.executedNodeCount());
 }
 
 double
@@ -332,14 +364,19 @@ main(int argc, char** argv)
     const double cache_rate = benchCacheAccessesPerSec();
     const LoweringRun lowering =
         benchLowering(models::buildModel(models::ModelId::Parti));
+    const std::size_t stored_nodes = lowering.plan.nodes.size();
+    const std::size_t executed_nodes = lowering.plan.executedNodeCount();
+    const std::size_t executed_ops = lowering.plan.executedOpCount();
     const double lower_rate =
-        static_cast<double>(lowering.executedNodes) / lowering.seconds;
+        static_cast<double>(executed_nodes) / lowering.seconds;
     const double faults_per_node =
         static_cast<double>(lowering.minorFaults) /
-        static_cast<double>(lowering.storedNodes);
+        static_cast<double>(stored_nodes);
     const double allocs_per_op =
         static_cast<double>(lowering.allocations) /
-        static_cast<double>(lowering.executedOps);
+        static_cast<double>(executed_ops);
+    const double sweep_bytes_per_kernel =
+        benchSweepBytesPerKernel(lowering.plan);
 
     TextTable table(
         {"Metric", "Rate", "Baseline", "Speedup"});
@@ -354,8 +391,8 @@ main(int argc, char** argv)
     row("cache accesses/sec", cache_rate,
         kBaselineCacheAccessesPerSec);
     std::cout << table.render() << "\n";
-    std::cout << "Parti lowering: " << lowering.executedNodes
-              << " executed nodes (" << lowering.storedNodes
+    std::cout << "Parti lowering: " << executed_nodes
+              << " executed nodes (" << stored_nodes
               << " stored) in " << formatFixed(lowering.seconds, 3)
               << " s (" << formatCount(lower_rate) << " nodes/s), "
               << formatFixed(faults_per_node, 3)
@@ -363,15 +400,18 @@ main(int argc, char** argv)
     std::cout << "lower_allocs_per_executed_op: "
               << formatFixed(allocs_per_op, 4) << " ("
               << lowering.allocations << " allocations for "
-              << lowering.executedOps << " executed ops)\n";
-    std::cout << "lower_stored_nodes: " << lowering.storedNodes << "\n";
-    std::cout << "lower_executed_nodes: " << lowering.executedNodes
-              << "\n\n";
+              << executed_ops << " executed ops)\n";
+    std::cout << "lower_stored_nodes: " << stored_nodes << "\n";
+    std::cout << "lower_executed_nodes: " << executed_nodes << "\n";
+    std::cout << "memory_sweep_bytes_per_executed_kernel: "
+              << formatFixed(sweep_bytes_per_kernel, 2) << "\n\n";
 
     const bool events_ok = serial >= kGateEventsPerSec;
     const bool faults_ok = faults_per_node <= kGateLowerFaultsPerNode;
     const bool allocs_ok = allocs_per_op <= kGateLowerAllocsPerOp;
-    const bool gate_ok = events_ok && faults_ok && allocs_ok;
+    const bool sweep_ok =
+        sweep_bytes_per_kernel <= kGateSweepBytesPerKernel;
+    const bool gate_ok = events_ok && faults_ok && allocs_ok && sweep_ok;
     std::ofstream out(out_path);
     if (out) {
         out << "{\n  \"bench\": \"microbench_simulator\",\n";
@@ -383,9 +423,8 @@ main(int argc, char** argv)
             << formatFixed(overlap, 0) << ",\n";
         out << "  \"cache_accesses_per_sec\": "
             << formatFixed(cache_rate, 0) << ",\n";
-        out << "  \"lower_stored_nodes\": " << lowering.storedNodes
-            << ",\n";
-        out << "  \"lower_executed_nodes\": " << lowering.executedNodes
+        out << "  \"lower_stored_nodes\": " << stored_nodes << ",\n";
+        out << "  \"lower_executed_nodes\": " << executed_nodes
             << ",\n";
         out << "  \"lower_nodes_per_sec\": "
             << formatFixed(lower_rate, 0) << ",\n";
@@ -393,6 +432,8 @@ main(int argc, char** argv)
             << formatFixed(faults_per_node, 4) << ",\n";
         out << "  \"lower_allocs_per_executed_op\": "
             << formatFixed(allocs_per_op, 4) << ",\n";
+        out << "  \"memory_sweep_bytes_per_executed_kernel\": "
+            << formatFixed(sweep_bytes_per_kernel, 4) << ",\n";
         out << "  \"baseline_events_per_sec_serial\": "
             << formatFixed(kBaselineEventsPerSecSerial, 0) << ",\n";
         out << "  \"baseline_events_per_sec_overlap\": "
@@ -434,5 +475,11 @@ main(int argc, char** argv)
                   << " heap allocations per executed op, above the "
                   << "gate ceiling "
                   << formatFixed(kGateLowerAllocsPerOp, 2) << "\n";
+    if (gate && !sweep_ok)
+        std::cerr << "FAIL: the memory sweep of Parti requested "
+                  << formatFixed(sweep_bytes_per_kernel, 2)
+                  << " heap bytes per executed kernel, above the gate "
+                  << "ceiling "
+                  << formatFixed(kGateSweepBytesPerKernel, 0) << "\n";
     return gate && !gate_ok ? 1 : 0;
 }

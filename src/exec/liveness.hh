@@ -11,18 +11,20 @@
  * prefetched staging buffer from the copy node until its last compute
  * kernel retires. Parameters are resident for the whole run.
  *
- * The derivation walks the plan's executed ops and emits every buffer
- * as a closed [defNode, lastUseNode] interval of executed-kernel
- * indices, in program order. The memory analyzer sweeps
- * those intervals directly for the program-order peak, and maps them
- * through the scheduled timeline (event start of the def node, event
- * end of the last use) so stream overlap correctly widens lifetimes.
+ * Every buffer is a closed [defNode, lastUseNode] interval of
+ * executed-kernel indices. `BufferEnumerator` is the one place these
+ * rules live: it yields each executed op's buffers in def order, one
+ * op at a time, and holds only that op's. The memory analyzer streams
+ * them straight into its sweeps, so it builds no buffer array;
+ * `deriveLiveness` collects the same stream into one vector for
+ * readers that want every buffer at once.
  */
 
 #ifndef MMGEN_EXEC_LIVENESS_HH
 #define MMGEN_EXEC_LIVENESS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,38 @@ struct LiveBuffer
     std::size_t lastUseNode = 0;
 };
 
+/** Parameter bytes of a plan, resident for the whole run. */
+double residentWeightBytes(const ExecutionPlan& plan);
+
+/**
+ * Yields a plan's buffers one executed op at a time. Call `of` once
+ * for every op of `plan.executed()`, in program order. Each call
+ * returns the buffers that op defines, in def order, so the calls
+ * concatenated list every buffer of the inference in def order. A
+ * buffer's def lies in its op's kernels; its last use lies there too,
+ * except for the activation, which its program successor reads.
+ */
+class BufferEnumerator
+{
+  public:
+    explicit BufferEnumerator(const ExecutionPlan& plan) : plan_(plan) {}
+
+    /**
+     * Buffers executed op `e` defines. The span is valid until the
+     * next call.
+     */
+    std::span<const LiveBuffer> of(const ExecutedOp& e);
+
+  private:
+    const ExecutionPlan& plan_;
+    /** Program-order position the next call must pass. */
+    std::size_t next_ = 0;
+    /** Activation bytes of the previous op (the chain input). */
+    double prevOut_ = 0.0;
+    /** Slots for the current op's buffers, reused from op to op. */
+    std::vector<LiveBuffer> buffers_;
+};
+
 /** Every buffer of one inference, plus the resident parameter block. */
 struct Liveness
 {
@@ -68,7 +102,7 @@ struct Liveness
 };
 
 /**
- * Derive def/use intervals for every buffer of a lowered plan.
+ * Collect every buffer `BufferEnumerator` yields for a lowered plan.
  * Deterministic: equal plans produce byte-identical results.
  */
 Liveness deriveLiveness(const ExecutionPlan& plan);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -11,23 +13,170 @@ namespace mmgen::exec {
 
 namespace {
 
-/**
- * Sort buffer indices by (time_of(buffer), buffer), skipping the sort
- * when `order` already is in that order: a serial timeline's times
- * rise with node index, so its endpoint lists usually are.
- */
-template <typename TimeOf>
-void
-sortByTime(std::vector<std::uint32_t>& order, TimeOf time_of)
+/** One buffer endpoint waiting in a sweep heap. */
+struct Endpoint
 {
-    const auto before = [&](std::uint32_t a, std::uint32_t b) {
-        const double ta = time_of(a);
-        const double tb = time_of(b);
-        return ta != tb ? ta < tb : a < b;
+    /** Allocation: the buffer's start time. Free: its end time. */
+    double time = 0.0;
+    /** Def-order buffer index: equal times sweep in this order. */
+    std::uint64_t buffer = 0;
+    double bytes = 0.0;
+    std::size_t defNode = 0;
+    /** The buffer's other endpoint time. */
+    double other = 0.0;
+};
+
+/** Min-heap of endpoints by (time, buffer). */
+class EndpointHeap
+{
+  public:
+    bool empty() const { return heap_.empty(); }
+    const Endpoint& top() const { return heap_.front(); }
+    /** Every pending endpoint, in heap order. */
+    const std::vector<Endpoint>& pending() const { return heap_; }
+
+    void
+    push(const Endpoint& e)
+    {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+    Endpoint
+    pop()
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        const Endpoint e = heap_.back();
+        heap_.pop_back();
+        return e;
+    }
+
+  private:
+    /** A function object, not a function pointer, so it inlines. */
+    struct Later
+    {
+        bool
+        operator()(const Endpoint& a, const Endpoint& b) const
+        {
+            return a.time != b.time ? a.time > b.time : a.buffer > b.buffer;
+        }
     };
-    if (!std::is_sorted(order.begin(), order.end(), before))
-        std::sort(order.begin(), order.end(), before);
-}
+
+    std::vector<Endpoint> heap_;
+};
+
+/**
+ * The scheduled-order sweep, fed buffers in def order. Each buffer is
+ * allocated at its def kernel's start and freed at its last use's end.
+ * Endpoints sweep by time, allocations before frees at equal time
+ * (closed intervals: a buffer freed at t and one allocated at t
+ * coexist), buffer index last so ties are stable.
+ *
+ * Pending allocations and frees wait in two min-heaps. `release(bound)`
+ * sweeps every endpoint that no buffer fed later can precede, given
+ * that each of those allocates and frees at or after `bound`. The
+ * endpoints therefore sweep in exactly the order of sorting all of
+ * them, on any timeline, while only the pending ones are held.
+ */
+class ScheduledSweep
+{
+  public:
+    ScheduledSweep(const Timeline& timeline, double weight_bytes)
+        : timeline_(timeline), cur_(weight_bytes), peak_(weight_bytes)
+    {}
+
+    void
+    add(const LiveBuffer& b, std::uint64_t buffer)
+    {
+        const double start = timeline_.eventStart[b.defNode];
+        const double end = timeline_.eventEnd[b.lastUseNode];
+        allocs_.push({start, buffer, b.bytes, b.defNode, end});
+        frees_.push({end, buffer, b.bytes, b.defNode, start});
+    }
+
+    /**
+     * Sweep the pending endpoints that precede every buffer not yet
+     * added: an allocation at or before `bound` (a later allocation at
+     * `bound` has a higher index), a free strictly before it (an
+     * allocation at `bound` sweeps first).
+     */
+    void
+    release(double bound)
+    {
+        for (;;) {
+            const bool can_alloc =
+                !allocs_.empty() && allocs_.top().time <= bound;
+            const bool can_free =
+                !frees_.empty() && frees_.top().time < bound;
+            if (can_alloc &&
+                (!can_free || allocs_.top().time <= frees_.top().time)) {
+                const Endpoint a = allocs_.pop();
+                cur_ += a.bytes;
+                lastAlloc_ = a;
+                // Its free swept first (its last use ends before its
+                // def starts), so it stays live.
+                if (a.other < a.time)
+                    freedFirst_.push_back(a.defNode);
+                record(a.time);
+            } else if (can_free) {
+                // A free never raises the residency: no peak to record.
+                cur_ -= frees_.pop().bytes;
+            } else {
+                return;
+            }
+        }
+    }
+
+    double peakBytes() const { return peak_; }
+    double peakSeconds() const { return peakSeconds_; }
+
+    /** Def kernels of the buffers live at the peak, sorted, unique. */
+    std::vector<std::size_t>
+    takePeakNodes()
+    {
+        std::sort(peakNodes_.begin(), peakNodes_.end());
+        peakNodes_.erase(
+            std::unique(peakNodes_.begin(), peakNodes_.end()),
+            peakNodes_.end());
+        return std::move(peakNodes_);
+    }
+
+  private:
+    /**
+     * On a new peak, copy the live buffers: those freed before their
+     * allocation, and those whose free is pending and whose allocation
+     * has swept. Allocations sweep in (start, buffer) order, so that is
+     * every pending free at or before the last allocation in that
+     * order.
+     */
+    void
+    record(double time)
+    {
+        if (cur_ <= peak_)
+            return;
+        peak_ = cur_;
+        peakSeconds_ = time;
+        peakNodes_ = freedFirst_;
+        for (const Endpoint& f : frees_.pending()) {
+            if (f.other < lastAlloc_.time ||
+                (f.other == lastAlloc_.time &&
+                 f.buffer <= lastAlloc_.buffer))
+                peakNodes_.push_back(f.defNode);
+        }
+    }
+
+    const Timeline& timeline_;
+    EndpointHeap allocs_;
+    EndpointHeap frees_;
+    /** The allocation swept last. */
+    Endpoint lastAlloc_;
+    /** Def kernels of the buffers freed before their allocation. */
+    std::vector<std::size_t> freedFirst_;
+    double cur_;
+    double peak_;
+    double peakSeconds_ = 0.0;
+    std::vector<std::size_t> peakNodes_;
+};
 
 } // namespace
 
@@ -38,127 +187,87 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
                 "timeline has " << timeline.eventCount()
                                 << " events for a plan of "
                                 << plan.executedNodeCount() << " nodes");
-    const Liveness lv = deriveLiveness(plan);
-
     MemoryProfile profile;
-    profile.weightBytes = lv.weightBytes;
-    profile.bufferCount = lv.buffers.size();
-
-    // No-reuse upper bound: weights plus every buffer of one
-    // inference, allocated distinct and never freed.
-    profile.noReuseBytes = lv.weightBytes;
-    for (const LiveBuffer& b : lv.buffers)
-        profile.noReuseBytes += b.bytes;
-
-    // ---- program-order sweep (executed-kernel time axis) -------------
-    //
-    // Closed intervals: a buffer [d, u] is live at every kernel k with
-    // d <= k <= u, so allocations apply before the residency at k is
-    // recorded and frees apply after.
-    const std::size_t num_nodes = plan.executedNodeCount();
-    std::vector<double> alloc_at(num_nodes, 0.0);
-    std::vector<double> free_after(num_nodes, 0.0);
-    for (const LiveBuffer& b : lv.buffers) {
-        alloc_at[b.defNode] += b.bytes;
-        free_after[b.lastUseNode] += b.bytes;
-    }
+    profile.weightBytes = residentWeightBytes(plan);
     profile.stageResidency.reserve(plan.stageNames.size());
     for (const std::string& name : plan.stageNames)
         profile.stageResidency.push_back({name, 0.0});
 
-    double cur = lv.weightBytes;
-    profile.programPeakBytes = lv.weightBytes;
+    // Smallest event start among executed kernels [k, n): no buffer
+    // defined from kernel k on allocates or frees earlier, since every
+    // event ends at or after its start.
+    const std::size_t num_nodes = plan.executedNodeCount();
+    std::vector<double> bound(num_nodes + 1,
+                              std::numeric_limits<double>::infinity());
+    for (std::size_t k = num_nodes; k-- > 0;)
+        bound[k] = std::min(timeline.eventStart[k], bound[k + 1]);
+
+    // No-reuse upper bound: weights plus every buffer of one
+    // inference, allocated distinct and never freed.
+    double no_reuse = profile.weightBytes;
+    // Program-order sweep (executed-kernel time axis). Closed
+    // intervals: a buffer [d, u] is live at every kernel k with
+    // d <= k <= u, so the allocations at k apply before the residency
+    // at k is recorded and the frees after; each side is summed in
+    // def order first. An op's buffers are defined within its kernels
+    // and freed there too, except its activation, which its consumer
+    // frees at its own last kernel. So only the op's per-kernel sums
+    // are kept, plus the activation carried to the next op.
+    double cur = profile.weightBytes;
+    double program_peak = profile.weightBytes;
+    std::vector<double> alloc_at;
+    std::vector<double> free_at;
+    double carried = 0.0;
+    std::size_t carried_to = 0;
+    ScheduledSweep scheduled(timeline, profile.weightBytes);
+    std::uint64_t buffer = 0;
+    BufferEnumerator enumerator(plan);
     for (const ExecutedOp e : plan.executed()) {
-        StageResidency& sr = profile.stageResidency[e.op.stageIndex];
-        for (std::size_t k = e.firstNode;
-             k < e.firstNode + e.op.nodeCount; ++k) {
-            cur += alloc_at[k];
-            profile.programPeakBytes =
-                std::max(profile.programPeakBytes, cur);
-            sr.peakBytes = std::max(sr.peakBytes, cur);
-            cur -= free_after[k];
+        const std::size_t n = e.op.nodeCount;
+        const std::size_t first = e.firstNode;
+        const std::size_t last = first + n - 1;
+        if (alloc_at.size() < n) {
+            alloc_at.resize(n);
+            free_at.resize(n);
         }
-    }
-
-    // ---- scheduled-order sweep (sim-time axis) -----------------------
-    //
-    // Each buffer is allocated at its def node's start and freed at its
-    // last use's end. Endpoints sweep by time, allocations before frees
-    // at equal time (closed intervals: a buffer freed at t and one
-    // allocated at t coexist), buffer index last so ties are stable.
-    // Allocations and frees are sorted separately as buffer indices and
-    // merged, which visits the endpoints in exactly that order.
-    const std::vector<LiveBuffer>& buffers = lv.buffers;
-    MMGEN_CHECK(buffers.size() <= UINT32_MAX,
-                buffers.size() << " buffers overflow the sweep index");
-    const auto num_buffers = static_cast<std::uint32_t>(buffers.size());
-    const auto start_of = [&](std::uint32_t bi) {
-        return timeline.eventStart[buffers[bi].defNode];
-    };
-    const auto end_of = [&](std::uint32_t bi) {
-        return timeline.eventEnd[buffers[bi].lastUseNode];
-    };
-
-    // Allocations start in def order, frees in last-use order (a
-    // counting sort on the executed kernel).
-    std::vector<std::uint32_t> allocs(num_buffers);
-    std::iota(allocs.begin(), allocs.end(), 0u);
-    sortByTime(allocs, start_of);
-    std::vector<std::uint32_t> frees(num_buffers);
-    {
-        std::vector<std::uint32_t> slot(num_nodes + 1, 0);
-        for (const LiveBuffer& b : buffers)
-            ++slot[b.lastUseNode + 1];
-        for (std::size_t k = 0; k < num_nodes; ++k)
-            slot[k + 1] += slot[k];
-        for (std::uint32_t bi = 0; bi < num_buffers; ++bi)
-            frees[slot[buffers[bi].lastUseNode]++] = bi;
-    }
-    sortByTime(frees, end_of);
-
-    profile.scheduledPeakBytes = lv.weightBytes;
-    profile.scheduledPeakSeconds = 0.0;
-    cur = lv.weightBytes;
-    std::size_t a = 0;
-    std::size_t f = 0;
-    // Allocations and frees swept when the peak is reached.
-    std::size_t peak_allocs = 0;
-    std::size_t peak_frees = 0;
-    while (a < allocs.size() || f < frees.size()) {
-        const bool alloc =
-            a < allocs.size() &&
-            (f == frees.size() || start_of(allocs[a]) <= end_of(frees[f]));
-        const std::uint32_t bi = alloc ? allocs[a++] : frees[f++];
-        cur += alloc ? buffers[bi].bytes : -buffers[bi].bytes;
-        if (cur > profile.scheduledPeakBytes) {
-            profile.scheduledPeakBytes = cur;
-            profile.scheduledPeakSeconds =
-                alloc ? start_of(bi) : end_of(bi);
-            peak_allocs = a;
-            peak_frees = f;
+        std::fill_n(alloc_at.begin(), n, 0.0);
+        std::fill_n(free_at.begin(), n, 0.0);
+        // The carried activation precedes this op's buffers in def
+        // order, so it is summed first.
+        MMGEN_ASSERT(carried == 0.0 || carried_to == last,
+                     "a buffer outlives its consumer at kernel " << last);
+        free_at[n - 1] = carried;
+        carried = 0.0;
+        for (const LiveBuffer& b : enumerator.of(e)) {
+            no_reuse += b.bytes;
+            alloc_at[b.defNode - first] += b.bytes;
+            if (b.lastUseNode <= last) {
+                free_at[b.lastUseNode - first] += b.bytes;
+            } else {
+                MMGEN_ASSERT(carried == 0.0,
+                             "two buffers outlive op " << e.index);
+                carried = b.bytes;
+                carried_to = b.lastUseNode;
+            }
+            scheduled.add(b, buffer++);
         }
+        double& stage_peak =
+            profile.stageResidency[e.op.stageIndex].peakBytes;
+        for (std::size_t p = 0; p < n; ++p) {
+            cur += alloc_at[p];
+            program_peak = std::max(program_peak, cur);
+            stage_peak = std::max(stage_peak, cur);
+            cur -= free_at[p];
+        }
+        scheduled.release(bound[last + 1]);
     }
-
-    // The buffers forming the peak: allocated by then and not freed
-    // since. A buffer whose free sweeps before its own allocation (its
-    // last use ends before its def starts) stays live, as the later
-    // allocation wins.
-    std::vector<bool> live(buffers.size(), false);
-    for (std::size_t i = 0; i < peak_allocs; ++i)
-        live[allocs[i]] = true;
-    for (std::size_t i = 0; i < peak_frees; ++i) {
-        const std::uint32_t bi = frees[i];
-        if (start_of(bi) <= end_of(bi))
-            live[bi] = false;
-    }
-    for (std::size_t bi = 0; bi < buffers.size(); ++bi) {
-        if (live[bi])
-            profile.peakNodes.push_back(buffers[bi].defNode);
-    }
-    std::sort(profile.peakNodes.begin(), profile.peakNodes.end());
-    profile.peakNodes.erase(std::unique(profile.peakNodes.begin(),
-                                        profile.peakNodes.end()),
-                            profile.peakNodes.end());
+    // The last op's bound is +inf, which swept every endpoint.
+    profile.noReuseBytes = no_reuse;
+    profile.programPeakBytes = program_peak;
+    profile.bufferCount = buffer;
+    profile.scheduledPeakBytes = scheduled.peakBytes();
+    profile.scheduledPeakSeconds = scheduled.peakSeconds();
+    profile.peakNodes = scheduled.takePeakNodes();
     return profile;
 }
 

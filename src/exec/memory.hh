@@ -11,6 +11,13 @@
  * bound (every buffer distinct and never freed), the node set forming
  * the scheduled peak, and a per-stage residency curve.
  *
+ * The sweep streams the buffers `BufferEnumerator` yields, op by op in
+ * executed order, and keeps no buffer array. The program-order side
+ * keeps the current op's per-kernel sums; the scheduled side holds
+ * pending allocations and frees in two min-heaps and sweeps each once
+ * no buffer still to come can precede it. Every field is bit-identical
+ * to sorting all endpoints at once, on any timeline.
+ *
  * `maxFeasibleBatch` turns the batch-1 profile into the static
  * admission bound ROADMAP item 2 calls for: weights are shared across
  * a batch while dynamic (activation/workspace) memory scales

@@ -3,15 +3,18 @@
  * Static memory analysis over lowered plans: liveness interval
  * sanity, the reuse-bound ordering weights <= programPeak <=
  * scheduledPeak <= noReuse across the whole zoo and every attention
- * backend, byte-identical profiles at any --jobs count, the scheduled
- * sweep against a full-endpoint reference sort, and the monotonicity +
- * capacity contracts of the feasibility bound.
+ * backend, byte-identical profiles at any --jobs count, every profile
+ * field against a full-endpoint reference sort (zoo timelines, plus
+ * orders the scheduler never produces: an allocation and a free at one
+ * instant, a free before its def, a mirrored Parti timeline), and the
+ * monotonicity + capacity contracts of the feasibility bound.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/liveness.hh"
@@ -38,10 +41,11 @@ profileModel(models::ModelId id, graph::AttentionBackend backend)
 }
 
 /**
- * Reference sweep: the full-endpoint sort analyzeMemory used before it
- * merged sorted index lists. Both endpoints of every buffer are
- * materialized and sorted by time, allocations before frees at equal
- * time, buffer index last.
+ * Reference sweep: every endpoint of every buffer is materialized and
+ * sorted by time, allocations before frees at equal time, buffer index
+ * last. The program-order sweep adds per-kernel sums from full
+ * per-kernel arrays. Both are the oracle analyzeMemory's streaming
+ * sweeps must match bit for bit.
  */
 MemoryProfile
 referenceSweep(const ExecutionPlan& plan, const Timeline& timeline)
@@ -56,6 +60,7 @@ referenceSweep(const ExecutionPlan& plan, const Timeline& timeline)
     const Liveness lv = deriveLiveness(plan);
     MemoryProfile ref;
     ref.weightBytes = lv.weightBytes;
+    ref.bufferCount = lv.buffers.size();
     ref.noReuseBytes = lv.weightBytes;
     for (const LiveBuffer& b : lv.buffers)
         ref.noReuseBytes += b.bytes;
@@ -67,12 +72,19 @@ referenceSweep(const ExecutionPlan& plan, const Timeline& timeline)
         alloc_at[b.defNode] += b.bytes;
         free_after[b.lastUseNode] += b.bytes;
     }
+    for (const std::string& name : plan.stageNames)
+        ref.stageResidency.push_back({name, 0.0});
     double cur = lv.weightBytes;
     ref.programPeakBytes = lv.weightBytes;
-    for (std::size_t k = 0; k < num_nodes; ++k) {
-        cur += alloc_at[k];
-        ref.programPeakBytes = std::max(ref.programPeakBytes, cur);
-        cur -= free_after[k];
+    for (const ExecutedOp e : plan.executed()) {
+        StageResidency& sr = ref.stageResidency[e.op.stageIndex];
+        for (std::size_t k = e.firstNode;
+             k < e.firstNode + e.op.nodeCount; ++k) {
+            cur += alloc_at[k];
+            ref.programPeakBytes = std::max(ref.programPeakBytes, cur);
+            sr.peakBytes = std::max(sr.peakBytes, cur);
+            cur -= free_after[k];
+        }
     }
 
     std::vector<SweepEvent> events;
@@ -116,6 +128,70 @@ referenceSweep(const ExecutionPlan& plan, const Timeline& timeline)
             ref.peakNodes.end());
     }
     return ref;
+}
+
+/** Bitwise equality of every MemoryProfile field. */
+void
+expectSameProfile(const MemoryProfile& got, const MemoryProfile& want,
+                  const std::string& what)
+{
+    EXPECT_EQ(got.weightBytes, want.weightBytes) << what;
+    EXPECT_EQ(got.programPeakBytes, want.programPeakBytes) << what;
+    EXPECT_EQ(got.scheduledPeakBytes, want.scheduledPeakBytes) << what;
+    EXPECT_EQ(got.scheduledPeakSeconds, want.scheduledPeakSeconds)
+        << what;
+    EXPECT_EQ(got.noReuseBytes, want.noReuseBytes) << what;
+    EXPECT_EQ(got.peakNodes, want.peakNodes) << what;
+    ASSERT_EQ(got.stageResidency.size(), want.stageResidency.size())
+        << what;
+    for (std::size_t s = 0; s < want.stageResidency.size(); ++s) {
+        EXPECT_EQ(got.stageResidency[s].stage,
+                  want.stageResidency[s].stage)
+            << what;
+        EXPECT_EQ(got.stageResidency[s].peakBytes,
+                  want.stageResidency[s].peakBytes)
+            << what << " stage " << want.stageResidency[s].stage;
+    }
+    EXPECT_EQ(got.bufferCount, want.bufferCount) << what;
+}
+
+/** One single-kernel op of a toy plan. */
+struct ToyOp
+{
+    double outputBytes = 0.0;
+    double workspaceBytes = 0.0;
+    double start = 0.0;
+    double end = 0.0;
+};
+
+/**
+ * A one-stage plan of single-kernel ops with 1,000 f16 parameters, and
+ * a hand-built timeline placing each kernel at [start, end).
+ */
+std::pair<ExecutionPlan, Timeline>
+toyPlan(const std::vector<ToyOp>& toy)
+{
+    ExecutionPlan plan;
+    plan.stageNames = {"toy"};
+    plan.totalParams = 1000;
+    Timeline timeline;
+    for (std::size_t i = 0; i < toy.size(); ++i) {
+        PlanOp op;
+        op.outputBytes = toy[i].outputBytes;
+        op.workspaceBytes = toy[i].workspaceBytes;
+        op.firstNode = i;
+        op.nodeCount = 1;
+        plan.ops.push_back(op);
+        PlanNode node;
+        node.opIndex = i;
+        plan.nodes.push_back(node);
+        plan.opSequence.push_back(static_cast<std::uint32_t>(i));
+        plan.depWindows.push_back({});
+        timeline.eventStart.push_back(toy[i].start);
+        timeline.eventEnd.push_back(toy[i].end);
+        timeline.makespan = std::max(timeline.makespan, toy[i].end);
+    }
+    return {std::move(plan), std::move(timeline)};
 }
 
 TEST(Liveness, IntervalsAreClosedAndOrdered)
@@ -219,8 +295,8 @@ TEST(MemoryProfile, SweepMatchesReferenceSort)
     const hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
     // The overlapped timeline lets the copy lane run ahead: an op with
     // a weight stream allocates its buffers when the prefetch starts,
-    // before buffers with lower indices, so the allocation list needs
-    // its sort.
+    // before buffers with lower indices, so the pending-allocation heap
+    // must reorder them.
     LoweringOptions streamed;
     streamed.splitWeightStreams = true;
     ScheduleOptions overlapped;
@@ -243,18 +319,10 @@ TEST(MemoryProfile, SweepMatchesReferenceSort)
             const std::string what =
                 p.name + (overlap ? "/overlapped" : "/serial");
 
-            const MemoryProfile got = analyzeMemory(plan, timeline);
-            const MemoryProfile want = referenceSweep(plan, timeline);
-            // Bitwise equality: the merge visits the reference order.
-            EXPECT_EQ(got.scheduledPeakBytes, want.scheduledPeakBytes)
-                << what;
-            EXPECT_EQ(got.scheduledPeakSeconds,
-                      want.scheduledPeakSeconds)
-                << what;
-            EXPECT_EQ(got.peakNodes, want.peakNodes) << what;
-            EXPECT_EQ(got.programPeakBytes, want.programPeakBytes)
-                << what;
-            EXPECT_EQ(got.noReuseBytes, want.noReuseBytes) << what;
+            // Bitwise equality: the streaming sweep visits the
+            // reference order.
+            expectSameProfile(analyzeMemory(plan, timeline),
+                              referenceSweep(plan, timeline), what);
 
             const Liveness lv = deriveLiveness(plan);
             const bool allocs_sorted = std::is_sorted(
@@ -268,6 +336,59 @@ TEST(MemoryProfile, SweepMatchesReferenceSort)
     }
     EXPECT_GT(unsorted_timelines, 0)
         << "no timeline allocates out of buffer order";
+}
+
+TEST(MemoryProfile, SweepAllocatesBeforeFreeAtEqualTime)
+{
+    // A's activation [0, 1] and B's workspace free at t = 2, the
+    // instant C's workspace allocates. Closed intervals coexist, so
+    // the allocation sweeps first and all three form the peak.
+    const auto [plan, timeline] = toyPlan({{100.0, 0.0, 0.0, 1.0},
+                                           {0.0, 10.0, 1.0, 2.0},
+                                           {0.0, 1000.0, 2.0, 3.0}});
+    const MemoryProfile got = analyzeMemory(plan, timeline);
+    expectSameProfile(got, referenceSweep(plan, timeline), "toy");
+    EXPECT_EQ(got.scheduledPeakBytes, 2000.0 + 100.0 + 10.0 + 1000.0);
+    EXPECT_EQ(got.scheduledPeakSeconds, 2.0);
+    EXPECT_EQ(got.peakNodes, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(got.programPeakBytes, 2000.0 + 1000.0);
+}
+
+TEST(MemoryProfile, SweepKeepsBufferFreedBeforeItsDef)
+{
+    // A runs at [5, 6) but its consumer B at [0, 1): A's activation is
+    // freed at t = 1, before its allocation at t = 5. It then stays
+    // live, so it is part of the peak C reaches at t = 6.
+    const auto [plan, timeline] = toyPlan({{100.0, 0.0, 5.0, 6.0},
+                                           {0.0, 10.0, 0.0, 1.0},
+                                           {0.0, 50.0, 6.0, 7.0}});
+    const MemoryProfile got = analyzeMemory(plan, timeline);
+    expectSameProfile(got, referenceSweep(plan, timeline), "toy");
+    EXPECT_EQ(got.scheduledPeakBytes, 2000.0 + 50.0);
+    EXPECT_EQ(got.scheduledPeakSeconds, 6.0);
+    EXPECT_EQ(got.peakNodes, (std::vector<std::size_t>{0, 2}));
+}
+
+TEST(MemoryProfile, SweepMatchesReferenceOnMirroredTimeline)
+{
+    // Mirroring Parti's serial timeline, [s, e) -> [M - e, M - s), runs
+    // it backwards: the last kernel starts first, so no endpoint can
+    // sweep before the last op is enumerated and all ~1.8M buffers are
+    // pending at once. A pending list with linear-time insertion would
+    // take minutes here.
+    const hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
+    const kernels::CostModel model(gpu, graph::AttentionBackend::Flash,
+                                   kernels::EfficiencyParams::defaults());
+    const ExecutionPlan plan =
+        lowerPipeline(models::buildModel(models::ModelId::Parti), model);
+    const Timeline serial = TimelineScheduler(gpu).schedule(plan);
+    Timeline mirrored = serial;
+    for (std::size_t k = 0; k < serial.eventCount(); ++k) {
+        mirrored.eventStart[k] = serial.makespan - serial.eventEnd[k];
+        mirrored.eventEnd[k] = serial.makespan - serial.eventStart[k];
+    }
+    expectSameProfile(analyzeMemory(plan, mirrored),
+                      referenceSweep(plan, mirrored), "Parti/mirrored");
 }
 
 TEST(Feasibility, BatchBoundMonotoneInImageSize)

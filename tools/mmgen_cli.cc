@@ -27,6 +27,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -216,7 +217,7 @@ parseDouble(const std::string& arg, const std::string& value)
     } catch (const std::logic_error&) {
         pos = 0;
     }
-    MMGEN_CHECK(!value.empty() && pos == value.size(),
+    MMGEN_CHECK(!value.empty() && pos == value.size() && !std::isnan(v),
                 arg << " needs a number, got '" << value << "'");
     return v;
 }
@@ -339,6 +340,13 @@ parseOptions(int argc, char** argv, int first)
             return argv[++i];
         };
         auto nextDouble = [&]() { return parseDouble(arg, next()); };
+        // For the knobs where 0 means "off".
+        auto nextNonNegative = [&]() {
+            const double v = nextDouble();
+            MMGEN_CHECK(v >= 0.0,
+                        arg << " must be >= 0 (0 = off), got " << v);
+            return v;
+        };
         auto nextInt = [&]() { return parseInt(arg, next()); };
         auto nextInt32 = [&]() { return parseInt32(arg, next()); };
         if (arg == "--gpu")
@@ -419,8 +427,12 @@ parseOptions(int argc, char** argv, int first)
             opts.continuous = true;
         else if (arg == "--surface")
             opts.useSurface = true;
-        else if (arg == "--degrade-threshold")
+        else if (arg == "--degrade-threshold") {
             opts.degradeThreshold = nextInt();
+            MMGEN_CHECK(opts.degradeThreshold >= 0,
+                        "--degrade-threshold must be >= 0 (0 = off), got "
+                            << opts.degradeThreshold);
+        }
         else if (arg == "--degrade-steps")
             opts.degradeStepsKept = nextDouble();
         else if (arg == "--replicas")
@@ -430,9 +442,9 @@ parseOptions(int argc, char** argv, int first)
         else if (arg == "--chaos")
             opts.chaosName = next();
         else if (arg == "--hedge-delay")
-            opts.hedgeDelay = nextDouble();
+            opts.hedgeDelay = nextNonNegative();
         else if (arg == "--hedge-quantile")
-            opts.hedgeQuantile = nextDouble();
+            opts.hedgeQuantile = nextNonNegative();
         else if (arg == "--breaker-threshold")
             opts.breaker.failureThreshold = nextInt32();
         else if (arg == "--breaker-open")
