@@ -37,6 +37,10 @@
  *    token into the previous token's op slots, with dims stored
  *    inline, takes ~0.07. Like the fault count, it does not depend
  *    on CPU speed.
+ *  - `lower_bytes_per_executed_kernel`: heap bytes those calls
+ *    requested, per executed kernel. Storing a dependency window and
+ *    pool entries per executed kernel read ~96.7; deriving the edges
+ *    from lane order (exec::KernelDeps) reads ~60.7.
  *  - `lower_stored_nodes` and `lower_executed_nodes`: both counts.
  *
  * Plus one memory sweep (`exec::analyzeMemory`) of that Parti plan on
@@ -54,12 +58,14 @@
  * baselines, and speedups. `--gate` exits nonzero when the serial
  * event rate falls below `kGateEventsPerSec`, the lowering takes
  * more than `kGateLowerFaultsPerNode` faults per node, it makes
- * more than `kGateLowerAllocsPerOp` heap allocations per executed op,
- * or the memory sweep requests more than `kGateSweepBytesPerKernel`
- * heap bytes per executed kernel — the CI Release-mode regression
- * gate. The baselines were measured on this repo at the commit before
- * the arena-IR / SoA-scheduler rework (Release, one core), so speedups
- * are apples-to-apples on comparable hardware and indicative elsewhere.
+ * more than `kGateLowerAllocsPerOp` heap allocations per executed op
+ * or requests more than `kGateLowerBytesPerKernel` heap bytes per
+ * executed kernel, or the memory sweep requests more than
+ * `kGateSweepBytesPerKernel` heap bytes per executed kernel — the CI
+ * Release-mode regression gate. The baselines were measured on this
+ * repo at the commit before the arena-IR / SoA-scheduler rework
+ * (Release, one core), so speedups are apples-to-apples on comparable
+ * hardware and indicative elsewhere.
  */
 
 #include <sys/resource.h>
@@ -198,6 +204,13 @@ constexpr double kGateLowerFaultsPerNode = 1.0;
 constexpr double kGateLowerAllocsPerOp = 0.25;
 
 /**
+ * Gate ceiling for heap bytes per executed kernel while lowering
+ * Parti: between the ~96.7 of storing every executed kernel's
+ * dependency edges and the ~60.7 of deriving them.
+ */
+constexpr double kGateLowerBytesPerKernel = 80.0;
+
+/**
  * Gate ceiling for heap bytes per executed kernel one memory sweep of
  * Parti requests: between the ~110 of materializing every buffer and
  * the ~8 of streaming them.
@@ -252,8 +265,8 @@ benchEventsPerSec(const exec::ExecutionPlan& plan,
 }
 
 /**
- * One cold lowering: the plan, its wall time, minor faults and heap
- * allocations.
+ * One cold lowering: the plan, its wall time, minor faults, heap
+ * allocations and the bytes they requested.
  */
 struct LoweringRun
 {
@@ -261,6 +274,7 @@ struct LoweringRun
     double seconds = 0.0;
     long minorFaults = 0;
     std::uint64_t allocations = 0;
+    std::uint64_t bytes = 0;
 };
 
 long
@@ -278,10 +292,12 @@ benchLowering(const graph::Pipeline& pipeline)
     LoweringRun run;
     const long faults = minorFaults();
     const std::uint64_t allocations = heapAllocations.load();
+    const std::uint64_t bytes = heapBytes.load();
     const double start = nowSeconds();
     run.plan = profiler.lower(pipeline);
     run.seconds = nowSeconds() - start;
     run.allocations = heapAllocations.load() - allocations;
+    run.bytes = heapBytes.load() - bytes;
     run.minorFaults = minorFaults() - faults;
     return run;
 }
@@ -375,6 +391,9 @@ main(int argc, char** argv)
     const double allocs_per_op =
         static_cast<double>(lowering.allocations) /
         static_cast<double>(executed_ops);
+    const double lower_bytes_per_kernel =
+        static_cast<double>(lowering.bytes) /
+        static_cast<double>(executed_nodes);
     const double sweep_bytes_per_kernel =
         benchSweepBytesPerKernel(lowering.plan);
 
@@ -401,6 +420,10 @@ main(int argc, char** argv)
               << formatFixed(allocs_per_op, 4) << " ("
               << lowering.allocations << " allocations for "
               << executed_ops << " executed ops)\n";
+    std::cout << "lower_bytes_per_executed_kernel: "
+              << formatFixed(lower_bytes_per_kernel, 2) << " ("
+              << lowering.bytes << " bytes for " << executed_nodes
+              << " executed kernels)\n";
     std::cout << "lower_stored_nodes: " << stored_nodes << "\n";
     std::cout << "lower_executed_nodes: " << executed_nodes << "\n";
     std::cout << "memory_sweep_bytes_per_executed_kernel: "
@@ -409,9 +432,12 @@ main(int argc, char** argv)
     const bool events_ok = serial >= kGateEventsPerSec;
     const bool faults_ok = faults_per_node <= kGateLowerFaultsPerNode;
     const bool allocs_ok = allocs_per_op <= kGateLowerAllocsPerOp;
+    const bool lower_bytes_ok =
+        lower_bytes_per_kernel <= kGateLowerBytesPerKernel;
     const bool sweep_ok =
         sweep_bytes_per_kernel <= kGateSweepBytesPerKernel;
-    const bool gate_ok = events_ok && faults_ok && allocs_ok && sweep_ok;
+    const bool gate_ok =
+        events_ok && faults_ok && allocs_ok && lower_bytes_ok && sweep_ok;
     std::ofstream out(out_path);
     if (out) {
         out << "{\n  \"bench\": \"microbench_simulator\",\n";
@@ -432,6 +458,8 @@ main(int argc, char** argv)
             << formatFixed(faults_per_node, 4) << ",\n";
         out << "  \"lower_allocs_per_executed_op\": "
             << formatFixed(allocs_per_op, 4) << ",\n";
+        out << "  \"lower_bytes_per_executed_kernel\": "
+            << formatFixed(lower_bytes_per_kernel, 4) << ",\n";
         out << "  \"memory_sweep_bytes_per_executed_kernel\": "
             << formatFixed(sweep_bytes_per_kernel, 4) << ",\n";
         out << "  \"baseline_events_per_sec_serial\": "
@@ -475,6 +503,12 @@ main(int argc, char** argv)
                   << " heap allocations per executed op, above the "
                   << "gate ceiling "
                   << formatFixed(kGateLowerAllocsPerOp, 2) << "\n";
+    if (gate && !lower_bytes_ok)
+        std::cerr << "FAIL: lowering Parti requested "
+                  << formatFixed(lower_bytes_per_kernel, 2)
+                  << " heap bytes per executed kernel, above the gate "
+                  << "ceiling "
+                  << formatFixed(kGateLowerBytesPerKernel, 0) << "\n";
     if (gate && !sweep_ok)
         std::cerr << "FAIL: the memory sweep of Parti requested "
                   << formatFixed(sweep_bytes_per_kernel, 2)

@@ -39,42 +39,6 @@ ExecutionPlan::intern(std::string_view s)
     return ref;
 }
 
-void
-ExecutionPlan::addDep(std::size_t n, std::int32_t dep)
-{
-    MMGEN_CHECK(n < depWindows.size(), "node " << n << " out of range");
-    DepWindow& window = depWindows[n];
-    if (window.offset + window.count != depPool.size()) {
-        // The window is not at the pool tail; relocate it there so the
-        // append stays contiguous. Old slots become dead pool space.
-        const std::uint32_t new_off =
-            static_cast<std::uint32_t>(depPool.size());
-        for (std::uint32_t i = 0; i < window.count; ++i)
-            depPool.push_back(depPool[window.offset + i]);
-        window.offset = new_off;
-    }
-    depPool.push_back(dep);
-    ++window.count;
-}
-
-void
-ExecutionPlan::setDeps(std::size_t n,
-                       std::span<const std::int32_t> new_deps)
-{
-    MMGEN_CHECK(n < depWindows.size(), "node " << n << " out of range");
-    DepWindow& window = depWindows[n];
-    window.offset = static_cast<std::uint32_t>(depPool.size());
-    window.count = static_cast<std::uint32_t>(new_deps.size());
-    depPool.insert(depPool.end(), new_deps.begin(), new_deps.end());
-}
-
-void
-ExecutionPlan::clearDeps(std::size_t n)
-{
-    MMGEN_CHECK(n < depWindows.size(), "node " << n << " out of range");
-    depWindows[n].count = 0;
-}
-
 namespace {
 
 /**
@@ -118,9 +82,8 @@ costNode(const hw::GpuSpec& gpu, const PlanNode& node)
 }
 
 /**
- * The state of one lowering: the plan under construction, the
- * string-intern index over its arena, and the last executed kernel on
- * each lane (the next kernel on that lane depends on it).
+ * The state of one lowering: the plan under construction and the
+ * string-intern index over its arena.
  */
 struct Lowering
 {
@@ -146,8 +109,6 @@ struct Lowering
     std::unordered_map<std::string, StrRef, StrHash, std::equal_to<>>
         interned;
     std::string scratch;
-    std::int32_t lastComputeNode = -1;
-    std::int32_t lastCopyNode = -1;
 
     StrRef
     intern(std::string_view s)
@@ -299,33 +260,7 @@ void
 Lowering::execute(std::uint32_t op_index)
 {
     plan.opSequence.push_back(op_index);
-    const PlanOp& op = plan.ops[op_index];
-    std::int32_t weight_node = -1;
-    bool first_compute = true;
-    for (std::size_t n = op.firstNode; n < op.firstNode + op.nodeCount;
-         ++n) {
-        const auto k = static_cast<std::int32_t>(plan.depWindows.size());
-        DepWindow window;
-        window.offset = static_cast<std::uint32_t>(plan.depPool.size());
-        if (plan.nodes[n].lane == Lane::Copy) {
-            if (lastCopyNode >= 0)
-                plan.depPool.push_back(lastCopyNode);
-            weight_node = k;
-            lastCopyNode = k;
-        } else {
-            // The first compute kernel chains to the previous op's and
-            // consumes the weight prefetch; later ones chain in order.
-            if (lastComputeNode >= 0)
-                plan.depPool.push_back(lastComputeNode);
-            if (first_compute && weight_node >= 0)
-                plan.depPool.push_back(weight_node);
-            lastComputeNode = k;
-            first_compute = false;
-        }
-        window.count = static_cast<std::uint32_t>(plan.depPool.size()) -
-                       window.offset;
-        plan.depWindows.push_back(window);
-    }
+    plan.executedNodes += plan.ops[op_index].nodeCount;
 }
 
 } // namespace

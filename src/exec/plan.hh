@@ -8,10 +8,10 @@
  * stages once with a repeat count, per-iteration-shape stages every
  * iteration — and each graph op is lowered through the CostModel into
  * its device kernels. Each kernel carries stage/op provenance and a
- * lane assignment (compute vs. memcpy/weight-stream), and each
- * executed kernel its explicit dependencies, so a scheduler can play
- * the same work onto a GPU under different concurrency models without
- * re-tracing anything.
+ * lane assignment (compute vs. memcpy/weight-stream). Dependencies are
+ * not stored: KernelDeps derives every executed kernel's edges from
+ * those lanes, so a scheduler can play the same work onto a GPU under
+ * different concurrency models without re-tracing anything.
  *
  * The plan stores each distinct op once. An autoregressive stage
  * traces every token, but most of a token's ops equal the op at the
@@ -23,14 +23,12 @@
  * `costs` hold stored records, and `opSequence` lists the stored op of
  * every executed op instance in program order. Readers walk that
  * sequence with `executed()`, which numbers executed ops and executed
- * kernels in program order: the indices timelines, dependency windows
+ * kernels in program order: the indices timelines, dependency edges
  * and liveness intervals use. For a folded stage the sequence is the
  * identity.
  *
  * Storage is arena-style: nodes and ops are plain flat records whose
- * variable-size payloads live in per-plan pools — labels and scopes
- * are interned `StrRef`s into one character arena, dependency lists
- * are [offset, count) windows into one shared `std::int32_t` pool.
+ * labels and scopes are interned `StrRef`s into one character arena.
  * The plan owns no per-node heap blocks, so copying it is a handful
  * of vector copies and the scheduler's inner loop touches only
  * contiguous memory. Lowering also records a roofline cost table
@@ -43,7 +41,6 @@
 #define MMGEN_EXEC_PLAN_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -140,8 +137,8 @@ struct PlanOp
 
 /**
  * One stored device kernel: the schedulable unit of the plan. Its
- * executed instances get their program-order position and dependency
- * window from ExecutionPlan::executed() and ExecutionPlan::deps().
+ * executed instances get their program-order position from
+ * ExecutionPlan::executed() and their dependencies from KernelDeps.
  */
 struct PlanNode
 {
@@ -163,25 +160,6 @@ struct PlanNode
     /** Folded execution count (copied from the owning op). */
     std::int64_t repeat = 1;
     DType dtype = DType::F16;
-};
-
-/**
- * Dependency window of one executed kernel: [offset, offset + count)
- * into ExecutionPlan::depPool.
- *
- * Edges always point at lower executed-kernel indices, so a single
- * forward pass can schedule or analyse the plan. A kernel's implicit
- * program-order position is its index; its window carries only the
- * true ordering constraints: previous kernel of the same op, the
- * program-order predecessor on the compute chain, and the
- * weight-stream kernel an op's first kernel consumes. A stored op
- * executed on many tokens has different predecessors on each, so
- * windows belong to executed kernels, not to stored records.
- */
-struct DepWindow
-{
-    std::uint32_t offset = 0;
-    std::uint32_t count = 0;
 };
 
 struct ExecutionPlan;
@@ -255,6 +233,74 @@ class ExecutedOps
 };
 
 /**
+ * The dependency rule of executed kernels. The plan stores no edges; a
+ * reader derives them here, passing every executed kernel in program
+ * order. Executed kernel k waits for
+ *
+ *  - the previous executed kernel on its own lane, and
+ *  - if k is its op's first Compute-lane kernel, the op's Copy-lane
+ *    kernel, when it has one: the weight stream lowering stores ahead
+ *    of the op's compute kernels.
+ *
+ * Each edge names the latest earlier kernel on its lane, so every edge
+ * points backward and a forward pass keeps one value per lane, not
+ * one per kernel.
+ */
+class KernelDeps
+{
+  public:
+    /** One edge: the latest earlier executed kernel on `lane`. */
+    struct Dep
+    {
+        std::size_t kernel = 0;
+        Lane lane = Lane::Compute;
+    };
+
+    /**
+     * Call `visit(dep)` for each edge of the next executed kernel,
+     * which runs on `lane`; `op_start` marks the first kernel of an
+     * executed op. The lane edge comes first. A callback rather than
+     * a returned list keeps the walker's state in registers on the
+     * scheduler's inner loop.
+     */
+    template <typename Visit>
+    void
+    next(Lane lane, bool op_start, Visit&& visit)
+    {
+        if (op_start) {
+            streamed_ = false;
+            computed_ = false;
+        }
+        if (lane == Lane::Copy) {
+            if (copy_ != kNone)
+                visit(Dep{copy_, Lane::Copy});
+            copy_ = kernel_++;
+            streamed_ = true;
+            return;
+        }
+        if (compute_ != kNone)
+            visit(Dep{compute_, Lane::Compute});
+        if (streamed_ && !computed_)
+            visit(Dep{copy_, Lane::Copy});
+        compute_ = kernel_++;
+        computed_ = true;
+    }
+
+  private:
+    static constexpr std::size_t kNone = SIZE_MAX;
+
+    /** Index of the kernel the next call describes. */
+    std::size_t kernel_ = 0;
+    /** Latest kernel on each lane, or kNone. */
+    std::size_t compute_ = kNone;
+    std::size_t copy_ = kNone;
+    /** The current op has run a Copy-lane kernel. */
+    bool streamed_ = false;
+    /** The current op has run a Compute-lane kernel. */
+    bool computed_ = false;
+};
+
+/**
  * Per-node roofline estimates captured at lowering.
  *
  * The table stores the exact `hw::estimateTime` outputs for the GPU
@@ -285,8 +331,7 @@ struct NodeCostTable
 
 /**
  * A lowered pipeline: the stored op and kernel records of one full
- * inference, the executed sequence that orders them, and the
- * dependencies of every executed kernel.
+ * inference and the executed sequence that orders them.
  */
 struct ExecutionPlan
 {
@@ -306,14 +351,11 @@ struct ExecutionPlan
     /** Stored op of each executed op instance, in program order. */
     std::vector<std::uint32_t> opSequence;
 
-    /** Dependency window of each executed kernel, in program order. */
-    std::vector<DepWindow> depWindows;
+    /** Kernels the sequence executes (its ops' nodeCount summed). */
+    std::size_t executedNodes = 0;
 
     /** Interned label/scope characters (StrRef targets). */
     std::vector<char> strArena;
-
-    /** Flat dependency pool (DepWindows point here). */
-    std::vector<std::int32_t> depPool;
 
     /** Roofline estimates per stored node for the lowering GPU. */
     NodeCostTable costs;
@@ -331,7 +373,7 @@ struct ExecutionPlan
     std::size_t executedOpCount() const { return opSequence.size(); }
 
     /** Executed kernels: one timeline event each. */
-    std::size_t executedNodeCount() const { return depWindows.size(); }
+    std::size_t executedNodeCount() const { return executedNodes; }
 
     /** Walk the executed ops in program order. */
     ExecutedOps executed() const { return ExecutedOps(*this); }
@@ -355,27 +397,8 @@ struct ExecutionPlan
         return str(ops[oi].scope);
     }
 
-    /** Dependencies of executed kernel `n`. */
-    std::span<const std::int32_t> deps(std::size_t n) const
-    {
-        return {depPool.data() + depWindows[n].offset,
-                depWindows[n].count};
-    }
-
     /** Intern a string into the arena (no deduplication). */
     StrRef intern(std::string_view s);
-
-    // -- dependency mutators (verifier tests corrupt plans on purpose;
-    //    regular lowering never rewrites dep windows) --
-
-    /** Append one dependency edge to executed kernel `n`. */
-    void addDep(std::size_t n, std::int32_t dep);
-
-    /** Replace executed kernel `n`'s dependency list. */
-    void setDeps(std::size_t n, std::span<const std::int32_t> new_deps);
-
-    /** Drop all of executed kernel `n`'s dependencies. */
-    void clearDeps(std::size_t n);
 };
 
 inline ExecutedOps::iterator

@@ -156,7 +156,9 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
     std::size_t next_op = 0;
     std::size_t op_end = 0;
     std::size_t stored = 0;
+    KernelDeps deps;
     for (std::size_t n = 0; n < num_nodes; ++n, ++stored) {
+        const bool op_start = n == op_end;
         while (n == op_end) {
             const PlanOp& op = plan.ops[plan.opSequence[next_op++]];
             stored = op.firstNode;
@@ -193,9 +195,9 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
         const int stream =
             copy_stream && node.lane == Lane::Copy ? 1 : 0;
         double start = std::max(cursor[stream], launched);
-        for (const std::int32_t dep : plan.deps(n))
-            start = std::max(
-                start, tl.eventEnd[static_cast<std::size_t>(dep)]);
+        deps.next(node.lane, op_start, [&](KernelDeps::Dep dep) {
+            start = std::max(start, tl.eventEnd[dep.kernel]);
+        });
 
         const double end = start + duration;
         tl.eventStart[n] = start;

@@ -31,18 +31,9 @@ GraphBuilder::scope(std::string name)
 }
 
 void
-GraphBuilder::onOp(OpHook hook)
-{
-    MMGEN_CHECK(static_cast<bool>(hook), "empty op hook");
-    hooks.push_back(std::move(hook));
-}
-
-void
 GraphBuilder::appendOp(Op op)
 {
     trace.append(std::move(op));
-    for (const auto& hook : hooks)
-        hook(trace.ops().back());
 }
 
 void
@@ -51,7 +42,7 @@ GraphBuilder::emit(OpKind kind, OpAttrs attrs)
     // Compare with the op the slot holds before writing into it, field
     // by field as Op::operator== does, so no temporary Op is built and
     // a changed op's scope reuses the slot's string capacity.
-    const Op& op = trace.put(
+    trace.put(
         [&](const Op& slot) {
             return slot.kind == kind && slot.scope == scopePath &&
                    slot.attrs == attrs && slot.dtype == dtype_ &&
@@ -64,8 +55,6 @@ GraphBuilder::emit(OpKind kind, OpAttrs attrs)
             slot.dtype = dtype_;
             slot.repeat = 1;
         });
-    for (const auto& hook : hooks)
-        hook(op);
 }
 
 TensorDesc

@@ -13,7 +13,6 @@
 #define MMGEN_GRAPH_BUILDER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,22 +53,12 @@ class GraphBuilder
     DType dtype() const { return dtype_; }
 
     /**
-     * Observer invoked after every emitted op (the analogue of the
-     * forward-function hooks the paper's profiling framework inserts,
-     * Section III "Tools"). Multiple hooks run in registration order.
-     */
-    using OpHook = std::function<void(const Op&)>;
-
-    /** Register an emission hook for the builder's lifetime. */
-    void onOp(OpHook hook);
-
-    /**
      * Append a fully formed op verbatim — scope, dtype, attrs, and
      * repeat are taken from `op`, not from the builder state. This is
      * the replay path for trace-to-trace transforms (e.g. the serving
      * layer's batch/size-scaled pipeline variants): ops recorded from
      * one emission are rewritten and re-appended without re-running
-     * shape inference. Hooks fire exactly as for built ops.
+     * shape inference.
      */
     void appendOp(Op op);
 
@@ -173,7 +162,6 @@ class GraphBuilder
     std::string scopePath;
     /** scopePath's length before each open scope was appended. */
     std::vector<std::size_t> scopeLengths;
-    std::vector<OpHook> hooks;
 };
 
 } // namespace mmgen::graph

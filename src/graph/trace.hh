@@ -76,7 +76,7 @@ class Trace
      * overwrites it.
      */
     template <typename Same, typename Write>
-    const Op&
+    void
     put(const Same& same, const Write& write)
     {
         if (count == slots.size()) {
@@ -89,7 +89,6 @@ class Trace
             write(slot);
         changedFlags[count] = !unchanged;
         ++count;
-        return slot;
     }
 
     /** Op slots; [0, count) is the trace, the rest are spare. */

@@ -120,14 +120,8 @@ Profiler::profileWithPlan(
         // hard errors; capacity is a warning here because the profiler
         // legitimately simulates models on GPUs they do not fit (the
         // latency numbers stay valid — only serving admission cares).
-        verify::checkPlanDataflow(*plan, ctx, physics);
-        if (!physics.fired(verify::rules::DanglingDefUse)) {
-            const exec::MemoryProfile mem =
-                exec::analyzeMemory(*plan, timeline);
-            verify::checkMemoryProfile(*plan, mem, opts.gpu, ctx,
-                                       physics,
-                                       verify::Severity::Warn);
-        }
+        physics.merge(verify::verifyMemory(*plan, timeline, opts.gpu, ctx,
+                                           verify::Severity::Warn));
         // The aggregate roofline check only speaks about serialized
         // time; an overlapped schedule legitimately moves bytes on two
         // streams at once, so it runs for seed-equivalent runs only.

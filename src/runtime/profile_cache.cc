@@ -78,18 +78,7 @@ loweringKey(const graph::Pipeline& pipeline,
 {
     HashBuilder h;
     h.mix(pipeline.fingerprint());
-    const hw::GpuSpec& gpu = options.gpu;
-    h.mix(std::string_view(gpu.name));
-    h.mix(gpu.numSms);
-    h.mix(gpu.peakF16Flops);
-    h.mix(gpu.peakI8Flops);
-    h.mix(gpu.peakF32Flops);
-    h.mix(gpu.hbmBytes);
-    h.mix(gpu.hbmBandwidth);
-    h.mix(gpu.l2Bytes);
-    h.mix(static_cast<std::int64_t>(gpu.l1BytesPerSm));
-    h.mix(gpu.cacheLineBytes);
-    h.mix(gpu.kernelLaunchOverhead);
+    h.mix(options.gpu.fingerprint());
     h.mix(static_cast<std::uint64_t>(options.backend));
     const exec::LoweringOptions& lo = options.lowering;
     h.mix(static_cast<std::uint64_t>(lo.splitWeightStreams));

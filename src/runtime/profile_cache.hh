@@ -113,7 +113,7 @@ class ProfileCache
 
 /**
  * Hash of everything the lowered plan depends on: pipeline
- * fingerprint, GpuSpec datasheet fields, attention backend, the full
+ * fingerprint, `GpuSpec::fingerprint()`, attention backend, the full
  * `EfficiencyParams` calibration surface, and the lowering knobs.
  * Runs that share this key lower to bit-identical plans.
  */

@@ -68,6 +68,11 @@ TrafficConfig::validate() const
     MMGEN_CHECK(std::isfinite(horizonSeconds) && horizonSeconds > 0.0,
                 "horizon must be positive and finite, got "
                     << horizonSeconds);
+    MMGEN_CHECK(arrivalRate * horizonSeconds <= kMaxExpectedArrivals,
+                "arrival rate x horizon = "
+                    << arrivalRate * horizonSeconds
+                    << " expected arrivals, above the "
+                    << kMaxExpectedArrivals << " one run may simulate");
     if (workload.enabled())
         workload.validate();
 }

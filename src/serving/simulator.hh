@@ -95,10 +95,20 @@ struct TrafficConfig
     bool continuousBatching = false;
 
     /**
+     * Most arrivals one run may expect (arrival rate x horizon). The
+     * simulator keeps every request it generates, ~70 bytes each, so
+     * this bounds a run to ~1.4 GB. It sits 10x above the largest
+     * recorded run (1.82M arrivals) and 55x above every test, bench,
+     * example and hostbench run (at most 360k).
+     */
+    static constexpr double kMaxExpectedArrivals = 2e7;
+
+    /**
      * Throw `FatalError` with a clear message on any non-positive or
      * non-finite knob (arrival rate, max batch, horizon), a max batch
-     * above `exec::kUnboundedBatch`, or a malformed workload mix
-     * instead of running a degenerate simulation.
+     * above `exec::kUnboundedBatch`, more than `kMaxExpectedArrivals`
+     * expected arrivals, or a malformed workload mix instead of
+     * running a degenerate simulation.
      */
     void validate() const;
 };

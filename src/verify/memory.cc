@@ -102,8 +102,8 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                    "plan", oss.str());
     }
 
-    // ---- the executed sequence names stored ops and covers every
-    //      executed kernel's dependency window ------------------------
+    // ---- the executed sequence names stored ops and runs the plan's
+    //      executed kernels ----------------------------------------------
     std::size_t executed_nodes = 0;
     for (const std::uint32_t oi : plan.opSequence) {
         if (oi >= plan.ops.size()) {
@@ -112,48 +112,34 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                 << plan.ops.size();
             addFinding(report, Severity::Error, rules::DanglingDefUse,
                        ctx, "plan", oss.str());
-            return; // the walk below would read past the records
+            return; // the plan's readers would read past the records
         }
         executed_nodes += plan.ops[oi].nodeCount;
     }
     if (executed_nodes != plan.executedNodeCount()) {
         std::ostringstream oss;
         oss << "executed ops run " << executed_nodes << " kernels but "
-            << plan.executedNodeCount() << " have dependency windows";
+            << "the plan counts " << plan.executedNodeCount();
         addFinding(report, Severity::Error, rules::DanglingDefUse, ctx,
                    "plan", oss.str());
-        return;
     }
 
-    // ---- dependency edges point strictly backwards -------------------
-    for (const exec::ExecutedOp e : plan.executed()) {
-        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
-            const std::size_t n = e.firstNode + p;
-            for (std::int32_t d : plan.deps(n)) {
-                if (d >= 0 && static_cast<std::size_t>(d) < n)
-                    continue;
-                std::ostringstream oss;
-                oss << "node " << n << " ("
-                    << plan.nodeLabel(e.op.firstNode + p)
-                    << ") depends on node " << d
-                    << ", which no predecessor defines";
-                addFinding(report, Severity::Error,
-                           rules::DanglingDefUse, ctx,
-                           plan.str(e.op.scope), oss.str(),
-                           "dependency edges must point at lower "
-                           "node indices");
-            }
-        }
-    }
-
-    // ---- staged weights sit on the copy lane and are consumed --------
-    for (const exec::ExecutedOp e : plan.executed()) {
-        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
-            const std::size_t n = e.firstNode + p;
-            const exec::PlanNode& node = plan.nodes[e.op.firstNode + p];
+    // ---- staged weights sit on the copy lane, ahead of their op's
+    //      first compute kernel (which exec::KernelDeps makes wait for
+    //      them) ---------------------------------------------------------
+    // The check reads only stored records, so every executed instance
+    // would repeat its verdict: check each stored op once.
+    for (const exec::PlanOp& op : plan.ops) {
+        const std::size_t end = op.firstNode + op.nodeCount;
+        std::size_t first_compute = op.firstNode;
+        while (first_compute < end &&
+               plan.nodes[first_compute].lane != exec::Lane::Compute)
+            ++first_compute;
+        for (std::size_t n = op.firstNode; n < end; ++n) {
+            const exec::PlanNode& node = plan.nodes[n];
             if (!node.weightStream)
                 continue;
-            const std::string_view op_scope = plan.str(e.op.scope);
+            const std::string_view op_scope = plan.str(op.scope);
             if (node.lane != exec::Lane::Copy) {
                 // exec::laneName is also what links exec/plan.cc into
                 // hostbench, whose weak __real_lowerPipeline needs it.
@@ -164,58 +150,16 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                            rules::DanglingDefUse, ctx, op_scope,
                            oss.str());
             }
-            bool consumed = false;
-            for (std::size_t r = p + 1; r < e.op.nodeCount && !consumed;
-                 ++r) {
-                if (plan.nodes[e.op.firstNode + r].lane !=
-                    exec::Lane::Compute)
-                    continue;
-                const auto reader_deps = plan.deps(e.firstNode + r);
-                consumed = std::find(reader_deps.begin(),
-                                     reader_deps.end(),
-                                     static_cast<std::int32_t>(n)) !=
-                           reader_deps.end();
-            }
-            if (!consumed) {
+            if (first_compute <= n || first_compute == end) {
                 std::ostringstream oss;
                 oss << "weight-stream node " << n
                     << " stages bytes no compute kernel of its op reads";
                 addFinding(report, Severity::Error,
                            rules::DanglingDefUse, ctx, op_scope,
                            oss.str(),
-                           "the consumer's first compute kernel must "
-                           "depend on the prefetch");
+                           "the prefetch must precede its op's first "
+                           "compute kernel");
             }
-        }
-    }
-
-    // ---- the compute chain is serial: each compute node depends on
-    //      its compute predecessor, so activations flow op to op ------
-    bool seen_compute = false;
-    std::size_t prev_compute = 0;
-    for (const exec::ExecutedOp e : plan.executed()) {
-        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
-            const std::size_t n = e.firstNode + p;
-            const exec::PlanNode& node = plan.nodes[e.op.firstNode + p];
-            if (node.lane != exec::Lane::Compute)
-                continue;
-            const auto node_deps = plan.deps(n);
-            if (seen_compute &&
-                std::find(node_deps.begin(), node_deps.end(),
-                          static_cast<std::int32_t>(prev_compute)) ==
-                    node_deps.end()) {
-                std::ostringstream oss;
-                oss << "compute node " << n << " ("
-                    << plan.str(node.label)
-                    << ") is not chained to compute predecessor "
-                    << prev_compute
-                    << "; its input activation has no defining edge";
-                addFinding(report, Severity::Error,
-                           rules::DanglingDefUse, ctx,
-                           plan.str(e.op.scope), oss.str());
-            }
-            seen_compute = true;
-            prev_compute = n;
         }
     }
 }

@@ -3,10 +3,11 @@
  * Memory-liveness verification over lowered ExecutionPlans.
  *
  * Three rules live here. S013 is structural: the plan's dataflow must
- * be well-formed (dependency edges point backwards, op node ranges
- * tile the node list, the executed sequence covers every executed
- * kernel, staged weights are consumed, the compute chain is unbroken)
- * before any liveness sweep of it means anything. P011
+ * be well-formed (op node ranges tile the node list, the executed
+ * sequence names stored ops and runs the plan's kernel count, staged
+ * weights are consumed) before any liveness sweep of it means
+ * anything. Dependency edges need no check: exec::KernelDeps derives
+ * them, so they always point backward and chain each lane. P011
  * checks conservation: the byte demand the liveness model attributes
  * to an op can never exceed the HBM traffic the cost model charged
  * for it, and the swept bounds must order as
@@ -37,12 +38,10 @@ namespace mmgen::verify {
 /**
  * S013: plan dataflow integrity. Stored op node ranges tile
  * [0, nodes.size()) contiguously with matching back-pointers, the
- * executed sequence names stored ops and its kernels are exactly the
- * ones with dependency windows, every dependency edge points at a
- * strictly lower executed-kernel index, every weight-stream kernel
- * sits on the Copy lane and is consumed by a later compute kernel of
- * its own op, and consecutive compute-lane kernels are chained so the
- * single-assignment activation model of the liveness pass holds.
+ * executed sequence names stored ops and its kernels sum to
+ * executedNodeCount(), and every weight-stream kernel sits on the Copy
+ * lane ahead of its op's first compute kernel, which exec::KernelDeps
+ * makes wait for it.
  */
 void checkPlanDataflow(const exec::ExecutionPlan& plan,
                        const PhysicsContext& ctx,

@@ -48,7 +48,11 @@ inline constexpr const char* ParamCount = "S010";
 inline constexpr const char* CausalAttention = "S011";
 /** A stage emitter threw while tracing. */
 inline constexpr const char* TraceFailure = "S012";
-/** Plan dataflow broken: a node uses a buffer no predecessor defines. */
+/**
+ * Plan dataflow broken: op ranges do not tile the nodes, the executed
+ * sequence names no stored op or miscounts its kernels, or a weight
+ * stream feeds no compute kernel of its op.
+ */
 inline constexpr const char* DanglingDefUse = "S013";
 
 // ----- physics rules (simulated-result-level) -------------------------

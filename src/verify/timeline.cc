@@ -56,19 +56,28 @@ double
 timelineCriticalPath(const exec::ExecutionPlan& plan,
                      const exec::Timeline& timeline)
 {
+    // Every edge names the latest earlier kernel on its lane, so the
+    // longest path to each lane's latest kernel is all the state.
     const std::size_t n =
         std::min(plan.executedNodeCount(), timeline.eventCount());
-    std::vector<double> finish(n, 0.0);
+    exec::KernelDeps deps;
+    double finish[2] = {0.0, 0.0};
     double longest = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        double ready = 0.0;
-        for (const std::int32_t dep : plan.deps(i)) {
-            if (dep >= 0 && static_cast<std::size_t>(dep) < i)
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const std::size_t i = e.firstNode + p;
+            if (i >= n)
+                return longest;
+            const exec::Lane lane = plan.nodes[e.op.firstNode + p].lane;
+            double ready = 0.0;
+            deps.next(lane, p == 0, [&](exec::KernelDeps::Dep dep) {
                 ready = std::max(
-                    ready, finish[static_cast<std::size_t>(dep)]);
+                    ready, finish[static_cast<std::size_t>(dep.lane)]);
+            });
+            double& f = finish[static_cast<std::size_t>(lane)];
+            f = ready + timeline.eventDuration(i);
+            longest = std::max(longest, f);
         }
-        finish[i] = ready + timeline.eventDuration(i);
-        longest = std::max(longest, finish[i]);
     }
     return longest;
 }
@@ -98,9 +107,16 @@ checkTimeline(const exec::ExecutionPlan& plan,
     // stream overlapping (streams execute in order, so walking program
     // order per stream visits each stream's events in issue order).
     std::vector<double> stream_end;
+    exec::KernelDeps deps;
     for (const exec::ExecutedOp e : plan.executed()) {
         for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
             const std::size_t i = e.firstNode + p;
+            exec::KernelDeps::Dep waits[2];
+            std::size_t num_waits = 0;
+            deps.next(plan.nodes[e.op.firstNode + p].lane, p == 0,
+                      [&](exec::KernelDeps::Dep dep) {
+                          waits[num_waits++] = dep;
+                      });
             const exec::TimelineEvent ev = timeline.event(i);
             // Findings are rare: name the kernel only when one fires.
             const auto error = [&](std::string msg,
@@ -146,20 +162,13 @@ checkTimeline(const exec::ExecutionPlan& plan,
             }
             stream_end[stream] =
                 std::max(stream_end[stream], ev.endSeconds);
-            for (const std::int32_t dep : plan.deps(i)) {
-                if (dep < 0 || static_cast<std::size_t>(dep) >= i) {
-                    std::ostringstream oss;
-                    oss << "dependency edge " << dep
-                        << " does not point at an earlier node";
-                    error(oss.str());
-                    continue;
-                }
-                const double dep_end =
-                    timeline.eventEnd[static_cast<std::size_t>(dep)];
+            for (std::size_t w = 0; w < num_waits; ++w) {
+                const exec::KernelDeps::Dep dep = waits[w];
+                const double dep_end = timeline.eventEnd[dep.kernel];
                 if (ev.startSeconds + eps < dep_end) {
                     std::ostringstream oss;
                     oss << "event starts at " << ev.startSeconds
-                        << "s before its dependency (node " << dep
+                        << "s before its dependency (node " << dep.kernel
                         << ") finishes at " << dep_end << "s";
                     error(oss.str());
                 }

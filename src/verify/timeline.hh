@@ -22,9 +22,9 @@
 namespace mmgen::verify {
 
 /**
- * Longest path through the plan's dependency edges, weighting each
- * node by its scheduled event duration. A lower bound on any feasible
- * makespan.
+ * Longest path through the dependency edges exec::KernelDeps derives,
+ * weighting each node by its scheduled event duration. A lower bound
+ * on any feasible makespan.
  */
 double timelineCriticalPath(const exec::ExecutionPlan& plan,
                             const exec::Timeline& timeline);

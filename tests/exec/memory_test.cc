@@ -186,7 +186,7 @@ toyPlan(const std::vector<ToyOp>& toy)
         node.opIndex = i;
         plan.nodes.push_back(node);
         plan.opSequence.push_back(static_cast<std::uint32_t>(i));
-        plan.depWindows.push_back({});
+        ++plan.executedNodes;
         timeline.eventStart.push_back(toy[i].start);
         timeline.eventEnd.push_back(toy[i].end);
         timeline.makespan = std::max(timeline.makespan, toy[i].end);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for pipeline lowering: plan structure, op/stage provenance,
- * dependency edges, lane assignment and weight-stream splitting.
+ * the dependency edges KernelDeps derives, lane assignment and
+ * weight-stream splitting.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +45,22 @@ toyPipeline(std::int64_t steps)
     };
     p.stages.push_back(std::move(s));
     return p;
+}
+
+/** Each executed kernel's derived dependencies, in program order. */
+std::vector<std::vector<std::size_t>>
+depsOf(const ExecutionPlan& plan)
+{
+    std::vector<std::vector<std::size_t>> out;
+    KernelDeps deps;
+    for (const ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            std::vector<std::size_t>& kernel = out.emplace_back();
+            deps.next(plan.nodes[e.op.firstNode + p].lane, p == 0,
+                      [&](KernelDeps::Dep d) { kernel.push_back(d.kernel); });
+        }
+    }
+    return out;
 }
 
 /** One stage of two big memory-bound linears (32 MiB f16 weights). */
@@ -105,9 +122,11 @@ TEST(LowerPipeline, FoldedStageKeepsProvenance)
     }
     // Program-order chain: the first node has no predecessor, each
     // later one depends on the previous compute node.
-    EXPECT_TRUE(plan.deps(0).empty());
-    ASSERT_EQ(plan.deps(1).size(), 1u);
-    EXPECT_EQ(plan.deps(1)[0], 0);
+    const auto deps = depsOf(plan);
+    ASSERT_EQ(deps.size(), 2u);
+    EXPECT_TRUE(deps[0].empty());
+    ASSERT_EQ(deps[1].size(), 1u);
+    EXPECT_EQ(deps[1][0], 0u);
 }
 
 TEST(LowerPipeline, BaselineAttentionLowersToKernelChain)
@@ -124,10 +143,11 @@ TEST(LowerPipeline, BaselineAttentionLowersToKernelChain)
     EXPECT_EQ(plan.str(plan.nodes[attn.firstNode + 3].label),
               "av_gemm");
     // The chain is dependency-linked node to node.
+    const auto deps = depsOf(plan);
     for (std::size_t n = attn.firstNode + 1;
          n < attn.firstNode + attn.nodeCount; ++n) {
-        ASSERT_EQ(plan.deps(n).size(), 1u);
-        EXPECT_EQ(plan.deps(n)[0], static_cast<std::int32_t>(n) - 1);
+        ASSERT_EQ(deps[n].size(), 1u);
+        EXPECT_EQ(deps[n][0], n - 1);
     }
 }
 
@@ -178,10 +198,12 @@ TEST(LowerPipeline, UnchangedDecodeOpsReuseStoredRecords)
               (std::vector<std::uint32_t>{0, 1, 0, 2, 0, 3, 0, 4}));
     ASSERT_EQ(plan.executedNodeCount(), 8u);
     // Dependencies chain the executed kernels, not the stored ones.
-    EXPECT_TRUE(plan.deps(0).empty());
+    const auto deps = depsOf(plan);
+    ASSERT_EQ(deps.size(), plan.executedNodeCount());
+    EXPECT_TRUE(deps[0].empty());
     for (std::size_t k = 1; k < plan.executedNodeCount(); ++k) {
-        ASSERT_EQ(plan.deps(k).size(), 1u) << "kernel " << k;
-        EXPECT_EQ(plan.deps(k)[0], static_cast<std::int32_t>(k) - 1);
+        ASSERT_EQ(deps[k].size(), 1u) << "kernel " << k;
+        EXPECT_EQ(deps[k][0], k - 1);
     }
     std::size_t next = 0;
     for (const ExecutedOp e : plan.executed()) {
@@ -214,12 +236,6 @@ TEST(LowerPipeline, DepsAlwaysPointBackward)
                                                StableDiffusion),
                         costModel()),
           lowerPipeline(mlpPipeline(), costModel(), split)}) {
-        for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-            for (const std::int32_t dep : plan.deps(n)) {
-                EXPECT_GE(dep, 0);
-                EXPECT_LT(static_cast<std::size_t>(dep), n);
-            }
-        }
         // Node ownership partitions [0, nodes) in order.
         std::size_t next = 0;
         for (const PlanOp& op : plan.ops) {
@@ -246,6 +262,8 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
     ASSERT_EQ(streamed.ops.size(), 2u);
     // Each linear gains one weight-stream node ahead of its kernel.
     ASSERT_EQ(streamed.nodes.size(), plain.nodes.size() + 2);
+    const auto deps = depsOf(streamed);
+    ASSERT_EQ(deps.size(), streamed.nodes.size());
 
     for (std::size_t oi = 0; oi < streamed.ops.size(); ++oi) {
         const PlanOp& op = streamed.ops[oi];
@@ -266,9 +284,8 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
         // traffic is conserved: split bytes sum to the fused bytes. A
         // folded stage executes its stored kernels once each, in
         // order, so stored node n is executed kernel n.
-        const auto k_deps = streamed.deps(op.firstNode + 1);
-        EXPECT_NE(std::find(k_deps.begin(), k_deps.end(),
-                            static_cast<std::int32_t>(op.firstNode)),
+        const std::vector<std::size_t>& k_deps = deps[op.firstNode + 1];
+        EXPECT_NE(std::find(k_deps.begin(), k_deps.end(), op.firstNode),
                   k_deps.end());
         const PlanNode& fused = plain.nodes[plain.ops[oi].firstNode];
         EXPECT_DOUBLE_EQ(w.hbmBytes + k.hbmBytes, fused.hbmBytes);
@@ -276,11 +293,10 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
         EXPECT_EQ(k.launches, fused.launches);
     }
     // The two copy nodes serialize against each other on their lane.
-    const auto second_w_deps =
-        streamed.deps(streamed.ops[1].firstNode);
+    const std::vector<std::size_t>& second_w_deps =
+        deps[streamed.ops[1].firstNode];
     ASSERT_EQ(second_w_deps.size(), 1u);
-    EXPECT_EQ(second_w_deps[0],
-              static_cast<std::int32_t>(streamed.ops[0].firstNode));
+    EXPECT_EQ(second_w_deps[0], streamed.ops[0].firstNode);
     // Splitting adds no device launches.
     EXPECT_EQ(streamed.totalLaunches(), plain.totalLaunches());
 }

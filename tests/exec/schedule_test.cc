@@ -278,18 +278,34 @@ TEST(TimelineScheduler, GraphLaunchAmortizesRepeatOverhead)
 
 TEST(TimelineScheduler, DependenciesAlwaysHonored)
 {
-    const ExecutionPlan plan = splitPlan(mlpPipeline());
-    for (const int q : {0, 1, 4}) {
-        ScheduleOptions o;
-        o.streams = 2;
-        o.launchQueueDepth = q;
-        const Timeline tl = TimelineScheduler(gpu(), o).schedule(plan);
-        for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-            for (const std::int32_t dep : plan.deps(n)) {
-                EXPECT_GE(tl.eventStart[n],
-                          tl.eventEnd[static_cast<std::size_t>(dep)])
-                    << "node " << n << " dep " << dep << " depth " << q;
+    for (const Pipeline& p :
+         {mlpPipeline(),
+          models::buildModel(models::ModelId::StableDiffusion),
+          models::buildModel(models::ModelId::Parti)}) {
+        const ExecutionPlan plan = splitPlan(p);
+        ASSERT_TRUE(plan.hasWeightStreams) << p.name;
+        for (const int q : {0, 1, 4}) {
+            ScheduleOptions o;
+            o.streams = 2;
+            o.launchQueueDepth = q;
+            const Timeline tl =
+                TimelineScheduler(gpu(), o).schedule(plan);
+            KernelDeps deps;
+            std::size_t cross_lane = 0;
+            for (const ExecutedOp e : plan.executed()) {
+                for (std::size_t i = 0; i < e.op.nodeCount; ++i) {
+                    const std::size_t n = e.firstNode + i;
+                    const Lane lane = plan.nodes[e.op.firstNode + i].lane;
+                    deps.next(lane, i == 0, [&](KernelDeps::Dep dep) {
+                        cross_lane += dep.lane != lane;
+                        EXPECT_GE(tl.eventStart[n], tl.eventEnd[dep.kernel])
+                            << p.name << " node " << n << " dep "
+                            << dep.kernel << " depth " << q;
+                    });
+                }
             }
+            // Each weight stream feeds its op's first compute kernel.
+            EXPECT_GT(cross_lane, 0u) << p.name;
         }
     }
 }

@@ -10,7 +10,8 @@
  * splits weight streams and chains dependencies exactly as lowering
  * did before it stored repeated ops once. The test walks the plan's
  * executed sequence alongside it and compares every executed op field,
- * kernel field, cost-table triple and dependency list bit for bit.
+ * kernel field and cost-table triple bit for bit, and every kernel's
+ * dependency list as KernelDeps derives it.
  */
 
 #include <gtest/gtest.h>
@@ -106,6 +107,7 @@ expectMatchesReference(const graph::Pipeline& pipeline,
     std::int32_t last_compute = -1;
     std::int32_t last_copy = -1;
     bool weight_streams = false;
+    KernelDeps derived;
 
     for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
         const graph::Stage& stage = pipeline.stages[si];
@@ -249,11 +251,11 @@ expectMatchesReference(const graph::Pipeline& pipeline,
                               est.overheadSeconds)
                         << where();
 
-                    const auto deps = plan.deps(next_node + p);
-                    EXPECT_EQ(std::vector<std::int32_t>(deps.begin(),
-                                                        deps.end()),
-                              want.deps)
-                        << where() << " kernel " << p;
+                    std::vector<std::int32_t> deps;
+                    derived.next(node.lane, p == 0, [&](KernelDeps::Dep d) {
+                        deps.push_back(static_cast<std::int32_t>(d.kernel));
+                    });
+                    EXPECT_EQ(deps, want.deps) << where() << " kernel " << p;
                 }
                 next_node += ref.size();
                 ++executed_ops;

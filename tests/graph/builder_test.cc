@@ -145,30 +145,6 @@ TEST(Builder, ScopesNest)
     EXPECT_EQ(t.ops()[5].scope, ".a");
 }
 
-TEST(Builder, OpHooksObserveEveryEmission)
-{
-    Trace t;
-    GraphBuilder b(t);
-    std::vector<std::string> seen;
-    b.onOp([&seen](const Op& op) {
-        seen.push_back(opKindName(op.kind) + "@" + op.scope);
-    });
-    int attention_calls = 0;
-    b.onOp([&attention_calls](const Op& op) {
-        attention_calls += op.kind == OpKind::Attention;
-    });
-    {
-        auto s = b.scope("unet");
-        b.silu(TensorDesc({4}, DType::F16));
-        b.attention(AttentionKind::SelfSpatial, 1, 2, 8, 8, 4);
-    }
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0], "elementwise@unet");
-    EXPECT_EQ(seen[1], "attention@unet");
-    EXPECT_EQ(attention_calls, 1);
-    EXPECT_THROW(b.onOp(GraphBuilder::OpHook()), FatalError);
-}
-
 TEST(Builder, ResampleAdjustsSpatialDims)
 {
     Trace t;

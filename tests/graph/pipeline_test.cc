@@ -252,24 +252,5 @@ TEST(Trace, ChangedComparesEveryField)
     EXPECT_EQ(t.ops()[0].dtype, DType::BF16);
 }
 
-TEST(Trace, HooksFireOncePerReEmittedOpInOrder)
-{
-    std::vector<Op> seen;
-    Pipeline p = shiftingPipeline();
-    p.stages[0].emit = [&seen](GraphBuilder& b, std::int64_t iter) {
-        b.onOp([&seen](const Op& op) { seen.push_back(op); });
-        emitShiftingStep(b, iter);
-    };
-    Trace t;
-    for (std::int64_t it = 0; it < p.stages[0].iterations; ++it) {
-        seen.clear();
-        p.traceStage(0, it, t);
-        ASSERT_EQ(seen.size(), t.size()) << "iteration " << it;
-        for (std::size_t i = 0; i < t.size(); ++i)
-            EXPECT_TRUE(seen[i] == t.ops()[i])
-                << "iteration " << it << " op " << i;
-    }
-}
-
 } // namespace
 } // namespace mmgen::graph

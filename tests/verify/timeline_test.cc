@@ -124,24 +124,29 @@ TEST(TimelineVerifier, DependencyViolationFiresP007)
     exec::Timeline tl =
         exec::TimelineScheduler(kGpu, opts).schedule(plan);
 
-    // Find a node with a Copy-lane dependency and start it before the
-    // copy finishes.
-    for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-        bool corrupted = false;
-        for (const std::int32_t dep : plan.deps(n)) {
-            const auto d = static_cast<std::size_t>(dep);
-            if (plan.nodes[d].lane == exec::Lane::Copy &&
-                tl.eventEnd[d] > 0.0) {
+    // Find a compute kernel with a Copy-lane dependency and start it
+    // before the copy finishes.
+    exec::KernelDeps deps;
+    bool corrupted = false;
+    for (const exec::ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount && !corrupted; ++p) {
+            const std::size_t n = e.firstNode + p;
+            const exec::Lane lane = plan.nodes[e.op.firstNode + p].lane;
+            deps.next(lane, p == 0, [&](exec::KernelDeps::Dep dep) {
+                if (corrupted || dep.lane != exec::Lane::Copy ||
+                    lane != exec::Lane::Compute ||
+                    tl.eventEnd[dep.kernel] <= 0.0)
+                    return;
                 const double width = tl.eventDuration(n);
-                tl.eventStart[n] = tl.eventEnd[d] * 0.25;
+                tl.eventStart[n] = tl.eventEnd[dep.kernel] * 0.25;
                 tl.eventEnd[n] = tl.eventStart[n] + width;
                 corrupted = true;
-                break;
-            }
+            });
         }
         if (corrupted)
             break;
     }
+    ASSERT_TRUE(corrupted);
     const DiagnosticReport report =
         verifyTimeline(plan, tl, PhysicsContext{"sd", ""});
     EXPECT_TRUE(report.fired(rules::TimelineConsistency));

@@ -28,10 +28,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -1052,5 +1054,11 @@ main(int argc, char** argv)
     } catch (const mmgen::PanicError& e) {
         std::cerr << "internal error: " << e.what() << "\n";
         return 70;
+    } catch (const std::bad_alloc&) {
+        std::cerr << "error: out of memory\n";
+        return 1;
+    } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
     }
 }
