@@ -46,8 +46,9 @@ main()
                 e.op.attnKind == graph::AttentionKind::CrossText) {
                 continue;
             }
-            seconds_by_len[e.op.seqKv] += res.timeline.opSeconds[e.index];
-            attn_seconds += res.timeline.opSeconds[e.index];
+            seconds_by_len[e.op.seqKv] +=
+                res.timeline.opSeconds[e.opIndex];
+            attn_seconds += res.timeline.opSeconds[e.opIndex];
         }
 
         std::cout << "image " << size << "x" << size << " (latent "

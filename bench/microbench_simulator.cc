@@ -6,7 +6,11 @@
  * throughput bound every sweep's wall-clock.
  *
  * Three rates, each measured by repeatedly replaying a fixed workload
- * and dividing work units by wall time:
+ * and dividing work units by wall time. Each rate is the best of
+ * `kWindows` windows of at least `kMinSeconds`: a neighbour on a
+ * shared box only ever slows a window down, so the best window drops
+ * the bursts within a run. Slow spells that outlast a run remain, so
+ * compare two builds over alternating runs.
  *
  *  - `events_per_sec_serial`: timeline events scheduled per second
  *    playing the Stable Diffusion plan through the default (serial)
@@ -43,6 +47,17 @@
  *    from lane order (exec::KernelDeps) reads ~60.7.
  *  - `lower_stored_nodes` and `lower_executed_nodes`: both counts.
  *
+ * Plus one fresh schedule of that Parti plan, serial and overlapped
+ * (two streams, launch queue depth 8):
+ *
+ *  - `schedule_bytes_per_executed_kernel`: heap bytes the
+ *    `TimelineScheduler::schedule` call requests (the same counting
+ *    `operator new` sums the sizes), per executed kernel, the larger
+ *    of the two schedules. Storing the stream, the kernel seconds and
+ *    the op seconds per executed kernel read 36; storing only the
+ *    start and end per executed kernel, and the seconds per stored
+ *    record, reads ~17.
+ *
  * Plus one memory sweep (`exec::analyzeMemory`) of that Parti plan on
  * its serial timeline:
  *
@@ -60,8 +75,10 @@
  * more than `kGateLowerFaultsPerNode` faults per node, it makes
  * more than `kGateLowerAllocsPerOp` heap allocations per executed op
  * or requests more than `kGateLowerBytesPerKernel` heap bytes per
- * executed kernel, or the memory sweep requests more than
- * `kGateSweepBytesPerKernel` heap bytes per executed kernel — the CI
+ * executed kernel, a fresh schedule requests more than
+ * `kGateScheduleBytesPerKernel` heap bytes per executed kernel, or the
+ * memory sweep requests more than `kGateSweepBytesPerKernel` heap
+ * bytes per executed kernel — the CI
  * Release-mode regression gate. The baselines were measured on this
  * repo at the commit before the arena-IR / SoA-scheduler rework
  * (Release, one core), so speedups are apples-to-apples on comparable
@@ -70,6 +87,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -217,8 +235,19 @@ constexpr double kGateLowerBytesPerKernel = 80.0;
  */
 constexpr double kGateSweepBytesPerKernel = 16.0;
 
+/**
+ * Gate ceiling for heap bytes per executed kernel one fresh schedule
+ * of Parti requests: between the 36 of storing per executed kernel
+ * what its stored record determines and the ~17 of storing only its
+ * start and end.
+ */
+constexpr double kGateScheduleBytesPerKernel = 24.0;
+
 /** Minimum timed window per metric; repeats are calibrated up to it. */
 constexpr double kMinSeconds = 0.3;
+
+/** Calibrated windows per rate; the best one is reported. */
+constexpr int kWindows = 5;
 
 double
 nowSeconds()
@@ -230,23 +259,29 @@ nowSeconds()
 
 /**
  * Measure `work_per_iter * iters / elapsed`, doubling `iters` until
- * the timed window is long enough to trust.
+ * the timed window is long enough to trust, and return the best rate
+ * of `kWindows` such windows.
  */
 template <typename F>
 double
 measureRate(double work_per_iter, F&& iter)
 {
     std::int64_t iters = 1;
-    for (;;) {
+    double best = 0.0;
+    for (int windows = 0; windows < kWindows;) {
         const double start = nowSeconds();
         for (std::int64_t i = 0; i < iters; ++i)
             iter();
         const double elapsed = nowSeconds() - start;
-        if (elapsed >= kMinSeconds)
-            return work_per_iter * static_cast<double>(iters) /
-                   elapsed;
-        iters *= 2;
+        if (elapsed < kMinSeconds) {
+            iters *= 2;
+            continue;
+        }
+        best = std::max(best, work_per_iter *
+                                  static_cast<double>(iters) / elapsed);
+        ++windows;
     }
+    return best;
 }
 
 double
@@ -300,6 +335,29 @@ benchLowering(const graph::Pipeline& pipeline)
     run.bytes = heapBytes.load() - bytes;
     run.minorFaults = minorFaults() - faults;
     return run;
+}
+
+/**
+ * Heap bytes one fresh schedule of `plan` requests per executed
+ * kernel: the larger of the serial schedule and the overlapped one.
+ */
+double
+benchScheduleBytesPerKernel(const exec::ExecutionPlan& plan)
+{
+    exec::ScheduleOptions overlap;
+    overlap.streams = 2;
+    overlap.launchQueueDepth = 8;
+    std::uint64_t most = 0;
+    for (const exec::ScheduleOptions& opts :
+         {exec::ScheduleOptions(), overlap}) {
+        const exec::TimelineScheduler scheduler(hw::GpuSpec::a100_80gb(),
+                                                opts);
+        const std::uint64_t before = heapBytes.load();
+        const exec::Timeline timeline = scheduler.schedule(plan);
+        most = std::max(most, heapBytes.load() - before);
+    }
+    return static_cast<double>(most) /
+           static_cast<double>(plan.executedNodeCount());
 }
 
 /** Heap bytes one memory sweep of `plan` requests, per executed kernel. */
@@ -394,6 +452,8 @@ main(int argc, char** argv)
     const double lower_bytes_per_kernel =
         static_cast<double>(lowering.bytes) /
         static_cast<double>(executed_nodes);
+    const double schedule_bytes_per_kernel =
+        benchScheduleBytesPerKernel(lowering.plan);
     const double sweep_bytes_per_kernel =
         benchSweepBytesPerKernel(lowering.plan);
 
@@ -426,6 +486,8 @@ main(int argc, char** argv)
               << " executed kernels)\n";
     std::cout << "lower_stored_nodes: " << stored_nodes << "\n";
     std::cout << "lower_executed_nodes: " << executed_nodes << "\n";
+    std::cout << "schedule_bytes_per_executed_kernel: "
+              << formatFixed(schedule_bytes_per_kernel, 2) << "\n";
     std::cout << "memory_sweep_bytes_per_executed_kernel: "
               << formatFixed(sweep_bytes_per_kernel, 2) << "\n\n";
 
@@ -434,10 +496,12 @@ main(int argc, char** argv)
     const bool allocs_ok = allocs_per_op <= kGateLowerAllocsPerOp;
     const bool lower_bytes_ok =
         lower_bytes_per_kernel <= kGateLowerBytesPerKernel;
+    const bool schedule_ok =
+        schedule_bytes_per_kernel <= kGateScheduleBytesPerKernel;
     const bool sweep_ok =
         sweep_bytes_per_kernel <= kGateSweepBytesPerKernel;
-    const bool gate_ok =
-        events_ok && faults_ok && allocs_ok && lower_bytes_ok && sweep_ok;
+    const bool gate_ok = events_ok && faults_ok && allocs_ok &&
+                         lower_bytes_ok && schedule_ok && sweep_ok;
     std::ofstream out(out_path);
     if (out) {
         out << "{\n  \"bench\": \"microbench_simulator\",\n";
@@ -460,6 +524,8 @@ main(int argc, char** argv)
             << formatFixed(allocs_per_op, 4) << ",\n";
         out << "  \"lower_bytes_per_executed_kernel\": "
             << formatFixed(lower_bytes_per_kernel, 4) << ",\n";
+        out << "  \"schedule_bytes_per_executed_kernel\": "
+            << formatFixed(schedule_bytes_per_kernel, 4) << ",\n";
         out << "  \"memory_sweep_bytes_per_executed_kernel\": "
             << formatFixed(sweep_bytes_per_kernel, 4) << ",\n";
         out << "  \"baseline_events_per_sec_serial\": "
@@ -509,6 +575,12 @@ main(int argc, char** argv)
                   << " heap bytes per executed kernel, above the gate "
                   << "ceiling "
                   << formatFixed(kGateLowerBytesPerKernel, 0) << "\n";
+    if (gate && !schedule_ok)
+        std::cerr << "FAIL: one schedule of Parti requested "
+                  << formatFixed(schedule_bytes_per_kernel, 2)
+                  << " heap bytes per executed kernel, above the gate "
+                  << "ceiling "
+                  << formatFixed(kGateScheduleBytesPerKernel, 0) << "\n";
     if (gate && !sweep_ok)
         std::cerr << "FAIL: the memory sweep of Parti requested "
                   << formatFixed(sweep_bytes_per_kernel, 2)

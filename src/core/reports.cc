@@ -122,7 +122,7 @@ hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
         for (std::size_t n = op.firstNode;
              n < op.firstNode + op.nodeCount; ++n)
             flops += plan.nodes[n].flops;
-        site->seconds += result.timeline.opSeconds[e.index];
+        site->seconds += result.timeline.opSeconds[e.opIndex];
         site->flops += flops * static_cast<double>(op.repeat);
         site->calls += op.repeat;
     }

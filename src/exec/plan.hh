@@ -167,9 +167,12 @@ struct ExecutionPlan;
 /** One executed op instance, as ExecutionPlan::executed() yields it. */
 struct ExecutedOp
 {
-    /** Program-order position (index into Timeline::opSeconds). */
+    /** Program-order position among the executed ops. */
     std::size_t index = 0;
-    /** Index of the stored record in ExecutionPlan::ops. */
+    /**
+     * Index of the stored record in ExecutionPlan::ops (and into
+     * Timeline::opSeconds).
+     */
     std::size_t opIndex = 0;
     /** The stored record. */
     const PlanOp& op;

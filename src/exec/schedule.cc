@@ -73,9 +73,9 @@ scheduleSerialInto(const ExecutionPlan& plan, const double* sec,
     const std::size_t num_nodes = plan.executedNodeCount();
     tl.eventStart.resize(num_nodes);
     tl.eventEnd.resize(num_nodes);
-    tl.eventStream.assign(num_nodes, 0);
-    tl.nodeSeconds.resize(num_nodes);
-    tl.opSeconds.resize(plan.executedOpCount());
+    tl.copyStream = false;
+    tl.nodeSeconds.resize(plan.nodes.size());
+    tl.opSeconds.resize(plan.ops.size());
     tl.streamBusySeconds.assign(1, 0.0);
     tl.makespan = 0.0;
 
@@ -87,13 +87,14 @@ scheduleSerialInto(const ExecutionPlan& plan, const double* sec,
         const std::size_t first = e.firstNode;
         const double* op_sec = sec + e.op.firstNode;
         const double* op_ovh = ovh + e.op.firstNode;
+        double* node_sec = tl.nodeSeconds.data() + e.op.firstNode;
         const std::size_t count = e.op.nodeCount;
 
         double block_sum = 0.0;
         for (std::size_t p = 0; p < count; ++p) {
             const double s = op_sec[p];
             block_sum += s;
-            tl.nodeSeconds[first + p] = s * r;
+            node_sec[p] = s * r;
             overhead_total += op_ovh[p] * r;
         }
         const double block_dur = block_sum * r;
@@ -107,7 +108,7 @@ scheduleSerialInto(const ExecutionPlan& plan, const double* sec,
                                          : clock + prefix * r;
         }
         clock += block_dur;
-        tl.opSeconds[e.index] = block_dur;
+        tl.opSeconds[e.opIndex] = block_dur;
         busy += block_dur;
     }
     tl.makespan = clock;
@@ -138,31 +139,42 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
 
     tl.eventStart.resize(num_nodes);
     tl.eventEnd.resize(num_nodes);
-    tl.eventStream.resize(num_nodes);
-    tl.nodeSeconds.resize(num_nodes);
-    tl.opSeconds.assign(plan.executedOpCount(), 0.0);
+    tl.copyStream = copy_stream;
+    tl.nodeSeconds.resize(plan.nodes.size());
+    tl.opSeconds.resize(plan.ops.size());
     tl.streamBusySeconds.assign(
         static_cast<std::size_t>(num_streams), 0.0);
-    tl.makespan = 0.0;
-    tl.launchOverheadSeconds = 0.0;
 
+    // The running sums live in locals: a store through a column could
+    // alias a Timeline member, which would pin them to memory.
+    double* start_col = tl.eventStart.data();
+    double* end_col = tl.eventEnd.data();
+    double* node_sec = tl.nodeSeconds.data();
     double cursor[2] = {0.0, 0.0};
+    double busy[2] = {0.0, 0.0};
+    double makespan = 0.0;
+    double launch_overhead = 0.0;
     // Host launch pipeline: the host may run at most q unstarted
     // launches ahead of the device.
     double host_clock = 0.0;
 
     // Kernel n instantiates stored node `stored` of executed op
-    // `next_op - 1`, whose kernels end before kernel `op_end`.
+    // `next_op - 1`, whose kernels end before kernel `op_end` and sum
+    // into `*op_sec`.
     std::size_t next_op = 0;
     std::size_t op_end = 0;
     std::size_t stored = 0;
+    double* op_sec = nullptr;
     KernelDeps deps;
     for (std::size_t n = 0; n < num_nodes; ++n, ++stored) {
         const bool op_start = n == op_end;
         while (n == op_end) {
-            const PlanOp& op = plan.ops[plan.opSequence[next_op++]];
+            const std::uint32_t oi = plan.opSequence[next_op++];
+            const PlanOp& op = plan.ops[oi];
             stored = op.firstNode;
             op_end = n + op.nodeCount;
+            op_sec = &tl.opSeconds[oi];
+            *op_sec = 0.0;
         }
         const PlanNode& node = plan.nodes[stored];
         const double r = static_cast<double>(node.repeat);
@@ -171,7 +183,7 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
             opts.graphLaunch
                 ? ovh[stored] * (1.0 + (r - 1.0) * replay_frac)
                 : ovh[stored] * r;
-        tl.launchOverheadSeconds += overhead;
+        launch_overhead += overhead;
 
         double launched = 0.0;
         double duration = exec;
@@ -186,30 +198,30 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
             double issue = host_clock;
             if (n >= static_cast<std::size_t>(q))
                 issue = std::max(
-                    issue,
-                    tl.eventStart[n - static_cast<std::size_t>(q)]);
+                    issue, start_col[n - static_cast<std::size_t>(q)]);
             host_clock = issue + overhead;
             launched = host_clock;
         }
 
-        const int stream =
-            copy_stream && node.lane == Lane::Copy ? 1 : 0;
+        const int stream = tl.stream(node.lane);
         double start = std::max(cursor[stream], launched);
         deps.next(node.lane, op_start, [&](KernelDeps::Dep dep) {
-            start = std::max(start, tl.eventEnd[dep.kernel]);
+            start = std::max(start, end_col[dep.kernel]);
         });
 
         const double end = start + duration;
-        tl.eventStart[n] = start;
-        tl.eventEnd[n] = end;
-        tl.eventStream[n] = stream;
+        start_col[n] = start;
+        end_col[n] = end;
         cursor[stream] = end;
-        tl.streamBusySeconds[static_cast<std::size_t>(stream)] +=
-            duration;
-        tl.nodeSeconds[n] = duration;
-        tl.opSeconds[next_op - 1] += duration;
-        tl.makespan = std::max(tl.makespan, end);
+        busy[stream] += duration;
+        node_sec[stored] = duration;
+        *op_sec += duration;
+        makespan = std::max(makespan, end);
     }
+    for (int s = 0; s < num_streams; ++s)
+        tl.streamBusySeconds[static_cast<std::size_t>(s)] = busy[s];
+    tl.makespan = makespan;
+    tl.launchOverheadSeconds = launch_overhead;
 }
 
 } // namespace

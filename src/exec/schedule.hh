@@ -24,11 +24,20 @@
  * seconds of its kernels in part order and multiplies by the repeat
  * count — the exact arithmetic `CostModel::time` performed.
  *
- * The timeline is stored structure-of-arrays: one event per executed
- * kernel in program order, split into parallel start/end/stream
- * columns. Event `i` always describes executed kernel `i` (walk
- * `plan.executed()` to find its stored record), so the scheduler's
- * inner loop and every consumer stream through flat double arrays.
+ * The timeline stores per executed kernel only what changes from one
+ * kernel to the next: the start and end columns, one event per
+ * executed kernel in program order. Event `i` always describes
+ * executed kernel `i` (walk `plan.executed()` to find its stored
+ * record). Everything else is a function of the stored record: the
+ * per-kernel and per-op seconds are stored once per stored node and
+ * op, and a kernel's stream follows from its lane. Parti's decode
+ * executes ~17 kernels per stored one, so its timeline costs about
+ * 17 heap bytes per executed kernel, 16 of them the two columns. The
+ * scheduler writes a stored record's seconds at each of its
+ * executions, in the pass that places the events: a separate pass
+ * over the stored records slowed plans that execute each record once,
+ * like the folded diffusion plans.
+ *
  * When the plan carries a `NodeCostTable` for the scheduler's GPU (the
  * lowering GPU fingerprint matches), per-kernel roofline estimates are
  * read from the table — the identical doubles `hw::estimateTime` would
@@ -80,9 +89,9 @@ struct ScheduleOptions
 };
 
 /**
- * One scheduled kernel occurrence, materialized from the timeline's
- * SoA columns by Timeline::event(). The executed-kernel index doubles
- * as the event index.
+ * One scheduled kernel occurrence, materialized by Timeline::event()
+ * from the start and end columns and its stored node's lane. The
+ * executed-kernel index doubles as the event index.
  */
 struct TimelineEvent
 {
@@ -96,7 +105,11 @@ struct TimelineEvent
     double durationSeconds() const { return endSeconds - startSeconds; }
 };
 
-/** The scheduled timeline of one plan (structure-of-arrays). */
+/**
+ * The scheduled timeline of one plan: the start and end of every
+ * executed kernel, plus what a stored record determines, stored once
+ * per stored node or op.
+ */
 struct Timeline
 {
     /** Event start times, one per executed kernel in program order. */
@@ -105,8 +118,11 @@ struct Timeline
     /** Event end times, aligned with eventStart. */
     std::vector<double> eventEnd;
 
-    /** Stream ids, aligned with eventStart. */
-    std::vector<std::int32_t> eventStream;
+    /**
+     * True when the schedule gave the Copy lane its own stream: its
+     * kernels ran on stream 1, every other kernel on stream 0.
+     */
+    bool copyStream = false;
 
     /** End-to-end latency: the last event end. */
     double makespan = 0.0;
@@ -115,18 +131,25 @@ struct Timeline
     std::vector<double> streamBusySeconds;
 
     /**
-     * Roofline busy seconds per executed kernel (repeats applied), in
-     * program order. This is the per-kernel attribution quantity (what
-     * kernel-class breakdowns sum); it matches each event's duration
-     * up to the last ulp of the op-level grouping arithmetic.
+     * Roofline busy seconds of one executed instance of each stored
+     * node (repeats applied), indexed like ExecutionPlan::nodes:
+     * executed kernel `e.firstNode + p` is charged
+     * `nodeSeconds[e.op.firstNode + p]`. This is the per-kernel
+     * attribution quantity (what kernel-class breakdowns sum); it
+     * matches each event's duration up to the last ulp of the
+     * op-level grouping arithmetic. Every execution of a stored
+     * record writes the same value to its entry; the entry of a
+     * record the plan never executes is not written (lowering stores
+     * none).
      */
     std::vector<double> nodeSeconds;
 
     /**
-     * Busy seconds per executed op (sum of its kernels' durations), in
-     * program order: indexed by ExecutedOp::index. Under overlap these
-     * can sum to more than the makespan, like GPU-busy time in a real
-     * profile.
+     * Busy seconds of one executed instance of each stored op (sum of
+     * its kernels' durations), indexed like ExecutionPlan::ops, i.e.
+     * by ExecutedOp::opIndex, and written like nodeSeconds. Under
+     * overlap the executed ops' seconds can sum to more than the
+     * makespan, like GPU-busy time in a real profile.
      */
     std::vector<double> opSeconds;
 
@@ -136,12 +159,17 @@ struct Timeline
     /** Number of scheduled events (== executed kernel count). */
     std::size_t eventCount() const { return eventStart.size(); }
 
-    /** Materialize one event from the SoA columns. */
-    TimelineEvent
-    event(std::size_t i) const
+    /** Stream a kernel on `lane` ran on (0 = compute, 1 = copy). */
+    int stream(Lane lane) const
     {
-        return {i, static_cast<int>(eventStream[i]), eventStart[i],
-                eventEnd[i]};
+        return copyStream && lane == Lane::Copy ? 1 : 0;
+    }
+
+    /** Materialize event `i`, whose stored node runs on `lane`. */
+    TimelineEvent
+    event(std::size_t i, Lane lane) const
+    {
+        return {i, stream(lane), eventStart[i], eventEnd[i]};
     }
 
     /** Duration of event `i` in seconds. */

@@ -76,10 +76,10 @@ Profiler::profileWithPlan(
             bytes += node.hbmBytes;
             launches += node.launches;
             result.kernelClassSeconds[node.klass] +=
-                timeline.nodeSeconds[e.firstNode + p];
+                timeline.nodeSeconds[op.firstNode + p];
         }
 
-        const double seconds = timeline.opSeconds[e.index];
+        const double seconds = timeline.opSeconds[e.opIndex];
         const double op_flops = flops * r;
 
         if (op.kind == graph::OpKind::Attention) {

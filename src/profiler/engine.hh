@@ -57,12 +57,12 @@ struct ProfileOptions
 
     /**
      * Keep the lowered plan and scheduled timeline in the result; per-op
-     * readers (hotspots, trace export) walk `plan->executed()` together
-     * with `timeline.opSeconds`, and the timeline is the per-kernel
-     * cost (one event and one `nodeSeconds` entry per executed
-     * kernel). The plan stores each distinct op once, but the timeline
-     * grows with every decode step; aggregate reports are always
-     * produced regardless.
+     * readers (hotspots, trace export) walk `plan->executed()` and read
+     * each executed op's seconds from `timeline.opSeconds[e.opIndex]`.
+     * The plan and the timeline's duration columns hold one entry per
+     * stored record, but the timeline's start and end columns grow by
+     * one entry per executed kernel with every decode step; aggregate
+     * reports are always produced regardless.
      */
     bool keepPlan = false;
 };

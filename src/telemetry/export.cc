@@ -332,14 +332,22 @@ writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
                 "timeline has " << timeline.eventCount()
                                 << " events for a plan of "
                                 << plan.executedNodeCount() << " nodes");
+    MMGEN_CHECK(timeline.nodeSeconds.size() == plan.nodes.size() &&
+                    timeline.opSeconds.size() == plan.ops.size(),
+                "timeline has " << timeline.nodeSeconds.size()
+                                << " node and "
+                                << timeline.opSeconds.size()
+                                << " op durations for a plan storing "
+                                << plan.nodes.size() << " nodes and "
+                                << plan.ops.size() << " ops");
 
     // The (stage, stream) lanes in use.
     std::set<std::pair<std::size_t, int>> used_lanes;
     for (const exec::ExecutedOp e : plan.executed()) {
-        for (std::size_t k = e.firstNode; k < e.firstNode + e.op.nodeCount;
-             ++k)
+        for (std::size_t n = e.op.firstNode;
+             n < e.op.firstNode + e.op.nodeCount; ++n)
             used_lanes.emplace(e.op.stageIndex,
-                               static_cast<int>(timeline.eventStream[k]));
+                               timeline.stream(plan.nodes[n].lane));
     }
 
     // Process metadata: one lane per stage that scheduled any work,
@@ -376,8 +384,9 @@ writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
         const std::string esc_scope =
             json::escape(std::string(plan.str(op.scope)));
         for (std::size_t p = 0; p < op.nodeCount; ++p) {
-            const exec::TimelineEvent ev = timeline.event(e.firstNode + p);
             const exec::PlanNode& node = plan.nodes[op.firstNode + p];
+            const exec::TimelineEvent ev =
+                timeline.event(e.firstNode + p, node.lane);
             const int tid = ev.stream + 1;
             const std::int64_t instances =
                 std::min<std::int64_t>(node.repeat, kMaxRepeatSlices);

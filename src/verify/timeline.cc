@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <vector>
 
 namespace mmgen::verify {
 
@@ -96,6 +95,19 @@ checkTimeline(const exec::ExecutionPlan& plan,
                  oss.str());
         return;
     }
+    // The duration columns are indexed by stored record, so a timeline
+    // of another plan could be read past their ends.
+    if (timeline.nodeSeconds.size() != plan.nodes.size() ||
+        timeline.opSeconds.size() != plan.ops.size()) {
+        std::ostringstream oss;
+        oss << "timeline has " << timeline.nodeSeconds.size()
+            << " node and " << timeline.opSeconds.size()
+            << " op durations for a plan storing " << plan.nodes.size()
+            << " nodes and " << plan.ops.size() << " ops";
+        addError(report, rules::TimelineConsistency, ctx, "",
+                 oss.str(), "schedule the plan being checked");
+        return;
+    }
     if (timeline.eventCount() == 0)
         return;
 
@@ -106,18 +118,18 @@ checkTimeline(const exec::ExecutionPlan& plan,
     // makespan], its dependencies finished, and no two events on one
     // stream overlapping (streams execute in order, so walking program
     // order per stream visits each stream's events in issue order).
-    std::vector<double> stream_end;
+    double stream_end[2] = {0.0, 0.0};
     exec::KernelDeps deps;
     for (const exec::ExecutedOp e : plan.executed()) {
         for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
             const std::size_t i = e.firstNode + p;
+            const exec::Lane lane = plan.nodes[e.op.firstNode + p].lane;
             exec::KernelDeps::Dep waits[2];
             std::size_t num_waits = 0;
-            deps.next(plan.nodes[e.op.firstNode + p].lane, p == 0,
-                      [&](exec::KernelDeps::Dep dep) {
-                          waits[num_waits++] = dep;
-                      });
-            const exec::TimelineEvent ev = timeline.event(i);
+            deps.next(lane, p == 0, [&](exec::KernelDeps::Dep dep) {
+                waits[num_waits++] = dep;
+            });
+            const exec::TimelineEvent ev = timeline.event(i, lane);
             // Findings are rare: name the kernel only when one fires.
             const auto error = [&](std::string msg,
                                    std::string hint = "") {
@@ -143,25 +155,16 @@ checkTimeline(const exec::ExecutionPlan& plan,
                     << "s";
                 error(oss.str());
             }
-            if (ev.stream < 0) {
-                std::ostringstream oss;
-                oss << "negative stream id " << ev.stream;
-                error(oss.str());
-                continue;
-            }
-            const auto stream = static_cast<std::size_t>(ev.stream);
-            if (stream >= stream_end.size())
-                stream_end.resize(stream + 1, 0.0);
-            if (ev.startSeconds + eps < stream_end[stream]) {
+            double& busy_until = stream_end[ev.stream];
+            if (ev.startSeconds + eps < busy_until) {
                 std::ostringstream oss;
                 oss << "event starts at " << ev.startSeconds
                     << "s while stream " << ev.stream
-                    << " is busy until " << stream_end[stream] << "s";
+                    << " is busy until " << busy_until << "s";
                 error(oss.str(),
                       "streams execute their kernels in order");
             }
-            stream_end[stream] =
-                std::max(stream_end[stream], ev.endSeconds);
+            busy_until = std::max(busy_until, ev.endSeconds);
             for (std::size_t w = 0; w < num_waits; ++w) {
                 const exec::KernelDeps::Dep dep = waits[w];
                 const double dep_end = timeline.eventEnd[dep.kernel];

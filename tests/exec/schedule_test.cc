@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "exec/plan.hh"
 #include "exec/schedule.hh"
 #include "graph/builder.hh"
@@ -90,6 +94,125 @@ nodeRooflineSeconds(const PlanNode& node)
     return hw::estimateTime(gpu(), in).seconds;
 }
 
+/**
+ * A timeline with every column per executed kernel or op: the
+ * reference TimelineScheduler must match bit for bit.
+ */
+struct PerKernelTimeline
+{
+    std::vector<double> start;
+    std::vector<double> end;
+    std::vector<int> stream;
+    /** Busy seconds per executed kernel and per executed op. */
+    std::vector<double> nodeSeconds;
+    std::vector<double> opSeconds;
+    std::vector<double> streamBusySeconds;
+    double makespan = 0.0;
+    double launchOverheadSeconds = 0.0;
+};
+
+/**
+ * Schedule `plan` with every duration computed per executed kernel,
+ * in program order, by the same expressions TimelineScheduler uses.
+ */
+PerKernelTimeline
+referenceSchedule(const ExecutionPlan& plan, const ScheduleOptions& opts)
+{
+    MMGEN_ASSERT(plan.costs.matches(gpu().fingerprint(),
+                                    plan.nodes.size()),
+                 "plan lowered for another GPU");
+    const double* sec = plan.costs.seconds.data();
+    const double* exec_sec = plan.costs.execSeconds.data();
+    const double* ovh = plan.costs.overheadSeconds.data();
+    const std::size_t num_nodes = plan.executedNodeCount();
+    PerKernelTimeline tl;
+    tl.start.resize(num_nodes);
+    tl.end.resize(num_nodes);
+    tl.stream.assign(num_nodes, 0);
+    tl.nodeSeconds.resize(num_nodes);
+    tl.opSeconds.assign(plan.executedOpCount(), 0.0);
+
+    const bool copy_stream = opts.streams >= 2 && plan.hasWeightStreams;
+    const int q = opts.launchQueueDepth;
+    if (!copy_stream && q == 0 && !opts.graphLaunch) {
+        double clock = 0.0;
+        double busy = 0.0;
+        for (const ExecutedOp e : plan.executed()) {
+            const double r = static_cast<double>(e.op.repeat);
+            const double* op_sec = sec + e.op.firstNode;
+            double block_sum = 0.0;
+            for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+                block_sum += op_sec[p];
+                tl.nodeSeconds[e.firstNode + p] = op_sec[p] * r;
+                tl.launchOverheadSeconds += ovh[e.op.firstNode + p] * r;
+            }
+            const double block_dur = block_sum * r;
+            double prefix = 0.0;
+            for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+                tl.start[e.firstNode + p] = clock + prefix * r;
+                prefix += op_sec[p];
+                tl.end[e.firstNode + p] = p + 1 == e.op.nodeCount
+                                              ? clock + block_dur
+                                              : clock + prefix * r;
+            }
+            clock += block_dur;
+            tl.opSeconds[e.index] = block_dur;
+            busy += block_dur;
+        }
+        tl.makespan = clock;
+        tl.streamBusySeconds = {busy};
+        return tl;
+    }
+
+    tl.streamBusySeconds.assign(copy_stream ? 2 : 1, 0.0);
+    double cursor[2] = {0.0, 0.0};
+    double host_clock = 0.0;
+    KernelDeps deps;
+    for (const ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const std::size_t n = e.firstNode + p;
+            const std::size_t stored = e.op.firstNode + p;
+            const PlanNode& node = plan.nodes[stored];
+            const double r = static_cast<double>(node.repeat);
+            const double overhead =
+                opts.graphLaunch
+                    ? ovh[stored] *
+                          (1.0 + (r - 1.0) *
+                                     opts.graphReplayOverheadFraction)
+                    : ovh[stored] * r;
+            tl.launchOverheadSeconds += overhead;
+            double launched = 0.0;
+            double duration = exec_sec[stored] * r;
+            if (q == 0) {
+                duration += overhead;
+            } else {
+                double issue = host_clock;
+                if (n >= static_cast<std::size_t>(q))
+                    issue = std::max(
+                        issue, tl.start[n - static_cast<std::size_t>(q)]);
+                host_clock = issue + overhead;
+                launched = host_clock;
+            }
+            const int stream =
+                copy_stream && node.lane == Lane::Copy ? 1 : 0;
+            double start = std::max(cursor[stream], launched);
+            deps.next(node.lane, p == 0, [&](KernelDeps::Dep dep) {
+                start = std::max(start, tl.end[dep.kernel]);
+            });
+            tl.start[n] = start;
+            tl.end[n] = start + duration;
+            tl.stream[n] = stream;
+            cursor[stream] = tl.end[n];
+            tl.streamBusySeconds[static_cast<std::size_t>(stream)] +=
+                duration;
+            tl.nodeSeconds[n] = duration;
+            tl.opSeconds[e.index] += duration;
+            tl.makespan = std::max(tl.makespan, tl.end[n]);
+        }
+    }
+    return tl;
+}
+
 TEST(ScheduleOptions, DefaultDetection)
 {
     EXPECT_TRUE(ScheduleOptions().isDefault());
@@ -146,8 +269,10 @@ TEST(TimelineScheduler, SerialScheduleMatchesSummedRoofline)
 
     // Events tile [0, makespan) back to back on stream 0.
     double clock = 0.0;
+    EXPECT_FALSE(tl.copyStream);
     for (std::size_t i = 0; i < tl.eventCount(); ++i) {
-        const TimelineEvent ev = tl.event(i);
+        // A folded plan executes each stored node once, in order.
+        const TimelineEvent ev = tl.event(i, plan.nodes[i].lane);
         EXPECT_EQ(ev.node, i);
         EXPECT_EQ(ev.stream, 0);
         EXPECT_EQ(ev.startSeconds, clock) << "event " << i;
@@ -177,8 +302,11 @@ TEST(TimelineScheduler, DeterministicAcrossRuns)
     for (std::size_t i = 0; i < a.eventCount(); ++i) {
         EXPECT_EQ(a.eventStart[i], b.eventStart[i]);
         EXPECT_EQ(a.eventEnd[i], b.eventEnd[i]);
-        EXPECT_EQ(a.eventStream[i], b.eventStream[i]);
     }
+    // The stream derives from the lane and this flag.
+    EXPECT_EQ(a.copyStream, b.copyStream);
+    EXPECT_EQ(a.nodeSeconds, b.nodeSeconds);
+    EXPECT_EQ(a.opSeconds, b.opSeconds);
 }
 
 TEST(TimelineScheduler, CopyStreamOverlapsComputeAndNeverHurts)
@@ -194,9 +322,16 @@ TEST(TimelineScheduler, CopyStreamOverlapsComputeAndNeverHurts)
 
     ASSERT_EQ(overlapped.streamBusySeconds.size(), 2u);
     EXPECT_GT(overlapped.streamBusySeconds[1], 0.0);
+    EXPECT_FALSE(serial.copyStream);
+    EXPECT_TRUE(overlapped.copyStream);
     bool copy_stream_used = false;
-    for (const std::int32_t stream : overlapped.eventStream)
-        copy_stream_used |= stream == 1;
+    for (const ExecutedOp e : plan.executed()) {
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const Lane lane = plan.nodes[e.op.firstNode + p].lane;
+            copy_stream_used |=
+                overlapped.event(e.firstNode + p, lane).stream == 1;
+        }
+    }
     EXPECT_TRUE(copy_stream_used);
 
     // Prefetching weights under compute strictly shortens this plan
@@ -306,6 +441,60 @@ TEST(TimelineScheduler, DependenciesAlwaysHonored)
             }
             // Each weight stream feeds its op's first compute kernel.
             EXPECT_GT(cross_lane, 0u) << p.name;
+        }
+    }
+}
+
+TEST(TimelineScheduler, MatchesPerKernelReferenceBitwise)
+{
+    std::vector<ScheduleOptions> configs(3);
+    configs[1].streams = 2;
+    configs[1].launchQueueDepth = 8;
+    configs[2].graphLaunch = true;
+    configs[2].graphReplayOverheadFraction = 0.25;
+    const ExecutionPlan plans[] = {
+        lowerPipeline(models::buildModel(models::ModelId::Parti),
+                      costModel()),
+        splitPlan(models::buildModel(models::ModelId::StableDiffusion)),
+    };
+    // Parti's decode executes most stored records many times, so the
+    // per-stored columns are exercised where they differ most.
+    ASSERT_LT(plans[0].nodes.size(), plans[0].executedNodeCount());
+    ASSERT_TRUE(plans[1].hasWeightStreams);
+    for (const ExecutionPlan& plan : plans) {
+        for (const ScheduleOptions& opts : configs) {
+            const PerKernelTimeline ref = referenceSchedule(plan, opts);
+            const Timeline tl = TimelineScheduler(gpu(), opts).schedule(plan);
+            const std::string what =
+                plan.model + " streams " + std::to_string(opts.streams) +
+                " depth " + std::to_string(opts.launchQueueDepth) +
+                " graph " + std::to_string(opts.graphLaunch);
+            ASSERT_EQ(tl.eventCount(), plan.executedNodeCount()) << what;
+            ASSERT_EQ(tl.nodeSeconds.size(), plan.nodes.size()) << what;
+            ASSERT_EQ(tl.opSeconds.size(), plan.ops.size()) << what;
+            // Whole-column compares; a failure prints no 1.4M doubles.
+            EXPECT_TRUE(tl.eventStart == ref.start) << what;
+            EXPECT_TRUE(tl.eventEnd == ref.end) << what;
+            EXPECT_EQ(tl.makespan, ref.makespan) << what;
+            EXPECT_EQ(tl.streamBusySeconds, ref.streamBusySeconds)
+                << what;
+            EXPECT_EQ(tl.launchOverheadSeconds, ref.launchOverheadSeconds)
+                << what;
+
+            // Per executed kernel and op, the stored record's entry.
+            std::size_t mismatches = 0;
+            for (const ExecutedOp e : plan.executed()) {
+                mismatches += tl.opSeconds[e.opIndex] != ref.opSeconds[e.index];
+                for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+                    const std::size_t n = e.firstNode + p;
+                    const std::size_t stored = e.op.firstNode + p;
+                    mismatches +=
+                        tl.nodeSeconds[stored] != ref.nodeSeconds[n];
+                    mismatches += tl.event(n, plan.nodes[stored].lane)
+                                      .stream != ref.stream[n];
+                }
+            }
+            EXPECT_EQ(mismatches, 0u) << what;
         }
     }
 }

@@ -160,6 +160,7 @@ TEST(Profiler, KeepsPlanOnlyWhenRequested)
     EXPECT_EQ(plan.ops[1].seqQ, 256);
     EXPECT_EQ(plan.ops[1].seqKv, 256);
     EXPECT_EQ(res.timeline.opSeconds.size(), plan.ops.size());
+    EXPECT_EQ(res.timeline.nodeSeconds.size(), plan.nodes.size());
 }
 
 TEST(Profiler, CrossAttentionExcludedFromSeqSeries)

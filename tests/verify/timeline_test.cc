@@ -73,11 +73,32 @@ TEST(TimelineVerifier, EventCountMismatchFiresP007)
         exec::TimelineScheduler(kGpu).schedule(plan);
     tl.eventStart.pop_back();
     tl.eventEnd.pop_back();
-    tl.eventStream.pop_back();
     const DiagnosticReport report =
         verifyTimeline(plan, tl, PhysicsContext{"muse", ""});
     EXPECT_TRUE(report.hasErrors());
     EXPECT_TRUE(report.fired(rules::TimelineConsistency));
+
+    // Timelines of other plans with the same executed kernel count:
+    // their duration columns are sized for the other plan's stored
+    // records, which this plan's indices would read past, and the
+    // other way round.
+    exec::ExecutionPlan more_ops = plan;
+    more_ops.ops.push_back(more_ops.ops[more_ops.opSequence.back()]);
+    more_ops.opSequence.back() =
+        static_cast<std::uint32_t>(more_ops.ops.size() - 1);
+    exec::ExecutionPlan more_nodes = plan;
+    more_nodes.nodes.push_back(more_nodes.nodes.back());
+    const exec::TimelineScheduler scheduler(kGpu);
+    for (const exec::ExecutionPlan* other : {&more_ops, &more_nodes}) {
+        const exec::Timeline foreign = scheduler.schedule(*other);
+        ASSERT_EQ(foreign.eventCount(), plan.executedNodeCount());
+        EXPECT_TRUE(verifyTimeline(plan, foreign,
+                                   PhysicsContext{"muse", ""})
+                        .fired(rules::TimelineConsistency));
+        EXPECT_TRUE(verifyTimeline(*other, scheduler.schedule(plan),
+                                   PhysicsContext{"muse", ""})
+                        .fired(rules::TimelineConsistency));
+    }
 }
 
 TEST(TimelineVerifier, BackwardsEventFiresP007)
