@@ -44,7 +44,9 @@
  *  - `lower_bytes_per_executed_kernel`: heap bytes those calls
  *    requested, per executed kernel. Storing a dependency window and
  *    pool entries per executed kernel read ~96.7; deriving the edges
- *    from lane order (exec::KernelDeps) reads ~60.7.
+ *    from lane order (exec::KernelDeps) read ~60.7; plan nodes that
+ *    no longer copy their op's fields (48 bytes instead of 80) and a
+ *    two-column cost table read ~53.2.
  *  - `lower_stored_nodes` and `lower_executed_nodes`: both counts.
  *
  * Plus one fresh schedule of that Parti plan, serial and overlapped
@@ -223,10 +225,12 @@ constexpr double kGateLowerAllocsPerOp = 0.25;
 
 /**
  * Gate ceiling for heap bytes per executed kernel while lowering
- * Parti: between the ~96.7 of storing every executed kernel's
- * dependency edges and the ~60.7 of deriving them.
+ * Parti: below the ~60.7 of plan nodes that copy their op's index,
+ * repeat and dtype and a cost table with a third, derivable column,
+ * above the ~53.2 of storing each of those facts once. (Storing every
+ * executed kernel's dependency edges read ~96.7.)
  */
-constexpr double kGateLowerBytesPerKernel = 80.0;
+constexpr double kGateLowerBytesPerKernel = 58.0;
 
 /**
  * Gate ceiling for heap bytes per executed kernel one memory sweep of

@@ -31,18 +31,6 @@ class RuntimeCheckGuard
     bool previous;
 };
 
-/** Iterations worth tracing for one stage (first/middle/last). */
-std::vector<std::int64_t>
-sampleIterations(const graph::Stage& st)
-{
-    if (!st.perIterationShapes)
-        return {0};
-    std::vector<std::int64_t> iters = {0, (st.iterations - 1) / 2,
-                                       st.iterations - 1};
-    iters.erase(std::unique(iters.begin(), iters.end()), iters.end());
-    return iters;
-}
-
 /** Per-op physics lints over sampled traces of every stage. */
 void
 lintTracePhysics(const graph::Pipeline& p, const LintOptions& opts,
@@ -55,7 +43,8 @@ lintTracePhysics(const graph::Pipeline& p, const LintOptions& opts,
         for (std::size_t si = 0; si < p.stages.size(); ++si) {
             const verify::PhysicsContext ctx{p.name,
                                              p.stages[si].name};
-            for (std::int64_t iter : sampleIterations(p.stages[si])) {
+            for (std::int64_t iter :
+                 graph::sampleIterations(p.stages[si])) {
                 const graph::Trace t = p.traceStage(si, iter);
                 report.merge(verify::verifyTracePhysics(t, model, ctx));
             }
@@ -79,7 +68,8 @@ lintProfile(const graph::Pipeline& p, const LintOptions& opts,
         opts.gpu, report);
 
     double stage_sum = 0.0;
-    for (const auto& [stage, seconds] : res.stageSeconds) {
+    for (const auto& [stage, breakdown] : res.stageBreakdowns) {
+        const double seconds = breakdown.totalSeconds();
         verify::checkObservation(
             verify::SimObservation{label + " " + stage, 0.0, 0.0,
                                    seconds, p.dtype},

@@ -159,9 +159,9 @@ profileSummary(const profiler::ProfileResult& result)
     oss << "  flops:   " << formatFlops(result.totalFlops) << "\n";
     oss << "  hbm:     " << formatBytes(result.totalHbmBytes) << "\n";
     oss << "  stages:\n";
-    for (const auto& [name, seconds] : result.stageSeconds) {
-        oss << "    " << padRight(name, 24) << formatTime(seconds)
-            << "\n";
+    for (const auto& [name, breakdown] : result.stageBreakdowns) {
+        oss << "    " << padRight(name, 24)
+            << formatTime(breakdown.totalSeconds()) << "\n";
     }
     oss << "  operator breakdown:\n";
     for (OpCategory c : graph::allCategories()) {

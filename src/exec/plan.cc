@@ -24,7 +24,7 @@ ExecutionPlan::totalLaunches() const
         for (std::size_t n = e.op.firstNode;
              n < e.op.firstNode + e.op.nodeCount; ++n)
             total += static_cast<std::int64_t>(nodes[n].launches) *
-                     nodes[n].repeat;
+                     e.op.repeat;
     }
     return total;
 }
@@ -42,6 +42,13 @@ ExecutionPlan::intern(std::string_view s)
 namespace {
 
 /**
+ * Minimum weight bytes a kernel must read before its weight traffic
+ * is worth a separate stream node. Tiny weights (norm affines, biases
+ * folded into their kernels) stay fused.
+ */
+constexpr double kMinStreamedWeightBytes = 1 << 20;
+
+/**
  * True when the kernel stays memory-bound under the roofline, so
  * peeling its weight traffic onto the copy lane can only shorten (or
  * at worst preserve) the compute-lane critical path.
@@ -52,8 +59,7 @@ worthStreaming(const hw::GpuSpec& gpu, const kernels::SubKernelCost& part,
 {
     if (!options.splitWeightStreams)
         return false;
-    if (part.weightBytes <
-            static_cast<double>(options.minStreamedWeightBytes) ||
+    if (part.weightBytes < kMinStreamedWeightBytes ||
         part.weightBytes >= part.hbmBytes)
         return false;
     hw::TimeEstimateInputs in;
@@ -67,9 +73,9 @@ worthStreaming(const hw::GpuSpec& gpu, const kernels::SubKernelCost& part,
     return est.memorySeconds >= est.computeSeconds;
 }
 
-/** Roofline-cost one finalized plan node (the scheduler's arithmetic). */
+/** Roofline-cost one finalized plan node of an op in `dtype`. */
 hw::TimeEstimate
-costNode(const hw::GpuSpec& gpu, const PlanNode& node)
+costNode(const hw::GpuSpec& gpu, const PlanNode& node, DType dtype)
 {
     hw::TimeEstimateInputs in;
     in.flops = node.flops;
@@ -77,7 +83,7 @@ costNode(const hw::GpuSpec& gpu, const PlanNode& node)
     in.computeEfficiency = node.computeEff;
     in.memoryEfficiency = node.memEff;
     in.launches = node.launches;
-    in.dtype = node.dtype;
+    in.dtype = dtype;
     return hw::estimateTime(gpu, in);
 }
 
@@ -125,8 +131,8 @@ struct Lowering
     /** Cost one op and store its records; returns the stored op. */
     std::uint32_t store(const graph::Op& op, std::size_t stage_index,
                         std::int64_t repeat);
-    /** Store one kernel and its roofline cost row. */
-    void storeNode(const PlanNode& node);
+    /** Store one kernel of an op in `dtype` and its roofline cost row. */
+    void storeNode(const PlanNode& node, DType dtype);
     /** Append one executed instance of a stored op. */
     void execute(std::uint32_t op_index);
 };
@@ -170,7 +176,6 @@ Lowering::store(const graph::Op& op, std::size_t stage_index,
     MMGEN_CHECK(plan.ops.size() < UINT32_MAX,
                 "plan exceeds " << UINT32_MAX << " stored ops");
     const kernels::OpCost cost = model.cost(op);
-    const auto op_index = static_cast<std::uint32_t>(plan.ops.size());
 
     PlanOp pop;
     pop.stageIndex = stage_index;
@@ -201,7 +206,6 @@ Lowering::store(const graph::Op& op, std::size_t stage_index,
         if (!worthStreaming(model.gpu(), part, op.dtype, opts))
             continue;
         PlanNode w;
-        w.opIndex = op_index;
         w.klass = kernels::KernelClass::Memory;
         scratch.assign(part.label);
         scratch += ".weight_stream";
@@ -215,9 +219,7 @@ Lowering::store(const graph::Op& op, std::size_t stage_index,
         w.launches = 0;
         w.computeEff = 1.0;
         w.memEff = part.memEff;
-        w.repeat = repeat;
-        w.dtype = op.dtype;
-        storeNode(w);
+        storeNode(w, op.dtype);
         plan.hasWeightStreams = true;
         streamed = true;
         break; // every weight-carrying op lowers to one kernel
@@ -225,7 +227,6 @@ Lowering::store(const graph::Op& op, std::size_t stage_index,
 
     for (const auto& part : cost.parts) {
         PlanNode node;
-        node.opIndex = op_index;
         node.klass = part.klass;
         node.label = intern(part.label);
         node.lane = Lane::Compute;
@@ -235,21 +236,18 @@ Lowering::store(const graph::Op& op, std::size_t stage_index,
         node.launches = part.launches;
         node.computeEff = part.computeEff;
         node.memEff = part.memEff;
-        node.repeat = repeat;
-        node.dtype = op.dtype;
-        storeNode(node);
+        storeNode(node, op.dtype);
     }
 
     pop.nodeCount = plan.nodes.size() - pop.firstNode;
     plan.ops.push_back(pop);
-    return op_index;
+    return static_cast<std::uint32_t>(plan.ops.size() - 1);
 }
 
 void
-Lowering::storeNode(const PlanNode& node)
+Lowering::storeNode(const PlanNode& node, DType dtype)
 {
-    const hw::TimeEstimate est = costNode(model.gpu(), node);
-    plan.costs.seconds.push_back(est.seconds);
+    const hw::TimeEstimate est = costNode(model.gpu(), node, dtype);
     plan.costs.execSeconds.push_back(
         std::max(est.computeSeconds, est.memorySeconds));
     plan.costs.overheadSeconds.push_back(est.overheadSeconds);
@@ -270,8 +268,6 @@ lowerPipeline(const graph::Pipeline& pipeline,
               const kernels::CostModel& model,
               const LoweringOptions& options)
 {
-    MMGEN_CHECK(options.minStreamedWeightBytes >= 0,
-                "minStreamedWeightBytes must be non-negative");
     Lowering lowering(options, model);
     ExecutionPlan& plan = lowering.plan;
     plan.model = pipeline.name;

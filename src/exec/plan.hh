@@ -33,8 +33,9 @@
  * of vector copies and the scheduler's inner loop touches only
  * contiguous memory. Lowering also records a roofline cost table
  * (`NodeCostTable`) row per stored node, keyed by the GPU it was
- * costed for, so a scheduler on the same GPU replays the exact same
- * `hw::estimateTime` outputs without re-deriving them.
+ * costed for, so a scheduler on that GPU replays the exact same
+ * `hw::estimateTime` outputs without re-deriving them. A plan is
+ * scheduled only on the GPU it was lowered for.
  */
 
 #ifndef MMGEN_EXEC_PLAN_HH
@@ -73,13 +74,6 @@ struct LoweringOptions
      * seed profiler costed.
      */
     bool splitWeightStreams = false;
-
-    /**
-     * Minimum weight bytes a kernel must read before its weight
-     * traffic is worth a separate stream node. Tiny weights (norm
-     * affines, biases folded into their kernels) stay fused.
-     */
-    std::int64_t minStreamedWeightBytes = 1 << 20;
 };
 
 /**
@@ -139,27 +133,23 @@ struct PlanOp
  * One stored device kernel: the schedulable unit of the plan. Its
  * executed instances get their program-order position from
  * ExecutionPlan::executed() and their dependencies from KernelDeps.
+ * The owning PlanOp (the one whose node range holds it) carries its
+ * repeat count and dtype.
  */
 struct PlanNode
 {
-    /** Index of the owning stored PlanOp. */
-    std::size_t opIndex = 0;
-    kernels::KernelClass klass = kernels::KernelClass::Elementwise;
+    double flops = 0.0;
+    double hbmBytes = 0.0;
+    double computeEff = 1.0;
+    double memEff = 1.0;
     /** Kernel label from the cost model, e.g. "flash_fused" (interned). */
     StrRef label;
+    /** Device launches per executed iteration. */
+    int launches = 1;
+    kernels::KernelClass klass = kernels::KernelClass::Elementwise;
     Lane lane = Lane::Compute;
     /** True for synthetic weight-prefetch nodes created by splitting. */
     bool weightStream = false;
-
-    double flops = 0.0;
-    double hbmBytes = 0.0;
-    /** Device launches per executed iteration. */
-    int launches = 1;
-    double computeEff = 1.0;
-    double memEff = 1.0;
-    /** Folded execution count (copied from the owning op). */
-    std::int64_t repeat = 1;
-    DType dtype = DType::F16;
 };
 
 struct ExecutionPlan;
@@ -308,28 +298,20 @@ class KernelDeps
  *
  * The table stores the exact `hw::estimateTime` outputs for the GPU
  * the plan was lowered against (`gpuKey` = that GpuSpec's
- * fingerprint), one row per stored node. A scheduler whose GPU
- * fingerprint matches replays these doubles verbatim — bit-identical
- * to calling the roofline per node — and one whose GPU differs
- * ignores the table and recomputes.
+ * fingerprint), one row per stored node. A kernel's full
+ * per-iteration time is `execSeconds[n] + overheadSeconds[n]`, the
+ * addition `hw::estimateTime` itself performs. A scheduler replays
+ * these doubles verbatim and refuses a plan costed for another GPU:
+ * lower the pipeline again for that GPU instead.
  */
 struct NodeCostTable
 {
     std::uint64_t gpuKey = 0;
 
-    /** Full per-iteration kernel time (max(c, m) + overhead). */
-    std::vector<double> seconds;
     /** Execution-only time: max(computeSeconds, memorySeconds). */
     std::vector<double> execSeconds;
     /** Host launch overhead per iteration. */
     std::vector<double> overheadSeconds;
-
-    /** True when the table covers `nodes` stored nodes under `key`. */
-    bool
-    matches(std::uint64_t key, std::size_t nodes) const
-    {
-        return gpuKey == key && seconds.size() == nodes;
-    }
 };
 
 /**

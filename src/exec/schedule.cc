@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hw/roofline.hh"
 #include "util/logging.hh"
 
 namespace mmgen::exec {
@@ -30,44 +29,16 @@ TimelineScheduler::TimelineScheduler(hw::GpuSpec gpu,
 namespace {
 
 /**
- * Recompute the plan's roofline table for a GPU the lowering did not
- * cost (fingerprint mismatch). Produces exactly the values lowering
- * would have stored: `hw::estimateTime` per stored node.
- */
-void
-recostPlan(const hw::GpuSpec& gpu, const ExecutionPlan& plan,
-           NodeCostTable& table)
-{
-    const std::size_t n = plan.nodes.size();
-    table.seconds.resize(n);
-    table.execSeconds.resize(n);
-    table.overheadSeconds.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const PlanNode& node = plan.nodes[i];
-        hw::TimeEstimateInputs in;
-        in.flops = node.flops;
-        in.hbmBytes = node.hbmBytes;
-        in.computeEfficiency = node.computeEff;
-        in.memoryEfficiency = node.memEff;
-        in.launches = node.launches;
-        in.dtype = node.dtype;
-        const hw::TimeEstimate est = hw::estimateTime(gpu, in);
-        table.seconds[i] = est.seconds;
-        table.execSeconds[i] =
-            std::max(est.computeSeconds, est.memorySeconds);
-        table.overheadSeconds[i] = est.overheadSeconds;
-    }
-}
-
-/**
  * Serial back-to-back schedule. Every kernel runs on stream 0 in
  * program order; per op the duration is (sum of part roofline
  * seconds) * repeat — the exact arithmetic the seed profiler used, so
- * the makespan is bit-identical to the old summed totalSeconds.
- * Events subdivide each op's span at part granularity.
+ * the makespan is bit-identical to the old summed totalSeconds. A
+ * part's roofline seconds are `exec_sec + ovh`, the addition
+ * `hw::estimateTime` performs. Events subdivide each op's span at the
+ * running part sum, so the last one ends exactly at the op's end.
  */
 void
-scheduleSerialInto(const ExecutionPlan& plan, const double* sec,
+scheduleSerialInto(const ExecutionPlan& plan, const double* exec_sec,
                    const double* ovh, Timeline& tl)
 {
     const std::size_t num_nodes = plan.executedNodeCount();
@@ -85,28 +56,20 @@ scheduleSerialInto(const ExecutionPlan& plan, const double* sec,
     for (const ExecutedOp e : plan.executed()) {
         const double r = static_cast<double>(e.op.repeat);
         const std::size_t first = e.firstNode;
-        const double* op_sec = sec + e.op.firstNode;
+        const double* op_exec = exec_sec + e.op.firstNode;
         const double* op_ovh = ovh + e.op.firstNode;
         double* node_sec = tl.nodeSeconds.data() + e.op.firstNode;
-        const std::size_t count = e.op.nodeCount;
 
         double block_sum = 0.0;
-        for (std::size_t p = 0; p < count; ++p) {
-            const double s = op_sec[p];
+        for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
+            const double s = op_exec[p] + op_ovh[p];
+            tl.eventStart[first + p] = clock + block_sum * r;
             block_sum += s;
+            tl.eventEnd[first + p] = clock + block_sum * r;
             node_sec[p] = s * r;
             overhead_total += op_ovh[p] * r;
         }
         const double block_dur = block_sum * r;
-
-        double prefix = 0.0;
-        for (std::size_t p = 0; p < count; ++p) {
-            tl.eventStart[first + p] = clock + prefix * r;
-            prefix += op_sec[p];
-            tl.eventEnd[first + p] = p + 1 == count
-                                         ? clock + block_dur
-                                         : clock + prefix * r;
-        }
         clock += block_dur;
         tl.opSeconds[e.opIndex] = block_dur;
         busy += block_dur;
@@ -159,11 +122,12 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
     double host_clock = 0.0;
 
     // Kernel n instantiates stored node `stored` of executed op
-    // `next_op - 1`, whose kernels end before kernel `op_end` and sum
-    // into `*op_sec`.
+    // `next_op - 1`, which repeats `r` times and whose kernels end
+    // before kernel `op_end` and sum into `*op_sec`.
     std::size_t next_op = 0;
     std::size_t op_end = 0;
     std::size_t stored = 0;
+    double r = 1.0;
     double* op_sec = nullptr;
     KernelDeps deps;
     for (std::size_t n = 0; n < num_nodes; ++n, ++stored) {
@@ -173,11 +137,11 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
             const PlanOp& op = plan.ops[oi];
             stored = op.firstNode;
             op_end = n + op.nodeCount;
+            r = static_cast<double>(op.repeat);
             op_sec = &tl.opSeconds[oi];
             *op_sec = 0.0;
         }
         const PlanNode& node = plan.nodes[stored];
-        const double r = static_cast<double>(node.repeat);
         const double exec = exec_sec[stored] * r;
         const double overhead =
             opts.graphLaunch
@@ -230,22 +194,26 @@ void
 TimelineScheduler::scheduleInto(const ExecutionPlan& plan,
                                 Timeline& tl) const
 {
-    const double* sec = plan.costs.seconds.data();
+    MMGEN_CHECK(plan.costs.gpuKey == gpuKey_,
+                "plan of " << plan.model << " was lowered for another "
+                           << "GPU than " << gpu_.name
+                           << "; lower it for the GPU it runs on");
+    MMGEN_CHECK(plan.costs.execSeconds.size() == plan.nodes.size() &&
+                    plan.costs.overheadSeconds.size() ==
+                        plan.nodes.size(),
+                "plan of " << plan.model << " has cost rows for "
+                           << plan.costs.execSeconds.size() << " and "
+                           << plan.costs.overheadSeconds.size()
+                           << " of its " << plan.nodes.size()
+                           << " stored nodes");
     const double* exec_sec = plan.costs.execSeconds.data();
     const double* ovh = plan.costs.overheadSeconds.data();
-    NodeCostTable local;
-    if (!plan.costs.matches(gpuKey_, plan.nodes.size())) {
-        recostPlan(gpu_, plan, local);
-        sec = local.seconds.data();
-        exec_sec = local.execSeconds.data();
-        ovh = local.overheadSeconds.data();
-    }
 
     const bool copy_stream =
         opts.streams >= 2 && plan.hasWeightStreams;
     if (!copy_stream && opts.launchQueueDepth == 0 &&
         !opts.graphLaunch) {
-        scheduleSerialInto(plan, sec, ovh, tl);
+        scheduleSerialInto(plan, exec_sec, ovh, tl);
         return;
     }
     scheduleOverlapInto(plan, exec_sec, ovh, copy_stream, opts, tl);

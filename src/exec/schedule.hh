@@ -38,10 +38,12 @@
  * over the stored records slowed plans that execute each record once,
  * like the folded diffusion plans.
  *
- * When the plan carries a `NodeCostTable` for the scheduler's GPU (the
- * lowering GPU fingerprint matches), per-kernel roofline estimates are
- * read from the table — the identical doubles `hw::estimateTime` would
- * produce — instead of recomputed.
+ * Per-kernel roofline estimates are read from the plan's
+ * `NodeCostTable`, the identical doubles `hw::estimateTime` produced
+ * at lowering. The table is costed for one GPU, so scheduling a plan
+ * on a GPU whose fingerprint differs from `costs.gpuKey` (or a plan
+ * whose cost rows do not cover its stored nodes) is a FatalError:
+ * lower the pipeline for the GPU it runs on.
  */
 
 #ifndef MMGEN_EXEC_SCHEDULE_HH
@@ -189,7 +191,10 @@ class TimelineScheduler
                                ScheduleOptions options =
                                    ScheduleOptions());
 
-    /** Schedule one plan; deterministic for equal inputs. */
+    /**
+     * Schedule one plan lowered for this scheduler's GPU;
+     * deterministic for equal inputs.
+     */
     Timeline schedule(const ExecutionPlan& plan) const;
 
     /**

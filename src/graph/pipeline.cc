@@ -111,15 +111,10 @@ hashOp(HashBuilder& h, const Op& op)
     hashAttrs(h, op.attrs);
 }
 
-/**
- * Iterations whose traces enter the fingerprint. Shape-invariant
- * stages are only ever traced at iteration 0 (the profiler scales
- * that trace), so hashing iteration 0 covers the profile inputs
- * exactly; per-iteration-shape stages sample first/middle/last, the
- * same probe set the structural verifier uses.
- */
+} // namespace
+
 std::vector<std::int64_t>
-fingerprintIterations(const Stage& stage)
+sampleIterations(const Stage& stage)
 {
     if (!stage.perIterationShapes || stage.iterations <= 1)
         return {0};
@@ -128,8 +123,6 @@ fingerprintIterations(const Stage& stage)
     iters.erase(std::unique(iters.begin(), iters.end()), iters.end());
     return iters;
 }
-
-} // namespace
 
 std::uint64_t
 Pipeline::fingerprint() const
@@ -147,7 +140,10 @@ Pipeline::fingerprint() const
         h.mix(stage.reusesWeights);
         if (stage.iterations <= 0 || !stage.emit)
             continue; // structurally invalid; the verifier flags it
-        for (const std::int64_t iter : fingerprintIterations(stage)) {
+        // Shape-invariant stages are only ever traced at iteration 0
+        // (the profiler scales that trace), so hashing it covers the
+        // profile inputs exactly.
+        for (const std::int64_t iter : sampleIterations(stage)) {
             const Trace trace = traceStage(si, iter);
             h.mix(iter);
             h.mix(static_cast<std::int64_t>(trace.size()));

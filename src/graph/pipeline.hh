@@ -72,6 +72,15 @@ struct Stage
 };
 
 /**
+ * The iterations that stand for a stage when it is not traced in
+ * full: iteration 0 of a shape-invariant stage (every iteration traces
+ * the same ops), and the first, middle and last iteration of a
+ * per-iteration-shape stage, each once, in order. Pipeline::fingerprint,
+ * lint's trace physics and the structural verifier sample these.
+ */
+std::vector<std::int64_t> sampleIterations(const Stage& stage);
+
+/**
  * A complete model inference pipeline.
  */
 struct Pipeline

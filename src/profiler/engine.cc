@@ -60,7 +60,6 @@ Profiler::profileWithPlan(
     result.launchOverheadSeconds = timeline.launchOverheadSeconds;
 
     const std::size_t num_stages = plan->stageNames.size();
-    std::vector<double> stage_seconds(num_stages, 0.0);
     std::vector<BreakdownReport> stage_breakdowns(num_stages);
 
     for (const exec::ExecutedOp e : plan->executed()) {
@@ -96,7 +95,6 @@ Profiler::profileWithPlan(
 
         result.breakdown.add(op.category, seconds);
         stage_breakdowns[op.stageIndex].add(op.category, seconds);
-        stage_seconds[op.stageIndex] += seconds;
         result.totalFlops += op_flops;
         result.totalHbmBytes += bytes * r;
         result.totalLaunches += launches * op.repeat;
@@ -105,12 +103,9 @@ Profiler::profileWithPlan(
             static_cast<double>(dtypeBytes(op.dtype)) * r;
     }
 
-    for (std::size_t si = 0; si < num_stages; ++si) {
-        result.stageSeconds.emplace_back(plan->stageNames[si],
-                                         stage_seconds[si]);
+    for (std::size_t si = 0; si < num_stages; ++si)
         result.stageBreakdowns.emplace_back(
             plan->stageNames[si], std::move(stage_breakdowns[si]));
-    }
 
     if (verify::runtimeChecksEnabled()) {
         verify::DiagnosticReport physics;

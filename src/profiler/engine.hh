@@ -96,10 +96,11 @@ struct ProfileResult
     /** Seconds per device-kernel class (Nsight-style grouping). */
     std::map<kernels::KernelClass, double> kernelClassSeconds;
 
-    /** Simulated busy seconds per stage, in stage order. */
-    std::vector<std::pair<std::string, double>> stageSeconds;
-
-    /** Per-stage operator-category breakdowns, in stage order. */
+    /**
+     * Per-stage operator-category breakdowns, in stage order. A
+     * stage's simulated busy seconds are its breakdown's
+     * totalSeconds().
+     */
     std::vector<std::pair<std::string, BreakdownReport>>
         stageBreakdowns;
 
@@ -148,7 +149,8 @@ class Profiler
      * and pays scheduling plus aggregation only. The plan must have
      * been lowered from `pipeline` under this profiler's GPU,
      * backend, efficiency, and lowering options; results are
-     * bit-identical to profile().
+     * bit-identical to profile(). A plan lowered for another GPU is
+     * a FatalError (the scheduler refuses its cost table).
      */
     ProfileResult
     profileWithPlan(const graph::Pipeline& pipeline,

@@ -111,7 +111,7 @@ class DiskProfileCache
     static std::string resolveDefaultDir();
 
     /** Entry envelope format version; bump on any layout change. */
-    static constexpr std::uint32_t kFormatVersion = 1;
+    static constexpr std::uint32_t kFormatVersion = 2;
 
   private:
     enum class LoadOutcome

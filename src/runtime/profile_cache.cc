@@ -80,9 +80,7 @@ loweringKey(const graph::Pipeline& pipeline,
     h.mix(pipeline.fingerprint());
     h.mix(options.gpu.fingerprint());
     h.mix(static_cast<std::uint64_t>(options.backend));
-    const exec::LoweringOptions& lo = options.lowering;
-    h.mix(static_cast<std::uint64_t>(lo.splitWeightStreams));
-    h.mix(lo.minStreamedWeightBytes);
+    h.mix(static_cast<std::uint64_t>(options.lowering.splitWeightStreams));
     const kernels::EfficiencyParams& e = options.efficiency;
     h.mix(e.gemmPeakFraction);
     h.mix(e.convPeakFraction);

@@ -193,12 +193,6 @@ serializeProfileResult(const profiler::ProfileResult& r)
         w.f64(sec);
     }
 
-    w.u64(r.stageSeconds.size());
-    for (const auto& [name, sec] : r.stageSeconds) {
-        w.str(name);
-        w.f64(sec);
-    }
-
     w.u64(r.stageBreakdowns.size());
     for (const auto& [name, b] : r.stageBreakdowns) {
         w.str(name);
@@ -270,16 +264,6 @@ deserializeProfileResult(std::string_view bytes,
             return false;
         r.kernelClassSeconds[static_cast<kernels::KernelClass>(
             klass)] = sec;
-    }
-
-    if (!rd.count(n, 8 + 8))
-        return false;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string name;
-        double sec = 0.0;
-        if (!rd.str(name) || !rd.f64(sec))
-            return false;
-        r.stageSeconds.emplace_back(std::move(name), sec);
     }
 
     if (!rd.count(n, 8 + 8 * 8))

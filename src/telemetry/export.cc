@@ -389,14 +389,14 @@ writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
                 timeline.event(e.firstNode + p, node.lane);
             const int tid = ev.stream + 1;
             const std::int64_t instances =
-                std::min<std::int64_t>(node.repeat, kMaxRepeatSlices);
+                std::min<std::int64_t>(op.repeat, kMaxRepeatSlices);
             const double per_instance_us =
                 ev.durationSeconds() * 1e6 /
-                static_cast<double>(node.repeat);
+                static_cast<double>(op.repeat);
 
             std::string name(plan.str(node.label));
-            if (instances < node.repeat) {
-                name += " [x" + std::to_string(node.repeat) +
+            if (instances < op.repeat) {
+                name += " [x" + std::to_string(op.repeat) +
                         ", showing " + std::to_string(instances) + "]";
             }
 
@@ -418,7 +418,7 @@ writeExecEvents(EventArray& events, const exec::ExecutionPlan& plan,
                         pid, tid, ts, per_instance_us, esc_name.c_str(),
                         esc_cat.c_str(), esc_scope.c_str(), lane.c_str(),
                         node.flops, node.hbmBytes,
-                        static_cast<long long>(node.repeat));
+                        static_cast<long long>(op.repeat));
                 }));
                 ts += per_instance_us;
             }

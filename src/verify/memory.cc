@@ -60,8 +60,7 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
 {
     // ---- op ranges must tile the node list contiguously --------------
     std::size_t expect_first = 0;
-    for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
-        const exec::PlanOp& op = plan.ops[oi];
+    for (const exec::PlanOp& op : plan.ops) {
         const std::string_view op_scope = plan.str(op.scope);
         if (op.nodeCount == 0) {
             addFinding(report, Severity::Error, rules::DanglingDefUse,
@@ -79,18 +78,6 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
             addFinding(report, Severity::Error, rules::DanglingDefUse,
                        ctx, op_scope, oss.str());
             return; // ranges unusable; later checks would cascade
-        }
-        for (std::size_t n = op.firstNode;
-             n < op.firstNode + op.nodeCount; ++n) {
-            if (plan.nodes[n].opIndex != oi) {
-                std::ostringstream oss;
-                oss << "node " << n << " claims op "
-                    << plan.nodes[n].opIndex << " but lies in the range "
-                    << "of op " << oi;
-                addFinding(report, Severity::Error,
-                           rules::DanglingDefUse, ctx, op_scope,
-                           oss.str());
-            }
         }
         expect_first = op.firstNode + op.nodeCount;
     }

@@ -37,11 +37,10 @@ namespace mmgen::verify {
 
 /**
  * S013: plan dataflow integrity. Stored op node ranges tile
- * [0, nodes.size()) contiguously with matching back-pointers, the
- * executed sequence names stored ops and its kernels sum to
- * executedNodeCount(), and every weight-stream kernel sits on the Copy
- * lane ahead of its op's first compute kernel, which exec::KernelDeps
- * makes wait for it.
+ * [0, nodes.size()) contiguously, the executed sequence names stored
+ * ops and its kernels sum to executedNodeCount(), and every
+ * weight-stream kernel sits on the Copy lane ahead of its op's first
+ * compute kernel, which exec::KernelDeps makes wait for it.
  */
 void checkPlanDataflow(const exec::ExecutionPlan& plan,
                        const PhysicsContext& ctx,

@@ -617,14 +617,10 @@ verifyPipeline(const graph::Pipeline& pipeline)
         // Per-iteration stages change shape with the index: sample the
         // first, middle and last iterations. Scaled stages are
         // shape-identical; the final iteration mirrors totalParams().
-        std::vector<std::int64_t> iters;
-        if (st.perIterationShapes) {
-            iters = {0, (st.iterations - 1) / 2, st.iterations - 1};
-            iters.erase(std::unique(iters.begin(), iters.end()),
-                        iters.end());
-        } else {
-            iters = {st.iterations - 1};
-        }
+        const std::vector<std::int64_t> iters =
+            st.perIterationShapes
+                ? graph::sampleIterations(st)
+                : std::vector<std::int64_t>{st.iterations - 1};
 
         std::int64_t first_params = -1;
         std::int64_t last_params = -1;

@@ -182,9 +182,7 @@ toyPlan(const std::vector<ToyOp>& toy)
         op.firstNode = i;
         op.nodeCount = 1;
         plan.ops.push_back(op);
-        PlanNode node;
-        node.opIndex = i;
-        plan.nodes.push_back(node);
+        plan.nodes.emplace_back();
         plan.opSequence.push_back(static_cast<std::uint32_t>(i));
         ++plan.executedNodes;
         timeline.eventStart.push_back(toy[i].start);

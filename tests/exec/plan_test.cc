@@ -108,6 +108,7 @@ TEST(LowerPipeline, FoldedStageKeepsProvenance)
     EXPECT_EQ(attn.seqQ, 256);
     EXPECT_EQ(attn.seqKv, 256);
     EXPECT_EQ(attn.attnKind, graph::AttentionKind::SelfSpatial);
+    EXPECT_EQ(attn.repeat, 5);
     EXPECT_EQ(attn.firstNode, 1u);
     EXPECT_EQ(attn.nodeCount, 1u);
 
@@ -116,7 +117,6 @@ TEST(LowerPipeline, FoldedStageKeepsProvenance)
     for (const PlanNode& node : plan.nodes) {
         EXPECT_EQ(node.lane, Lane::Compute);
         EXPECT_FALSE(node.weightStream);
-        EXPECT_EQ(node.repeat, 5);
         EXPECT_GT(node.flops, 0.0);
         EXPECT_GT(node.hbmBytes, 0.0);
     }
@@ -303,14 +303,29 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
 
 TEST(LowerPipeline, SplitThresholdKeepsSmallWeightsFused)
 {
+    // A 256x256 f16 linear is memory-bound like the big ones, but its
+    // 128 KiB of weights stay under the 1 MiB stream threshold.
+    Pipeline p;
+    p.name = "small";
+    Stage s;
+    s.name = "s";
+    s.iterations = 3;
+    s.emit = [](GraphBuilder& b, std::int64_t) {
+        b.linear(TensorDesc({1, 1, 256}, DType::F16), 256);
+    };
+    p.stages.push_back(std::move(s));
     LoweringOptions split;
     split.splitWeightStreams = true;
-    split.minStreamedWeightBytes = 1LL << 40; // nothing qualifies
-    const ExecutionPlan plan =
-        lowerPipeline(mlpPipeline(), costModel(), split);
+    const ExecutionPlan plan = lowerPipeline(p, costModel(), split);
+    ASSERT_EQ(plan.ops.size(), 1u);
+    ASSERT_EQ(plan.nodes.size(), 1u);
+    EXPECT_LT(plan.ops[0].weightReadBytes, 1 << 20);
+    const hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
+    const PlanNode& node = plan.nodes[0];
+    EXPECT_GT(node.hbmBytes / (gpu.hbmBandwidth * node.memEff),
+              node.flops / (gpu.peakFlops(DType::F16) * node.computeEff));
     EXPECT_FALSE(plan.hasWeightStreams);
-    for (const PlanNode& node : plan.nodes)
-        EXPECT_FALSE(node.weightStream);
+    EXPECT_FALSE(node.weightStream);
 }
 
 TEST(LowerPipeline, ComputeBoundWeightsStayFused)

@@ -81,8 +81,9 @@ splitPlan(const Pipeline& p)
     return lowerPipeline(p, costModel(), split);
 }
 
+/** Roofline seconds of one stored node of `op`. */
 double
-nodeRooflineSeconds(const PlanNode& node)
+nodeRooflineSeconds(const PlanNode& node, const PlanOp& op)
 {
     hw::TimeEstimateInputs in;
     in.flops = node.flops;
@@ -90,7 +91,7 @@ nodeRooflineSeconds(const PlanNode& node)
     in.computeEfficiency = node.computeEff;
     in.memoryEfficiency = node.memEff;
     in.launches = node.launches;
-    in.dtype = node.dtype;
+    in.dtype = op.dtype;
     return hw::estimateTime(gpu(), in).seconds;
 }
 
@@ -118,10 +119,9 @@ struct PerKernelTimeline
 PerKernelTimeline
 referenceSchedule(const ExecutionPlan& plan, const ScheduleOptions& opts)
 {
-    MMGEN_ASSERT(plan.costs.matches(gpu().fingerprint(),
-                                    plan.nodes.size()),
+    MMGEN_ASSERT(plan.costs.gpuKey == gpu().fingerprint() &&
+                     plan.costs.execSeconds.size() == plan.nodes.size(),
                  "plan lowered for another GPU");
-    const double* sec = plan.costs.seconds.data();
     const double* exec_sec = plan.costs.execSeconds.data();
     const double* ovh = plan.costs.overheadSeconds.data();
     const std::size_t num_nodes = plan.executedNodeCount();
@@ -139,18 +139,20 @@ referenceSchedule(const ExecutionPlan& plan, const ScheduleOptions& opts)
         double busy = 0.0;
         for (const ExecutedOp e : plan.executed()) {
             const double r = static_cast<double>(e.op.repeat);
-            const double* op_sec = sec + e.op.firstNode;
+            const double* op_exec = exec_sec + e.op.firstNode;
+            const double* op_ovh = ovh + e.op.firstNode;
             double block_sum = 0.0;
             for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
-                block_sum += op_sec[p];
-                tl.nodeSeconds[e.firstNode + p] = op_sec[p] * r;
-                tl.launchOverheadSeconds += ovh[e.op.firstNode + p] * r;
+                block_sum += op_exec[p] + op_ovh[p];
+                tl.nodeSeconds[e.firstNode + p] =
+                    (op_exec[p] + op_ovh[p]) * r;
+                tl.launchOverheadSeconds += op_ovh[p] * r;
             }
             const double block_dur = block_sum * r;
             double prefix = 0.0;
             for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
                 tl.start[e.firstNode + p] = clock + prefix * r;
-                prefix += op_sec[p];
+                prefix += op_exec[p] + op_ovh[p];
                 tl.end[e.firstNode + p] = p + 1 == e.op.nodeCount
                                               ? clock + block_dur
                                               : clock + prefix * r;
@@ -169,11 +171,11 @@ referenceSchedule(const ExecutionPlan& plan, const ScheduleOptions& opts)
     double host_clock = 0.0;
     KernelDeps deps;
     for (const ExecutedOp e : plan.executed()) {
+        const double r = static_cast<double>(e.op.repeat);
         for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
             const std::size_t n = e.firstNode + p;
             const std::size_t stored = e.op.firstNode + p;
             const PlanNode& node = plan.nodes[stored];
-            const double r = static_cast<double>(node.repeat);
             const double overhead =
                 opts.graphLaunch
                     ? ovh[stored] *
@@ -261,7 +263,7 @@ TEST(TimelineScheduler, SerialScheduleMatchesSummedRoofline)
         double block = 0.0;
         for (std::size_t n = op.firstNode;
              n < op.firstNode + op.nodeCount; ++n)
-            block += nodeRooflineSeconds(plan.nodes[n]);
+            block += nodeRooflineSeconds(plan.nodes[n], op);
         expected += block * static_cast<double>(op.repeat);
     }
     EXPECT_EQ(tl.makespan, expected); // bitwise
@@ -280,12 +282,38 @@ TEST(TimelineScheduler, SerialScheduleMatchesSummedRoofline)
         clock = ev.endSeconds;
     }
     EXPECT_EQ(clock, tl.makespan);
-    // Per-node attribution applies repeats.
-    for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-        EXPECT_EQ(tl.nodeSeconds[n],
-                  nodeRooflineSeconds(plan.nodes[n]) *
-                      static_cast<double>(plan.nodes[n].repeat));
+    // Per-node attribution applies its op's repeats.
+    for (const PlanOp& op : plan.ops) {
+        for (std::size_t n = op.firstNode;
+             n < op.firstNode + op.nodeCount; ++n) {
+            EXPECT_EQ(tl.nodeSeconds[n],
+                      nodeRooflineSeconds(plan.nodes[n], op) *
+                          static_cast<double>(op.repeat));
+        }
     }
+}
+
+TEST(TimelineScheduler, RejectsPlanLoweredForAnotherGpu)
+{
+    // The plan's cost table holds A100 roofline times; an H100
+    // scheduler must refuse them rather than replay A100 times.
+    const ExecutionPlan plan = lowerPipeline(
+        models::buildModel(models::ModelId::StableDiffusion), costModel());
+    EXPECT_THROW(TimelineScheduler(hw::GpuSpec::h100_80gb()).schedule(plan),
+                 FatalError);
+    ScheduleOptions overlap;
+    overlap.streams = 2;
+    overlap.launchQueueDepth = 8;
+    EXPECT_THROW(
+        TimelineScheduler(hw::GpuSpec::h100_80gb(), overlap).schedule(plan),
+        FatalError);
+    EXPECT_NO_THROW(TimelineScheduler(gpu()).schedule(plan));
+
+    // Cost rows that do not cover the stored nodes are refused too.
+    ExecutionPlan short_costs = plan;
+    short_costs.costs.overheadSeconds.pop_back();
+    EXPECT_THROW(TimelineScheduler(gpu()).schedule(short_costs),
+                 FatalError);
 }
 
 TEST(TimelineScheduler, DeterministicAcrossRuns)

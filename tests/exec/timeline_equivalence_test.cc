@@ -34,7 +34,8 @@ struct SeedOracle
     double totalFlops = 0.0;
     double totalHbmBytes = 0.0;
     std::int64_t totalLaunches = 0;
-    std::vector<double> stageSeconds;
+    /** Busy seconds per stage, in stage order. */
+    std::vector<double> stageTotals;
 };
 
 SeedOracle
@@ -68,7 +69,7 @@ seedProfile(const graph::Pipeline& pipeline,
             accumulate(pipeline.traceStage(si, 0), stage.iterations,
                        stage_s);
         }
-        oracle.stageSeconds.push_back(stage_s);
+        oracle.stageTotals.push_back(stage_s);
     }
     return oracle;
 }
@@ -97,13 +98,13 @@ TEST(TimelineEquivalence, DefaultConfigIsBitIdenticalZooWide)
                 << where;
             EXPECT_EQ(res.totalLaunches, oracle.totalLaunches)
                 << where;
-            ASSERT_EQ(res.stageSeconds.size(),
-                      oracle.stageSeconds.size())
+            ASSERT_EQ(res.stageBreakdowns.size(),
+                      oracle.stageTotals.size())
                 << where;
-            for (std::size_t si = 0; si < oracle.stageSeconds.size();
+            for (std::size_t si = 0; si < oracle.stageTotals.size();
                  ++si) {
-                EXPECT_EQ(res.stageSeconds[si].second,
-                          oracle.stageSeconds[si]) // bitwise
+                EXPECT_EQ(res.stageBreakdowns[si].second.totalSeconds(),
+                          oracle.stageTotals[si]) // bitwise
                     << where << " stage " << si;
             }
         }

@@ -112,11 +112,11 @@ TEST(Profiler, StageSecondsSumToTotal)
     const ProfileResult res =
         Profiler().profile(models::buildStableDiffusion());
     double sum = 0.0;
-    for (const auto& [name, s] : res.stageSeconds)
-        sum += s;
+    for (const auto& [name, breakdown] : res.stageBreakdowns)
+        sum += breakdown.totalSeconds();
     EXPECT_NEAR(sum, res.totalSeconds, 1e-9 * res.totalSeconds);
-    ASSERT_EQ(res.stageSeconds.size(), 3u);
-    EXPECT_EQ(res.stageSeconds[1].first, "unet");
+    ASSERT_EQ(res.stageBreakdowns.size(), 3u);
+    EXPECT_EQ(res.stageBreakdowns[1].first, "unet");
 }
 
 TEST(Profiler, KernelClassSecondsSumToTotal)

@@ -85,7 +85,16 @@ TEST(ProfileSerde, RoundTripsEveryAggregateFieldBitExactly)
     EXPECT_EQ(loaded.seqLens.series(), original.seqLens.series());
     EXPECT_EQ(loaded.kernelClassSeconds,
               original.kernelClassSeconds);
-    EXPECT_EQ(loaded.stageSeconds, original.stageSeconds);
+    ASSERT_EQ(loaded.stageBreakdowns.size(),
+              original.stageBreakdowns.size());
+    for (std::size_t si = 0; si < original.stageBreakdowns.size(); ++si) {
+        const auto& [name, b] = original.stageBreakdowns[si];
+        EXPECT_EQ(loaded.stageBreakdowns[si].first, name);
+        EXPECT_EQ(loaded.stageBreakdowns[si].second.rawCategories(),
+                  b.rawCategories());
+        EXPECT_EQ(loaded.stageBreakdowns[si].second.totalSeconds(),
+                  b.totalSeconds());
+    }
     ASSERT_EQ(loaded.attention.byKind.size(),
               original.attention.byKind.size());
     for (const auto& [kind, e] : original.attention.byKind) {

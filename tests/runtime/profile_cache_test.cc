@@ -201,10 +201,6 @@ TEST(ProfileKey, SensitiveToLoweringAndScheduleKnobs)
     split.lowering.splitWeightStreams = true;
     EXPECT_NE(profileKey(p, split), key);
 
-    profiler::ProfileOptions threshold = base;
-    threshold.lowering.minStreamedWeightBytes = 1 << 10;
-    EXPECT_NE(profileKey(p, threshold), key);
-
     profiler::ProfileOptions streams = base;
     streams.schedule.streams = 2;
     EXPECT_NE(profileKey(p, streams), key);

@@ -88,6 +88,9 @@ TEST(TimelineVerifier, EventCountMismatchFiresP007)
         static_cast<std::uint32_t>(more_ops.ops.size() - 1);
     exec::ExecutionPlan more_nodes = plan;
     more_nodes.nodes.push_back(more_nodes.nodes.back());
+    exec::NodeCostTable& costs = more_nodes.costs;
+    costs.execSeconds.push_back(costs.execSeconds.back());
+    costs.overheadSeconds.push_back(costs.overheadSeconds.back());
     const exec::TimelineScheduler scheduler(kGpu);
     for (const exec::ExecutionPlan* other : {&more_ops, &more_nodes}) {
         const exec::Timeline foreign = scheduler.schedule(*other);

@@ -89,7 +89,7 @@ usage()
         << "                              cache (MMGEN_CACHE_DIR, else\n"
         << "                              $XDG_CACHE_HOME/mmgen, else\n"
         << "                              ~/.cache/mmgen)\n"
-        << "profile options (timeline scheduler):\n"
+        << "profile / hotspots options (timeline scheduler):\n"
         << "  --streams N                 hardware streams (default 1;\n"
         << "                              2 overlaps weight copies)\n"
         << "  --launch-depth N            host launch-queue depth\n"
@@ -219,8 +219,10 @@ parseDouble(const std::string& arg, const std::string& value)
     } catch (const std::logic_error&) {
         pos = 0;
     }
-    MMGEN_CHECK(!value.empty() && pos == value.size() && !std::isnan(v),
-                arg << " needs a number, got '" << value << "'");
+    // No flag gives infinity a meaning ("off" is always 0), and NaN
+    // fails every range test, so both are input errors.
+    MMGEN_CHECK(!value.empty() && pos == value.size() && std::isfinite(v),
+                arg << " needs a finite number, got '" << value << "'");
     return v;
 }
 
@@ -451,8 +453,12 @@ parseOptions(int argc, char** argv, int first)
             opts.breaker.failureThreshold = nextInt32();
         else if (arg == "--breaker-open")
             opts.breaker.openSeconds = nextDouble();
-        else if (arg == "--ckpt-interval")
+        else if (arg == "--ckpt-interval") {
             opts.ckptInterval = nextInt();
+            MMGEN_CHECK(opts.ckptInterval >= 0,
+                        "--ckpt-interval must be >= 0 (0 = off), got "
+                            << opts.ckptInterval);
+        }
         else if (arg == "--ckpt-cost")
             opts.ckptCost = nextDouble();
         else if (arg == "--probe-interval")
@@ -599,9 +605,7 @@ cmdHotspots(const Options& opts)
     MMGEN_CHECK(opts.positional.size() == 1,
                 "hotspots needs exactly one model name");
     const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts;
-    popts.gpu = opts.gpu;
-    popts.backend = opts.backend;
+    profiler::ProfileOptions popts = profileOptions(opts);
     popts.keepPlan = true;
     const profiler::ProfileResult res =
         profiler::Profiler(popts).profile(models::buildModel(id));
