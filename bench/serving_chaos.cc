@@ -26,6 +26,7 @@
 #include "models/model_suite.hh"
 #include "runtime/parallel.hh"
 #include "serving/cluster.hh"
+#include "serving/telemetry_hooks.hh"
 #include "telemetry/consistency.hh"
 #include "telemetry/export.hh"
 #include "telemetry/telemetry.hh"
@@ -234,18 +235,10 @@ main(int argc, char** argv)
                          "from the telemetry-free run\n";
             telemetryPass = false;
         }
-        telemetry::SeriesExpectations expect;
-        expect.horizonSeconds = cfg.horizonSeconds;
-        expect.totalGpus = cfg.totalGpus();
-        expect.arrived = instrumented.serving.arrived;
-        expect.shed = instrumented.serving.shed;
-        expect.inHorizonCompleted =
-            instrumented.serving.completed -
-            instrumented.serving.drainCompleted;
-        expect.retries = instrumented.serving.retries;
-        expect.hedgesIssued = instrumented.serving.hedgesIssued;
         const verify::DiagnosticReport check =
-            telemetry::checkSeriesConsistency(registry, expect);
+            telemetry::checkSeriesConsistency(
+                registry,
+                serving::seriesExpectations(cfg, instrumented.serving));
         if (check.hasErrors()) {
             std::cerr << check.render();
             telemetryPass = false;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -414,31 +415,19 @@ struct FinishEvent
     }
 };
 
-/** Retry-queue entry; `seq` keeps ties deterministic. */
-struct RetryEvent
+/**
+ * A copy due at `time`: a retry once its backoff ends, or a hedge
+ * timer carrying the primary as it was dispatched. `seq` keeps ties
+ * deterministic.
+ */
+struct TimedCopy
 {
-    double ready;
+    double time;
     std::uint64_t seq;
     Copy copy;
 
     bool
-    operator>(const RetryEvent& other) const
-    {
-        return ready != other.ready ? ready > other.ready
-                                    : seq > other.seq;
-    }
-};
-
-/** Hedge timer: fire a backup copy if the primary is still running. */
-struct HedgeEvent
-{
-    double time;
-    std::uint64_t seq;
-    /** The primary as it was dispatched. */
-    Copy primary;
-
-    bool
-    operator>(const HedgeEvent& other) const
+    operator>(const TimedCopy& other) const
     {
         return time != other.time ? time > other.time : seq > other.seq;
     }
@@ -450,6 +439,14 @@ struct Transition
     double time;
     int gpu;
     bool down;
+
+    /** Time order; at one instant, by GPU, up-edge before down-edge. */
+    bool
+    operator<(const Transition& other) const
+    {
+        return std::tie(time, gpu, down) <
+               std::tie(other.time, other.gpu, other.down);
+    }
 };
 
 /** Scripted slowdown window on one GPU (chaos degrade/straggle). */
@@ -485,594 +482,1081 @@ sizeBucket(const BatchLatencySurface& surface, double size)
     return i;
 }
 
-} // namespace
+template <typename Event>
+using MinHeap =
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
 
-ClusterReport
-simulateCluster(const ClusterConfig& cfg,
-                const telemetry::Telemetry* tele)
+/**
+ * One GPU: what it runs, whether it is up, its replica and its
+ * faults. The two fields a free-GPU search reads, `batch` and `down`,
+ * come first and side by side: on a 100-GPU backlog that search runs
+ * at every event, and the cold fields between them cost ~5%.
+ */
+struct Gpu
 {
-    cfg.validate();
+    std::optional<InFlightBatch> batch{};
+    bool down = false;
+    int replica = 0;
+    /**
+     * Bumped at every launch and release: a finish event carrying an
+     * older epoch belongs to work that was killed or replaced.
+     */
+    std::uint64_t epoch = 0;
+    /** Outages (faults + chaos kills) and persistent slowdown. */
+    GpuFaultTimeline faults{};
+    /** Chaos slowdown windows (degraded domain, straggler). */
+    std::vector<SlowWindow> slow{};
+};
 
-    // Telemetry handles. Null means off; every use below is guarded
-    // so the disabled path is the exact pre-telemetry code path.
-    telemetry::MetricsRegistry* metrics =
-        tele != nullptr ? tele->metrics : nullptr;
-    telemetry::TraceSink* trace =
-        tele != nullptr && tele->wantsTrace() ? tele->trace : nullptr;
-    const bool sampling = tele != nullptr && tele->wantsSampling();
+/** One replica: its queue, pricing, GPUs, health, breaker and load. */
+struct Replica
+{
+    ReplicaQueue queue;
+    BatchLatencySurface surface;
+    /** It owns GPUs [firstGpu, firstGpu + numGpus) of the flat index. */
+    int firstGpu = 0;
+    int numGpus = 0;
+    int domain = 0;
+    /** Health as the last probe saw it; the router acts on this. */
+    bool knownUp = true;
+    double nextProbe = kNever;
+    BreakerState breaker = BreakerState::Closed;
+    int consecFailures = 0;
+    int halfOpenSuccesses = 0;
+    double openedAt = 0.0;
+    /** Batches on its GPUs, and the copies riding them. */
+    int batches = 0;
+    std::size_t running = 0;
+    ReplicaStats stats;
+    /** Label set of its sampled series and counters. */
+    telemetry::Labels labels;
 
-    const double horizon = cfg.horizonSeconds;
-    const DeadlinePolicy& deadline = cfg.resilience.deadline;
-    const DegradationPolicy& degradation = cfg.resilience.degradation;
-    const CheckpointPolicy& ckpt = cfg.checkpoint;
-    const int numReplicas = static_cast<int>(cfg.replicas.size());
-    const int numGpus = cfg.totalGpus();
-    const bool continuous = cfg.continuousBatching;
-    const bool breakerOn = cfg.breaker.enabled();
-    const bool hedgeOn = cfg.hedge.enabled() && numReplicas > 1;
-    const bool ckptOn = ckpt.enabled();
-    // Probes only exist when someone consumes their output: router
-    // health matters with > 1 replica, breaker transitions need the
-    // probe clock. A one-replica pool without breakers (every
-    // `simulateServing` run) schedules no probe events at all.
-    const bool probesOn = numReplicas > 1 || breakerOn;
+    /** The router's load: copies queued or running here. */
+    std::size_t load() const { return queue.size() + running; }
+};
 
-    // Every replica prices batches off a latency surface; a replica
-    // priced by a linear model gets the model's exact surface (one
-    // size node, so request size never changes its price).
-    std::vector<BatchLatencySurface> surfaces;
-    surfaces.reserve(cfg.replicas.size());
-    for (const ReplicaSpec& rep : cfg.replicas)
-        surfaces.push_back(rep.surface.empty()
-                               ? BatchLatencySurface::fromLatencyModel(
-                                     rep.latency, cfg.maxBatch)
-                               : rep.surface);
+/**
+ * Event sources, in the order they win a same-instant tie: the first
+ * minimum of `Sources::due` is the next event. A completion precedes a
+ * same-instant sample, so the sample sees the state after every
+ * simulation event at its timestamp.
+ */
+enum Source : std::size_t
+{
+    kArrival,
+    kFault,
+    kProbe,
+    kHedge,
+    kRetry,
+    kCompletion,
+    kSample,
+    kSources,
+};
 
-    // Global GPU indexing: replica r owns [gpuBase[r], gpuBase[r] +
-    // numGpus_r), so the fault plan, chaos targets, and the event loop
-    // all speak one flat index space.
-    std::vector<int> gpuBase(static_cast<std::size_t>(numReplicas), 0);
-    std::vector<int> repOf(static_cast<std::size_t>(numGpus), 0);
-    std::vector<int> domainOf(static_cast<std::size_t>(numGpus), 0);
-    {
-        int g = 0;
-        for (int r = 0; r < numReplicas; ++r) {
-            gpuBase[static_cast<std::size_t>(r)] = g;
-            for (int k = 0; k < cfg.replicas[static_cast<std::size_t>(r)]
-                                    .numGpus;
-                 ++k, ++g) {
-                repOf[static_cast<std::size_t>(g)] = r;
-                domainOf[static_cast<std::size_t>(g)] =
-                    cfg.replicas[static_cast<std::size_t>(r)].domain;
-            }
-        }
-    }
-
+/** The seven event sources and what each fires next. */
+struct Sources
+{
     // Arrivals come from the workload generator. The legacy default
     // (no mix configured) draws gaps from the unsplit Rng(seed)
     // stream, while faults, chaos, and probe jitter draw from split
     // streams, so no cluster feature can perturb the arrival sequence.
-    workload::ArrivalGenerator arrivals =
-        cfg.workload.enabled()
-            ? workload::ArrivalGenerator(cfg.seed, cfg.arrivalRate,
-                                         cfg.workload)
-            : workload::ArrivalGenerator(cfg.seed, cfg.arrivalRate);
-    // Correlated fault domains: `faults.domainSize` partitions the
-    // GPUs in global order when set (the single-pool layout);
-    // otherwise a replica's GPUs share its domain.
-    std::vector<int> faultDomainOf = domainOf;
-    if (cfg.resilience.faults.domainSize >= 1) {
-        for (int g = 0; g < numGpus; ++g)
-            faultDomainOf[static_cast<std::size_t>(g)] =
-                g / cfg.resilience.faults.domainSize;
-    }
-    FleetFaultPlan plan = planFaults(cfg.resilience.faults,
-                                     faultDomainOf, horizon, cfg.seed);
-    // Compile the chaos scenario into the same structures the fault
-    // plan uses: kills become outage windows on every member GPU (so
-    // availability accounting sees them), degrades/stragglers become
-    // timed slowdown windows applied at dispatch.
-    std::vector<std::vector<SlowWindow>> slowWindows(
-        static_cast<std::size_t>(numGpus));
+    explicit Sources(const ClusterConfig& cfg)
+        : arrivals(cfg.workload.enabled()
+                       ? workload::ArrivalGenerator(
+                             cfg.seed, cfg.arrivalRate, cfg.workload)
+                       : workload::ArrivalGenerator(cfg.seed,
+                                                    cfg.arrivalRate)),
+          pending(arrivals.next())
+    {}
+
+    workload::ArrivalGenerator arrivals;
+    workload::Arrival pending;
+    /** GPU up/down edges in time order; `nextFault` is the next one. */
+    std::vector<Transition> faults;
+    std::size_t nextFault = 0;
+    /** The first probe due soonest at or before the horizon. */
+    double probeAt = kNever;
+    int probeReplica = -1;
+    MinHeap<TimedCopy> hedges;
+    MinHeap<TimedCopy> retries;
+    /** Tie-breaker of the hedge and retry heaps, in push order. */
+    std::uint64_t seq = 0;
+    MinHeap<FinishEvent> finishes;
+    /** Sample k lands at exactly k * interval, the last on the horizon. */
+    std::int64_t sampleIndex = 1;
+    double sampleAt = kNever;
+
+    std::array<double, kSources> due() const
     {
-        std::vector<std::vector<Outage>> extra(
-            static_cast<std::size_t>(numGpus));
-        for (const ChaosEvent& ev : cfg.chaos.events) {
+        return {
+            pending.time,
+            nextFault < faults.size() ? faults[nextFault].time : kNever,
+            probeAt,
+            hedges.empty() ? kNever : hedges.top().time,
+            retries.empty() ? kNever : retries.top().time,
+            finishes.empty() ? kNever : finishes.top().time,
+            sampleAt,
+        };
+    }
+};
+
+/**
+ * The run's trace lanes: per-GPU lanes for batch and outage spans,
+ * shared lanes for lifecycle, breaker-transition, and hedge events.
+ * Without a sink every call does nothing.
+ */
+class Tracer
+{
+  public:
+    /** The shared lanes. */
+    enum Lane { kLifecycle, kBreakers, kHedges };
+
+    explicit Tracer(telemetry::TraceSink* sink) : sink_(sink) {}
+
+    /** Register the lanes and draw every GPU's outages. */
+    void open(const std::vector<Gpu>& gpus, bool continuous)
+    {
+        continuous_ = continuous;
+        if (sink_ == nullptr)
+            return;
+        for (const char* lane : {"lifecycle", "breakers", "hedges"})
+            lanes_.push_back(sink_->track("serving", lane));
+        for (std::size_t g = 0; g < gpus.size(); ++g) {
+            gpuLanes_.push_back(sink_->track(
+                "serving", "gpu " + std::to_string(g) + " (replica " +
+                               std::to_string(gpus[g].replica) + ")"));
+            for (const Outage& o : gpus[g].faults.outages)
+                sink_->complete(gpuLanes_.back(), "outage", o.start,
+                                o.end - o.start, "fault");
+        }
+    }
+
+    /** An instant on a shared lane, labeled `key`=`value` if given. */
+    void instant(Lane lane, const char* name, double t,
+                 const char* key = nullptr, int value = 0) const
+    {
+        if (sink_ == nullptr)
+            return;
+        static constexpr const char* kCategory[] = {"lifecycle", "breaker",
+                                                    "hedge"};
+        telemetry::Labels args;
+        if (key != nullptr)
+            args.set(key, std::to_string(value));
+        sink_->instant(lanes_[lane], name, t, kCategory[lane], args);
+    }
+
+    /** From the hedge timer firing to whichever copy answered first. */
+    void hedgeSpan(double from, double to, bool hedgeWon) const
+    {
+        if (sink_ != nullptr)
+            sink_->complete(
+                lanes_[kHedges], "hedged request", from, to - from, "hedge",
+                telemetry::Labels{{"won", hedgeWon ? "hedge" : "primary"}});
+    }
+
+    /** A batch (or iteration) span of GPU g, on its replica `r`. */
+    void run(int g, int r, const InFlightBatch& fl, double end,
+             const char* outcome) const
+    {
+        if (sink_ == nullptr)
+            return;
+        const std::string b = std::to_string(fl.members.size());
+        telemetry::Labels args{{"batch", b},
+                               {"replica", std::to_string(r)},
+                               {"outcome", outcome}};
+        if (fl.degraded)
+            args.set("degraded", "1");
+        sink_->complete(gpuLanes_[static_cast<std::size_t>(g)],
+                        (continuous_ ? "iter b=" : "batch b=") + b,
+                        fl.start, end - fl.start, "batch", args);
+    }
+
+  private:
+    telemetry::TraceSink* sink_;
+    bool continuous_ = false;
+    std::vector<int> lanes_;
+    std::vector<int> gpuLanes_;
+};
+
+/** Validate `cfg` and pass it on, so set-up never reads a bad one. */
+const ClusterConfig&
+validated(const ClusterConfig& cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
+/**
+ * The serving engine of one `simulateCluster` run. Its state comes in
+ * named parts: per GPU (`Gpu`), per replica (`Replica`), per request
+ * (`ReqMeta`), the event sources (`Sources`) and the trace lanes
+ * (`Tracer`). `run()` is the due-time loop; it hands each event to one
+ * member. Each request transition has exactly one method: `admit` (an
+ * arrival), `enqueue`, `launch` (a copy starts service, under
+ * `dispatch`), `answer` (a copy finishes, under `finishBatch` or
+ * `finishIteration`), `failBatch` (a kill or timeout, with salvage),
+ * `retry`, `hedge`, `expireHead` and `cancel`.
+ */
+class ClusterSim
+{
+  public:
+    ClusterSim(const ClusterConfig& cfg, const telemetry::Telemetry* tele)
+        : cfg_(validated(cfg)), horizon_(cfg.horizonSeconds),
+          deadline_(cfg.resilience.deadline),
+          degradation_(cfg.resilience.degradation), ckpt_(cfg.checkpoint),
+          continuous_(cfg.continuousBatching),
+          breakerOn_(cfg.breaker.enabled()),
+          hedgeOn_(cfg.hedge.enabled() && cfg.replicas.size() > 1),
+          ckptOn_(cfg.checkpoint.enabled()),
+          // Memory-aware batch ceiling: the static liveness bound (when
+          // the admission policy carries one) clamps how large a batch
+          // may be dispatched; a bound of zero means not even one
+          // request fits and every arrival is shed. Unset reproduces
+          // cfg.maxBatch.
+          maxBatch_(cfg.resilience.admission.hasMemoryBound()
+                        ? static_cast<int>(std::min<std::int64_t>(
+                              cfg.maxBatch,
+                              cfg.resilience.admission.memoryFeasibleBatch))
+                        : cfg.maxBatch),
+          metrics_(tele != nullptr ? tele->metrics : nullptr),
+          sampleInterval_(tele != nullptr && tele->wantsSampling()
+                              ? tele->sampleIntervalSeconds
+                              : 0.0),
+          src_(cfg),
+          trace_(tele != nullptr && tele->wantsTrace() ? tele->trace
+                                                       : nullptr)
+    {
+        layOut();
+        FleetFaultPlan plan = compileFaults();
+        report_.meanAvailability = plan.meanAvailability(horizon_);
+        cluster_.domainAvailability = plan.domainAvailability(horizon_);
+        report_.effectiveMaxBatch = maxBatch_;
+        // Offered load versus full-batch fleet capacity (the infeasible
+        // case rates a batch of one; everything is shed anyway).
+        const int rate_batch = std::max(maxBatch_, 1);
+        double capacity = 0.0;
+        for (const Replica& rp : reps_) {
+            const double batch_rate =
+                static_cast<double>(rate_batch) /
+                rp.surface.batchSeconds(rate_batch, 1.0);
+            capacity += batch_rate * static_cast<double>(rp.numGpus);
+        }
+        report_.offeredLoad = cfg.arrivalRate / capacity;
+        // Each GPU keeps its timeline; the edges become one sorted list.
+        for (int g = 0; g < numGpus(); ++g) {
+            gpu(g).faults = std::move(plan.gpus[static_cast<std::size_t>(g)]);
+            for (const Outage& o : gpu(g).faults.outages) {
+                src_.faults.push_back({o.start, g, true});
+                src_.faults.push_back({o.end, g, false});
+            }
+        }
+        std::sort(src_.faults.begin(), src_.faults.end());
+        trace_.open(gpus_, continuous_);
+        // Probes only exist when someone consumes their output: router
+        // health matters with > 1 replica, breaker transitions need the
+        // probe clock. A one-replica pool without breakers (every
+        // `simulateServing` run) schedules no probe events at all.
+        if (numReplicas() > 1 || breakerOn_) {
+            for (int r = 0; r < numReplicas(); ++r) {
+                Rng pr = Rng::stream(
+                    cfg.seed, kProbeStream + static_cast<std::uint64_t>(r));
+                rep(r).nextProbe = pr.uniform(
+                    0.0,
+                    cfg.probe.jitterFraction * cfg.probe.intervalSeconds);
+            }
+            scheduleProbe();
+        }
+        if (sampleInterval_ > 0.0)
+            src_.sampleAt = std::min(sampleInterval_, horizon_);
+    }
+
+    ClusterReport run()
+    {
+        while (true) {
+            // Drop stale finish events (their batch was killed).
+            while (!src_.finishes.empty() &&
+                   src_.finishes.top().epoch !=
+                       gpu(src_.finishes.top().gpu).epoch)
+                src_.finishes.pop();
+            const std::array<double, kSources> due = src_.due();
+            const auto source = static_cast<std::size_t>(
+                std::min_element(due.begin(), due.end()) - due.begin());
+            const double now = due[source];
+            if (source == kArrival && now > horizon_)
+                break;
+            if (source == kArrival)
+                admit(now);
+            else if (source == kFault)
+                faultEdge(now);
+            else if (source == kProbe)
+                probe(now);
+            else if (source == kHedge)
+                hedge(now);
+            else if (source == kRetry)
+                requeueRetries(now);
+            else if (source == kSample)
+                sample(now);
+            else if (complete(now))
+                break;
+        }
+        return finalReport();
+    }
+
+  private:
+    int numGpus() const { return static_cast<int>(gpus_.size()); }
+    int numReplicas() const { return static_cast<int>(reps_.size()); }
+    Gpu& gpu(int g) { return gpus_[static_cast<std::size_t>(g)]; }
+    Replica& rep(int r) { return reps_[static_cast<std::size_t>(r)]; }
+    ReqMeta& meta(std::uint32_t id) { return meta_[id]; }
+
+    // -- set-up --
+
+    // Global GPU indexing: replica r owns [firstGpu, firstGpu +
+    // numGpus), so the fault plan, chaos targets, and the event loop
+    // all speak one flat index space.
+    void layOut()
+    {
+        for (const ReplicaSpec& spec : cfg_.replicas) {
+            const int r = numReplicas();
+            Replica& rp = reps_.emplace_back();
+            // Every replica prices batches off a latency surface; a
+            // replica priced by a linear model gets the model's exact
+            // surface (one size node, so request size never changes
+            // its price).
+            rp.surface = spec.surface.empty()
+                             ? BatchLatencySurface::fromLatencyModel(
+                                   spec.latency, cfg_.maxBatch)
+                             : spec.surface;
+            rp.firstGpu = numGpus();
+            rp.numGpus = spec.numGpus;
+            rp.domain = spec.domain;
+            rp.labels = telemetry::Labels{{"replica", std::to_string(r)}};
+            for (int k = 0; k < spec.numGpus; ++k)
+                gpus_.push_back(Gpu{.replica = r});
+        }
+    }
+
+    // The fault plan with the chaos scenario compiled in: kills become
+    // outage windows on every member GPU (so availability accounting
+    // sees them), degrades/stragglers become timed slowdown windows
+    // applied at dispatch.
+    FleetFaultPlan compileFaults()
+    {
+        // Correlated fault domains: `faults.domainSize` partitions the
+        // GPUs in global order when set (the single-pool layout);
+        // otherwise a replica's GPUs share its domain.
+        const int domainSize = cfg_.resilience.faults.domainSize;
+        std::vector<int> faultDomainOf;
+        for (int g = 0; g < numGpus(); ++g)
+            faultDomainOf.push_back(domainSize >= 1
+                                        ? g / domainSize
+                                        : rep(gpu(g).replica).domain);
+        FleetFaultPlan plan = planFaults(cfg_.resilience.faults,
+                                         faultDomainOf, horizon_, cfg_.seed);
+        std::vector<bool> killed(gpus_.size(), false);
+        for (const ChaosEvent& ev : cfg_.chaos.events) {
             const double end = ev.durationSeconds > 0.0
                                    ? ev.atSeconds + ev.durationSeconds
-                                   : horizon;
+                                   : horizon_;
             if (end <= ev.atSeconds)
                 continue;
             switch (ev.kind) {
-            case ChaosEventKind::KillReplica: {
-                const std::size_t r =
-                    static_cast<std::size_t>(ev.target);
-                const int base = gpuBase[r];
-                for (int k = 0; k < cfg.replicas[r].numGpus; ++k)
-                    extra[static_cast<std::size_t>(base + k)].push_back(
+            case ChaosEventKind::KillReplica:
+                for (int k = 0; k < rep(ev.target).numGpus; ++k) {
+                    const auto g =
+                        static_cast<std::size_t>(rep(ev.target).firstGpu + k);
+                    plan.gpus[g].outages.push_back(
                         {ev.atSeconds, end, OutageKind::Failure});
+                    killed[g] = true;
+                }
                 break;
-            }
             case ChaosEventKind::DegradeDomain:
-                for (int g = 0; g < numGpus; ++g) {
-                    if (domainOf[static_cast<std::size_t>(g)] ==
-                        ev.target)
-                        slowWindows[static_cast<std::size_t>(g)]
-                            .push_back(
-                                {ev.atSeconds, end, ev.factor});
+                for (Gpu& gp : gpus_) {
+                    if (rep(gp.replica).domain == ev.target)
+                        gp.slow.push_back({ev.atSeconds, end, ev.factor});
                 }
                 break;
             case ChaosEventKind::StraggleGpu:
-                slowWindows[static_cast<std::size_t>(ev.target)]
-                    .push_back({ev.atSeconds, end, ev.factor});
+                gpu(ev.target).slow.push_back(
+                    {ev.atSeconds, end, ev.factor});
                 break;
             }
         }
-        for (int g = 0; g < numGpus; ++g) {
-            const std::size_t gi = static_cast<std::size_t>(g);
-            if (extra[gi].empty())
-                continue;
-            std::vector<Outage> merged = plan.gpus[gi].outages;
-            merged.insert(merged.end(), extra[gi].begin(),
-                          extra[gi].end());
-            plan.gpus[gi].outages = mergeOutages(std::move(merged));
+        for (std::size_t g = 0; g < gpus_.size(); ++g) {
+            if (killed[g])
+                plan.gpus[g].outages =
+                    mergeOutages(std::move(plan.gpus[g].outages));
+        }
+        return plan;
+    }
+
+    // -- event sources --
+
+    /** An arrival: shed it, or open its request and route a copy. */
+    void admit(double now)
+    {
+        ++report_.arrived;
+        const workload::Arrival& a = src_.pending;
+        if (maxBatch_ == 0) {
+            // Not even a batch of one fits any replica's GPU: shed with
+            // a memory rejection, never queue.
+            ++report_.shed;
+            ++report_.memoryShed;
+            trace_.instant(Tracer::kLifecycle, "shed_memory", now);
+        } else if (cfg_.resilience.admission.enabled() &&
+                   totalQueued() >=
+                       cfg_.resilience.admission.maxQueueLength) {
+            ++report_.shed;
+            trace_.instant(Tracer::kLifecycle, "shed", now);
+        } else {
+            MMGEN_CHECK(meta_.size() <
+                            std::numeric_limits<std::uint32_t>::max(),
+                        "more than 2^32 admitted requests");
+            const auto id = static_cast<std::uint32_t>(meta_.size());
+            meta_.push_back(ReqMeta{.liveCopies = 1});
+            enqueue(route(-1), Copy{.arrival = now,
+                                    .size = a.sizeScale,
+                                    .id = id,
+                                    .priority = a.priority});
+            size_sum_ += a.sizeScale;
+            trace_.instant(Tracer::kLifecycle, "admit", now);
+        }
+        src_.pending = src_.arrivals.next();
+        dispatch(now);
+    }
+
+    /** A GPU availability edge: a down edge kills the GPU's batch. */
+    void faultEdge(double now)
+    {
+        const Transition tr = src_.faults[src_.nextFault++];
+        Gpu& gp = gpu(tr.gpu);
+        gp.down = tr.down;
+        if (!tr.down) {
+            dispatch(now);
+        } else if (gp.batch.has_value()) {
+            trace_.run(tr.gpu, gp.replica, *gp.batch, now, "killed");
+            failBatch(tr.gpu, now);
         }
     }
 
-    ClusterReport cluster;
-    ServingReport& report = cluster.serving;
-    report.meanAvailability = plan.meanAvailability(horizon);
-    cluster.domainAvailability = plan.domainAvailability(horizon);
-    cluster.replicas.resize(static_cast<std::size_t>(numReplicas));
-
-    // Memory-aware batch ceiling: the static liveness bound (when the
-    // admission policy carries one) clamps how large a batch may be
-    // dispatched; a bound of zero means not even one request fits and
-    // every arrival is shed. Unset reproduces cfg.maxBatch.
-    const int effective_max_batch =
-        cfg.resilience.admission.hasMemoryBound()
-            ? static_cast<int>(std::min<std::int64_t>(
-                  cfg.maxBatch,
-                  cfg.resilience.admission.memoryFeasibleBatch))
-            : cfg.maxBatch;
-    report.effectiveMaxBatch = effective_max_batch;
-    const int rate_batch = std::max(effective_max_batch, 1);
-
-    // Offered load versus full-batch fleet capacity (the infeasible
-    // case rates a batch of one; everything is shed anyway).
-    double capacity = 0.0;
-    for (std::size_t r = 0; r < surfaces.size(); ++r) {
-        const double batch_rate =
-            static_cast<double>(rate_batch) /
-            surfaces[r].batchSeconds(rate_batch, 1.0);
-        capacity += batch_rate *
-                    static_cast<double>(cfg.replicas[r].numGpus);
-    }
-    report.offeredLoad = cfg.arrivalRate / capacity;
-
-    // Flatten the fault plan into a time-sorted edge list.
-    std::vector<Transition> transitions;
-    for (int g = 0; g < numGpus; ++g) {
-        for (const Outage& o :
-             plan.gpus[static_cast<std::size_t>(g)].outages) {
-            transitions.push_back({o.start, g, true});
-            transitions.push_back({o.end, g, false});
-        }
-    }
-    std::sort(transitions.begin(), transitions.end(),
-              [](const Transition& a, const Transition& b) {
-                  if (a.time != b.time)
-                      return a.time < b.time;
-                  if (a.gpu != b.gpu)
-                      return a.gpu < b.gpu;
-                  return a.down < b.down; // up-edge before down-edge
-              });
-
-    // Trace lanes: per-GPU lanes for batch/outage spans, shared lanes
-    // for lifecycle, breaker-transition, and hedge events.
-    std::vector<int> gpu_track;
-    int lifecycle_track = -1;
-    int breaker_track = -1;
-    int hedge_track = -1;
-    if (trace != nullptr) {
-        lifecycle_track = trace->track("serving", "lifecycle");
-        breaker_track = trace->track("serving", "breakers");
-        hedge_track = trace->track("serving", "hedges");
-        for (int g = 0; g < numGpus; ++g) {
-            gpu_track.push_back(trace->track(
-                "serving",
-                "gpu " + std::to_string(g) + " (replica " +
-                    std::to_string(
-                        repOf[static_cast<std::size_t>(g)]) +
-                    ")"));
-        }
-        // Outage spans (faults + chaos kills) from the merged plan.
-        for (int g = 0; g < numGpus; ++g) {
-            for (const Outage& o :
-                 plan.gpus[static_cast<std::size_t>(g)].outages) {
-                trace->complete(gpu_track[static_cast<std::size_t>(g)],
-                                "outage", o.start, o.end - o.start,
-                                "fault");
+    /** The first replica whose probe is due soonest, by the horizon. */
+    void scheduleProbe()
+    {
+        src_.probeAt = kNever;
+        src_.probeReplica = -1;
+        for (int r = 0; r < numReplicas(); ++r) {
+            const double t = rep(r).nextProbe;
+            if (t <= horizon_ && t < src_.probeAt) {
+                src_.probeAt = t;
+                src_.probeReplica = r;
             }
         }
     }
 
-    // Per-replica label sets for sampled series and counters.
-    std::vector<telemetry::Labels> repLabels;
-    if (metrics != nullptr) {
-        for (int r = 0; r < numReplicas; ++r) {
-            repLabels.push_back(
-                telemetry::Labels{{"replica", std::to_string(r)}});
+    // Health probe: refresh router knowledge, advance due breakers
+    // from open to half-open.
+    void probe(double now)
+    {
+        const int r = src_.probeReplica;
+        Replica& rp = rep(r);
+        rp.knownUp = false;
+        for (int g = rp.firstGpu; g < rp.firstGpu + rp.numGpus; ++g)
+            rp.knownUp = rp.knownUp || !gpu(g).down;
+        rp.nextProbe += cfg_.probe.intervalSeconds;
+        scheduleProbe();
+        if (breakerOn_ && rp.breaker == BreakerState::Open &&
+            now >= rp.openedAt + cfg_.breaker.openSeconds) {
+            rp.breaker = BreakerState::HalfOpen;
+            rp.halfOpenSuccesses = 0;
+            trace_.instant(Tracer::kBreakers, "breaker_half_open", now,
+                           "replica", r);
+            dispatch(now);
         }
     }
 
-    const std::size_t ngpu = static_cast<std::size_t>(numGpus);
-    const std::size_t nrep = static_cast<std::size_t>(numReplicas);
-    std::vector<ReplicaQueue> queues(nrep);
-    std::vector<std::optional<InFlightBatch>> inflight(ngpu);
-    std::vector<bool> gpu_down(ngpu, false);
-    std::vector<std::uint64_t> epoch(ngpu, 0);
-    int inflight_gpus = 0;
-
-    // Router / breaker / probe state, all per replica.
-    std::vector<bool> knownUp(nrep, true);
-    std::vector<BreakerState> bstate(nrep, BreakerState::Closed);
-    std::vector<int> consecFailures(nrep, 0);
-    std::vector<int> halfOpenSucc(nrep, 0);
-    std::vector<double> openedAt(nrep, 0.0);
-    std::vector<int> repBatches(nrep, 0);
-    std::vector<std::int64_t> repQueuedPlusFlight(nrep, 0);
-    std::uint64_t rrCounter = 0;
-
-    std::vector<double> probeNext(nrep, kNever);
-    if (probesOn) {
-        for (int r = 0; r < numReplicas; ++r) {
-            Rng pr = Rng::stream(
-                cfg.seed,
-                kProbeStream + static_cast<std::uint64_t>(r));
-            probeNext[static_cast<std::size_t>(r)] = pr.uniform(
-                0.0, cfg.probe.jitterFraction *
-                         cfg.probe.intervalSeconds);
-        }
+    // Hedge timer: the primary has run long enough — issue a backup
+    // copy on a different replica.
+    void hedge(double now)
+    {
+        // The primary as it was dispatched becomes the backup.
+        Copy copy = src_.hedges.top().copy;
+        src_.hedges.pop();
+        ReqMeta& m = meta(copy.id);
+        if (m.done || m.hedged || !m.primaryInFlight)
+            return;
+        const int target = route(m.primaryReplica);
+        if (target < 0 || target == m.primaryReplica)
+            return;
+        m.hedged = true;
+        m.hedgedAt = now;
+        ++m.liveCopies;
+        ++report_.hedgesIssued;
+        if (now > horizon_)
+            ++report_.drainHedgesIssued;
+        trace_.instant(Tracer::kHedges, "hedge_issue", now, "target",
+                       target);
+        copy.attempts = 0;
+        copy.hedge = true;
+        enqueue(target, copy);
+        dispatch(now);
     }
 
-    std::priority_queue<FinishEvent, std::vector<FinishEvent>,
-                        std::greater<FinishEvent>>
-        finishes;
-    std::priority_queue<RetryEvent, std::vector<RetryEvent>,
-                        std::greater<RetryEvent>>
-        retries;
-    std::priority_queue<HedgeEvent, std::vector<HedgeEvent>,
-                        std::greater<HedgeEvent>>
-        hedges;
-    std::uint64_t retry_seq = 0;
-    std::uint64_t hedge_seq = 0;
-
-    std::vector<ReqMeta> meta;
-    std::vector<double> latencies;
-    std::vector<double> batch_sizes;
-    double busy_in_horizon = 0.0;
-    std::int64_t goodput_count = 0;
-    std::int64_t deadline_misses = 0;
-
-    workload::Arrival pending = arrivals.next();
-    double next_arrival = pending.time;
-    double size_sum = 0.0;
-    std::int64_t size_count = 0;
-
-    auto account_busy = [&](double start, double end, int replica) {
-        busy_in_horizon += std::max(0.0, std::min(end, horizon) - start);
-        report.drainGpuSeconds +=
-            std::max(0.0, end - std::max(start, horizon));
-        cluster.replicas[static_cast<std::size_t>(replica)]
-            .busySeconds += end - start;
-    };
-
-    auto slowdownAt = [&](int g, double now) {
-        const std::size_t gi = static_cast<std::size_t>(g);
-        double s = plan.gpus[gi].slowdown;
-        for (const SlowWindow& w : slowWindows[gi]) {
-            if (now >= w.start && now < w.end)
-                s *= w.factor;
+    /** Backed-off copies re-enter a queue via the router. */
+    void requeueRetries(double now)
+    {
+        while (!src_.retries.empty() && src_.retries.top().time <= now) {
+            const Copy copy = src_.retries.top().copy;
+            src_.retries.pop();
+            enqueue(route(-1), copy);
         }
-        return s;
-    };
+        dispatch(now);
+    }
 
-    // A half-open replica may receive work only while completely
-    // idle: one trial request probes it, further traffic waits for
-    // the verdict. Without this trickle the breaker could never
-    // observe the successes it needs to close.
-    auto halfOpenIdle = [&](std::size_t ri) {
-        return bstate[ri] == BreakerState::HalfOpen &&
-               repBatches[ri] == 0 && queues[ri].empty();
-    };
+    // A greedy batch or a continuous iteration resolves (may run past
+    // the horizon to drain); true once the drain is over.
+    bool complete(double now)
+    {
+        const int g = src_.finishes.top().gpu;
+        src_.finishes.pop();
+        const Gpu& gp = gpu(g);
+        const bool timedOut = gp.batch->timedOut;
+        trace_.run(g, gp.replica, *gp.batch, now,
+                   timedOut ? "timeout" : "ok");
+        if (timedOut)
+            failBatch(g, now);
+        else if (continuous_)
+            finishIteration(g);
+        else
+            finishBatch(g);
+        if (now > horizon_ && totalQueued() == 0 && busy_gpus_ == 0 &&
+            src_.retries.empty())
+            return true;
+        dispatch(now);
+        return false;
+    }
+
+    // Periodic state sampling: an extra event source with the lowest
+    // tie priority, so a sample at time t observes the state *after*
+    // every simulation event at t. No floating-point accumulation
+    // drifts the sample times; after the final sample, clamped onto
+    // the horizon, the source goes quiet.
+    void sample(double t)
+    {
+        record("serving.queue_depth", t, totalQueued());
+        record("serving.in_flight_gpus", t, busy_gpus_);
+        record("serving.retry_backlog", t, src_.retries.size());
+        record("serving.arrived_total", t, report_.arrived);
+        record("serving.completed_total", t, report_.completed);
+        record("serving.shed_total", t, report_.shed);
+        record("serving.retries_total", t, report_.retries);
+        record("serving.hedges_issued_total", t, report_.hedgesIssued);
+        for (const Replica& rp : reps_) {
+            record("serving.replica.queue_depth", t, rp.queue.size(),
+                   rp.labels);
+            record("serving.replica.in_flight_batches", t, rp.batches,
+                   rp.labels);
+            double state = 0.0;
+            if (rp.breaker == BreakerState::Open)
+                state = 1.0;
+            else if (rp.breaker == BreakerState::HalfOpen)
+                state = 2.0;
+            record("serving.replica.breaker_state", t, state, rp.labels);
+            // Utilization so far: resolved busy-seconds plus the
+            // elapsed share of still-running batches (their busy time
+            // is only booked at resolution).
+            double busy = rp.stats.busySeconds;
+            for (int g = rp.firstGpu; g < rp.firstGpu + rp.numGpus; ++g) {
+                if (gpu(g).batch.has_value())
+                    busy += std::max(0.0, t - gpu(g).batch->start);
+            }
+            record("serving.replica.utilization", t,
+                   busy / (t * static_cast<double>(rp.numGpus)), rp.labels);
+        }
+        const double next =
+            sampleInterval_ * static_cast<double>(++src_.sampleIndex);
+        src_.sampleAt = t >= horizon_ ? kNever : std::min(next, horizon_);
+    }
+
+    /** Append (t, value) to a sampled series; counts convert exactly. */
+    void record(const char* name, double t, double value,
+                const telemetry::Labels& labels = {})
+    {
+        metrics_->series(name, labels).record(t, value);
+    }
+
+    // -- routing and breakers --
+
+    /** Whether the router may pick `rp` in preference tier `tier`. */
+    bool routable(const Replica& rp, int tier) const
+    {
+        // A half-open replica may receive work only while completely
+        // idle: one trial request probes it, further traffic waits for
+        // the verdict. Without this trickle the breaker could never
+        // observe the successes it needs to close.
+        const bool halfOpenIdle = rp.breaker == BreakerState::HalfOpen &&
+                                  rp.batches == 0 && rp.queue.empty();
+        if (tier == 0)
+            return rp.knownUp &&
+                   (!breakerOn_ || rp.breaker == BreakerState::Closed ||
+                    halfOpenIdle);
+        return tier > 1 ||
+               (rp.knownUp &&
+                !(breakerOn_ && rp.breaker == BreakerState::Open));
+    }
+
+    /** A replica of failure domain `domain` is down or tripped. */
+    bool domainSuspect(int domain) const
+    {
+        for (const Replica& o : reps_) {
+            if (o.domain == domain &&
+                (!o.knownUp ||
+                 (breakerOn_ && o.breaker != BreakerState::Closed)))
+                return true;
+        }
+        return false;
+    }
 
     // Route one copy to a replica. Preference tiers: healthy replicas
     // (closed breaker, or an idle half-open one taking its trial),
     // then any non-open breaker, then anything — the policy picks
     // within the best non-empty tier. Deterministic: no RNG, ties to
     // the lowest index (or the round-robin cursor).
-    std::vector<int> cand;
-    auto route = [&](int exclude) {
-        cand.clear();
-        for (int tier = 0; tier < 3 && cand.empty(); ++tier) {
-            for (int r = 0; r < numReplicas; ++r) {
-                if (r == exclude)
-                    continue;
-                const std::size_t ri = static_cast<std::size_t>(r);
-                if (tier == 0 &&
-                    (!knownUp[ri] ||
-                     (breakerOn &&
-                      bstate[ri] != BreakerState::Closed &&
-                      !halfOpenIdle(ri))))
-                    continue;
-                if (tier == 1 &&
-                    (!knownUp[ri] ||
-                     (breakerOn && bstate[ri] == BreakerState::Open)))
-                    continue;
-                cand.push_back(r);
+    int route(int exclude)
+    {
+        cand_.clear();
+        for (int tier = 0; tier < 3 && cand_.empty(); ++tier) {
+            for (int r = 0; r < numReplicas(); ++r) {
+                if (r != exclude && routable(rep(r), tier))
+                    cand_.push_back(r);
             }
         }
-        if (cand.empty())
+        if (cand_.empty())
             return -1;
-        switch (cfg.router) {
+        switch (cfg_.router) {
         case RouterPolicy::RoundRobin:
-            return cand[static_cast<std::size_t>(
-                rrCounter++ % cand.size())];
+            return cand_[rr_counter_++ % cand_.size()];
         case RouterPolicy::LeastLoaded:
             break;
-        case RouterPolicy::FailureDomainAware: {
+        case RouterPolicy::FailureDomainAware:
             // Deprioritize replicas sharing a failure domain with a
             // known-down or breaker-tripped replica.
-            std::vector<int> clean;
-            for (int r : cand) {
-                bool suspect = false;
-                for (int o = 0; o < numReplicas; ++o) {
-                    const std::size_t oi = static_cast<std::size_t>(o);
-                    if (cfg.replicas[oi].domain !=
-                        cfg.replicas[static_cast<std::size_t>(r)]
-                            .domain)
-                        continue;
-                    if (!knownUp[oi] ||
-                        (breakerOn &&
-                         bstate[oi] != BreakerState::Closed)) {
-                        suspect = true;
-                        break;
-                    }
-                }
-                if (!suspect)
-                    clean.push_back(r);
+            clean_.clear();
+            for (int r : cand_) {
+                if (!domainSuspect(rep(r).domain))
+                    clean_.push_back(r);
             }
-            if (!clean.empty())
-                cand = std::move(clean);
+            if (!clean_.empty())
+                std::swap(cand_, clean_);
             break;
         }
-        }
-        int best = cand.front();
-        for (int r : cand) {
-            if (repQueuedPlusFlight[static_cast<std::size_t>(r)] <
-                repQueuedPlusFlight[static_cast<std::size_t>(best)])
+        int best = cand_.front();
+        for (int r : cand_) {
+            if (rep(r).load() < rep(best).load())
                 best = r;
         }
         return best;
-    };
+    }
 
-    auto enqueue = [&](int replica, Copy copy) {
-        copy.cancellable = meta[static_cast<std::size_t>(copy.id)].hedged;
-        queues[static_cast<std::size_t>(replica)].push(copy);
-        ++repQueuedPlusFlight[static_cast<std::size_t>(replica)];
-    };
+    // Trip the breaker: stop routing to the replica and push its
+    // queued work through the router toward healthy peers.
+    void openBreaker(int r, double now)
+    {
+        Replica& rp = rep(r);
+        rp.breaker = BreakerState::Open;
+        rp.openedAt = now;
+        rp.consecFailures = 0;
+        rp.halfOpenSuccesses = 0;
+        ++report_.breakerOpens;
+        ++rp.stats.breakerOpens;
+        trace_.instant(Tracer::kBreakers, "breaker_open", now, "replica", r);
+        if (numReplicas() == 1)
+            return;
+        ReplicaQueue moved = std::exchange(rp.queue, ReplicaQueue());
+        while (!moved.empty()) {
+            const Copy c = moved.pop();
+            if (meta(c.id).done) {
+                cancel(c);
+                continue;
+            }
+            const int target = route(r);
+            enqueue(target >= 0 ? target : r, c);
+        }
+    }
+
+    // A batch on replica r failed: a half-open breaker re-opens, a
+    // closed one opens at the threshold of consecutive failures.
+    void noteBatchFailure(int r, double now)
+    {
+        Replica& rp = rep(r);
+        if (breakerOn_ &&
+            (rp.breaker == BreakerState::HalfOpen ||
+             (++rp.consecFailures >= cfg_.breaker.failureThreshold &&
+              rp.breaker == BreakerState::Closed)))
+            openBreaker(r, now);
+    }
+
+    void noteBatchSuccess(int r, double now)
+    {
+        if (!breakerOn_)
+            return;
+        Replica& rp = rep(r);
+        rp.consecFailures = 0;
+        if (rp.breaker != BreakerState::HalfOpen ||
+            ++rp.halfOpenSuccesses < cfg_.breaker.halfOpenSuccesses)
+            return;
+        rp.breaker = BreakerState::Closed;
+        rp.halfOpenSuccesses = 0;
+        ++report_.breakerCloses;
+        trace_.instant(Tracer::kBreakers, "breaker_close", now, "replica",
+                       r);
+    }
+
+    // -- request transitions --
+
+    /** A copy joins replica r's queue, cancellable if hedged. */
+    void enqueue(int r, Copy copy)
+    {
+        copy.cancellable = meta(copy.id).hedged;
+        rep(r).queue.push(copy);
+    }
+
+    /** A duplicate copy leaves unserved; its twin serves the request. */
+    void cancel(const Copy& copy)
+    {
+        ++report_.hedgesCancelled;
+        --meta(copy.id).liveCopies;
+    }
+
+    // Lazily expire the head of `rp`'s queue when its deadline already
+    // passed (serving it would be wasted work); true if it did.
+    bool expireHead(Replica& rp, double now)
+    {
+        if (!deadline_.hasDeadline() ||
+            rp.queue.front().arrival + deadline_.deadlineSeconds > now)
+            return false;
+        const Copy copy = rp.queue.pop();
+        ReqMeta& m = meta(copy.id);
+        if (m.liveCopies != 1) {
+            cancel(copy); // a twin still serves the request
+            return true;
+        }
+        --m.liveCopies;
+        ++report_.expired;
+        trace_.instant(Tracer::kLifecycle, "expire", now);
+        return true;
+    }
+
+    // Drop queued duplicates whose twin already answered: serving
+    // them would be pure waste.
+    void dropCancelled(Replica& rp)
+    {
+        rp.queue.eraseCancelled([&](const Copy& c) {
+            if (!meta(c.id).done)
+                return false;
+            cancel(c);
+            return true;
+        });
+    }
 
     // Requeue a faulted/timed-out copy with backoff, or drop it.
-    auto retry_or_drop = [&](Copy copy, double now) {
-        ReqMeta& m = meta[static_cast<std::size_t>(copy.id)];
-        if (copy.attempts >= cfg.resilience.retry.maxRetries) {
+    void retry(Copy copy, double now)
+    {
+        ReqMeta& m = meta(copy.id);
+        if (copy.attempts >= cfg_.resilience.retry.maxRetries) {
             --m.liveCopies;
             if (!m.done && m.liveCopies == 0) {
-                ++report.dropped;
-                if (trace != nullptr)
-                    trace->instant(lifecycle_track, "drop", now,
-                                   "lifecycle");
+                ++report_.dropped;
+                trace_.instant(Tracer::kLifecycle, "drop", now);
             }
             return;
         }
         ++copy.attempts;
-        ++report.retries;
-        const double ready =
-            now + cfg.resilience.retry.backoffSeconds(copy.attempts);
-        if (trace != nullptr)
-            trace->instant(lifecycle_track, "retry", now, "lifecycle");
-        retries.push({ready, retry_seq++, copy});
-    };
-
-    // Trip the breaker: stop routing to the replica and push its
-    // queued work through the router toward healthy peers.
-    auto openBreaker = [&](int r, double now) {
-        const std::size_t ri = static_cast<std::size_t>(r);
-        bstate[ri] = BreakerState::Open;
-        openedAt[ri] = now;
-        consecFailures[ri] = 0;
-        halfOpenSucc[ri] = 0;
-        ++report.breakerOpens;
-        ++cluster.replicas[ri].breakerOpens;
-        if (trace != nullptr) {
-            telemetry::Labels args;
-            args.set("replica", std::to_string(r));
-            trace->instant(breaker_track, "breaker_open", now,
-                           "breaker", args);
-        }
-        if (numReplicas > 1) {
-            ReplicaQueue moved = std::exchange(queues[ri], ReplicaQueue());
-            repQueuedPlusFlight[ri] -=
-                static_cast<std::int64_t>(moved.size());
-            while (!moved.empty()) {
-                const Copy c = moved.pop();
-                if (meta[static_cast<std::size_t>(c.id)].done) {
-                    ++report.hedgesCancelled;
-                    --meta[static_cast<std::size_t>(c.id)].liveCopies;
-                    continue;
-                }
-                const int target = route(r);
-                enqueue(target >= 0 ? target : r, c);
-            }
-        }
-    };
-
-    auto noteBatchFailure = [&](int r, double now) {
-        if (!breakerOn)
-            return;
-        const std::size_t ri = static_cast<std::size_t>(r);
-        if (bstate[ri] == BreakerState::HalfOpen) {
-            openBreaker(r, now);
-            return;
-        }
-        ++consecFailures[ri];
-        if (bstate[ri] == BreakerState::Closed &&
-            consecFailures[ri] >= cfg.breaker.failureThreshold)
-            openBreaker(r, now);
-    };
-
-    auto noteBatchSuccess = [&](int r, double now) {
-        if (!breakerOn)
-            return;
-        const std::size_t ri = static_cast<std::size_t>(r);
-        consecFailures[ri] = 0;
-        if (bstate[ri] == BreakerState::HalfOpen) {
-            ++halfOpenSucc[ri];
-            if (halfOpenSucc[ri] >= cfg.breaker.halfOpenSuccesses) {
-                bstate[ri] = BreakerState::Closed;
-                halfOpenSucc[ri] = 0;
-                ++report.breakerCloses;
-                if (trace != nullptr) {
-                    telemetry::Labels args;
-                    args.set("replica", std::to_string(r));
-                    trace->instant(breaker_track, "breaker_close", now,
-                                   "breaker", args);
-                }
-            }
-        }
-    };
-
-    // Lazily expire the head of replica ri's queue when its deadline
-    // already passed (serving it would be wasted work); true if it did.
-    auto expireHead = [&](std::size_t ri, double now) {
-        ReplicaQueue& queue = queues[ri];
-        if (!deadline.hasDeadline() ||
-            queue.front().arrival + deadline.deadlineSeconds > now)
-            return false;
-        ReqMeta& m = meta[static_cast<std::size_t>(queue.pop().id)];
-        --m.liveCopies;
-        if (m.liveCopies == 0) {
-            ++report.expired;
-            if (trace != nullptr)
-                trace->instant(lifecycle_track, "expire", now,
-                               "lifecycle");
-        } else {
-            ++report.hedgesCancelled;
-        }
-        --repQueuedPlusFlight[ri];
-        return true;
-    };
-
-    // Drop queued duplicates whose twin already answered: serving
-    // them would be pure waste.
-    auto dropCancelled = [&](std::size_t ri) {
-        const std::int64_t dropped =
-            static_cast<std::int64_t>(queues[ri].eraseCancelled(
-                [&](const Copy& c) {
-                    ReqMeta& m = meta[static_cast<std::size_t>(c.id)];
-                    if (!m.done)
-                        return false;
-                    --m.liveCopies;
-                    return true;
-                }));
-        report.hedgesCancelled += dropped;
-        repQueuedPlusFlight[ri] -= dropped;
-    };
+        ++report_.retries;
+        // The closing sample at the horizon cannot see a drain retry.
+        if (now > horizon_)
+            ++report_.drainRetries;
+        trace_.instant(Tracer::kLifecycle, "retry", now);
+        src_.retries.push(
+            {now + cfg_.resilience.retry.backoffSeconds(copy.attempts),
+             src_.seq++, copy});
+    }
 
     // A queued copy starts service on replica r: it resumes from the
     // request's last checkpoint, and a primary arms the hedge timer.
-    auto launch = [&](const Copy& copy, int r, double now) {
-        ReqMeta& m = meta[static_cast<std::size_t>(copy.id)];
-        if (ckptOn && m.doneIters > 0)
-            ++report.resumes;
+    Member launch(const Copy& copy, int r, double now)
+    {
+        ReqMeta& m = meta(copy.id);
+        if (ckptOn_ && m.doneIters > 0)
+            ++report_.resumes;
         if (!copy.hedge) {
             m.primaryInFlight = true;
             m.primaryReplica = r;
-            if (hedgeOn && !m.hedged)
-                hedges.push({now + cfg.hedge.delaySeconds, hedge_seq++,
-                             copy});
+            if (hedgeOn_ && !m.hedged)
+                src_.hedges.push(
+                    {now + cfg_.hedge.delaySeconds, src_.seq++, copy});
         }
+        ++rep(r).running;
         return Member{copy, m.doneIters};
-    };
+    }
 
-    auto degradeNow = [&](std::size_t ri) {
-        return degradation.enabled() &&
-               static_cast<std::int64_t>(queues[ri].size()) >=
-                   degradation.queueThreshold;
-    };
+    // A copy finished service at `finish`. The first copy of a request
+    // to finish answers it; a twin finishing later spent `spent`
+    // GPU-seconds on duplicate work.
+    void answer(const Copy& copy, double finish, double spent, int r)
+    {
+        ReqMeta& m = meta(copy.id);
+        if (!copy.hedge)
+            m.primaryInFlight = false;
+        --m.liveCopies;
+        if (m.done) {
+            report_.hedgeWastedSeconds += spent;
+            return;
+        }
+        m.done = true;
+        if (copy.hedge)
+            ++report_.hedgesWon;
+        if (m.hedged)
+            trace_.hedgeSpan(m.hedgedAt, finish, copy.hedge);
+        const double lat = finish - copy.arrival;
+        latencies_.push_back(lat);
+        ++report_.completed;
+        ++rep(r).stats.completedRequests;
+        if (finish > horizon_)
+            ++report_.drainCompleted;
+        const bool in_deadline =
+            !deadline_.hasDeadline() || lat <= deadline_.deadlineSeconds;
+        if (!in_deadline)
+            ++deadline_misses_;
+        if (finish <= horizon_ && in_deadline)
+            ++goodput_count_;
+    }
+
+    // Kill the batch on GPU g at `now` (a fault hit or a batch
+    // timeout) and resolve every member: salvage any checkpointed
+    // progress, book the destroyed GPU-seconds (a continuous member
+    // also loses the iterations it already served), and put live
+    // copies back through the retry policy.
+    void failBatch(int g, double now)
+    {
+        const int r = gpu(g).replica;
+        const InFlightBatch fl = release(g);
+        accountBusy(fl.start, now, r);
+        report_.lostGpuSeconds += now - fl.start;
+        const double elapsed = now - fl.start;
+        const double b = static_cast<double>(fl.members.size());
+        // Fraction of the planned run that completed before the kill.
+        const bool salvageable = ckptOn_ && fl.plannedService > 0.0;
+        const double q =
+            salvageable ? std::min(elapsed / fl.plannedService, 1.0) : 0.0;
+        if (salvageable) {
+            const std::int64_t advMax = static_cast<std::int64_t>(
+                q * static_cast<double>(fl.maxRemIters));
+            const std::int64_t taken = advMax / ckpt_.intervalIterations;
+            report_.checkpointsTaken += taken;
+            report_.checkpointOverheadSeconds +=
+                static_cast<double>(taken) * ckpt_.costSeconds;
+        }
+        for (const Member& mb : fl.members) {
+            const Copy& copy = mb.copy;
+            ReqMeta& m = meta(copy.id);
+            if (!copy.hedge)
+                m.primaryInFlight = false;
+            const double share = mb.servedSeconds + elapsed / b;
+            if (m.done) {
+                // Duplicate of an already-answered request: all its
+                // progress is hedge waste, nothing retries.
+                report_.hedgeWastedSeconds += share;
+                --m.liveCopies;
+                continue;
+            }
+            double salvage = 0.0;
+            if (salvageable) {
+                const std::int64_t rem = mb.remIters;
+                const std::int64_t adv = static_cast<std::int64_t>(
+                    q * static_cast<double>(rem));
+                const std::int64_t ck = (adv / ckpt_.intervalIterations) *
+                                        ckpt_.intervalIterations;
+                if (ck > 0) {
+                    m.doneIters = std::max(m.doneIters, mb.baseIters + ck);
+                    salvage = (static_cast<double>(ck) /
+                               static_cast<double>(rem)) *
+                              (fl.workService / b);
+                }
+            }
+            report_.wastedGpuSeconds += share - salvage;
+            report_.restoredGpuSeconds += salvage;
+            retry(copy, now);
+        }
+        ++rep(r).stats.abortedBatches;
+        noteBatchFailure(r, now);
+    }
+
+    // -- GPUs and batches --
+
+    void accountBusy(double start, double end, int r)
+    {
+        busy_in_horizon_ += std::max(0.0, std::min(end, horizon_) - start);
+        report_.drainGpuSeconds +=
+            std::max(0.0, end - std::max(start, horizon_));
+        rep(r).stats.busySeconds += end - start;
+    }
+
+    double slowdownAt(int g, double now)
+    {
+        double s = gpu(g).faults.slowdown;
+        for (const SlowWindow& w : gpu(g).slow) {
+            if (now >= w.start && now < w.end)
+                s *= w.factor;
+        }
+        return s;
+    }
+
+    bool degradeNow(const Replica& rp) const
+    {
+        return degradation_.enabled() &&
+               static_cast<std::int64_t>(rp.queue.size()) >=
+                   degradation_.queueThreshold;
+    }
+
+    std::int64_t totalQueued() const
+    {
+        std::int64_t n = 0;
+        for (const Replica& rp : reps_)
+            n += static_cast<std::int64_t>(rp.queue.size());
+        return n;
+    }
+
+    int freeGpu(const Replica& rp)
+    {
+        for (int g = rp.firstGpu; g < rp.firstGpu + rp.numGpus; ++g) {
+            if (!gpu(g).batch.has_value() && !gpu(g).down)
+                return g;
+        }
+        return -1;
+    }
+
+    /** Put `fl` on GPU g, which it holds until `release`. */
+    InFlightBatch& occupy(int g, InFlightBatch fl)
+    {
+        Gpu& gp = gpu(g);
+        gp.batch = std::move(fl);
+        ++busy_gpus_;
+        ++rep(gp.replica).batches;
+        return *gp.batch;
+    }
+
+    // Take the batch off GPU g: its pending finish event goes stale and
+    // the GPU is free.
+    InFlightBatch release(int g)
+    {
+        Gpu& gp = gpu(g);
+        InFlightBatch fl = std::move(*gp.batch);
+        gp.batch.reset();
+        ++gp.epoch;
+        --busy_gpus_;
+        --rep(gp.replica).batches;
+        rep(gp.replica).running -= fl.members.size();
+        return fl;
+    }
 
     // Start `service` seconds of work on GPU g. A run longer than the
     // batch timeout is scheduled to abort at the timeout instead.
-    auto launchRun = [&](InFlightBatch& fl, int g, double service,
-                         double now) {
-        const std::size_t gi = static_cast<std::size_t>(g);
+    void launchRun(InFlightBatch& fl, int g, double service, double now)
+    {
         fl.start = now;
-        fl.timedOut = deadline.hasTimeout() &&
-                      service > deadline.batchTimeoutSeconds;
+        fl.timedOut = deadline_.hasTimeout() &&
+                      service > deadline_.batchTimeoutSeconds;
         fl.finish =
-            now + (fl.timedOut ? deadline.batchTimeoutSeconds : service);
-        batch_sizes.push_back(static_cast<double>(fl.members.size()));
-        ++cluster.replicas[static_cast<std::size_t>(repOf[gi])]
-              .dispatchedBatches;
-        finishes.push({fl.finish, g, ++epoch[gi]});
-    };
+            now + (fl.timedOut ? deadline_.batchTimeoutSeconds : service);
+        batch_sizes_.push_back(static_cast<double>(fl.members.size()));
+        ++rep(gpu(g).replica).stats.dispatchedBatches;
+        src_.finishes.push({fl.finish, g, ++gpu(g).epoch});
+    }
+
+    // Start work on every free, up GPU of every replica that may take
+    // it: a greedy batch, or a new continuous batch's first iteration.
+    void dispatch(double now)
+    {
+        if (maxBatch_ == 0)
+            return; // memory-infeasible: nothing may be scheduled
+        for (int r = 0; r < numReplicas(); ++r) {
+            Replica& rp = rep(r);
+            if (breakerOn_ && rp.breaker == BreakerState::Open)
+                continue;
+            while (true) {
+                if (hedgeOn_)
+                    dropCancelled(rp);
+                // A greedy batch takes the head as it stands, so the
+                // head is vetted first; continuous admission vets every
+                // request it admits.
+                if (!continuous_) {
+                    while (!rp.queue.empty() && expireHead(rp, now)) {
+                    }
+                }
+                if (rp.queue.empty())
+                    break;
+                // A half-open breaker admits one trial batch at a time.
+                if (breakerOn_ && rp.breaker == BreakerState::HalfOpen &&
+                    rp.batches > 0)
+                    break;
+                const int g = freeGpu(rp);
+                if (g < 0)
+                    break;
+                if (!continuous_) {
+                    startBatch(g, now);
+                    continue;
+                }
+                InFlightBatch fl;
+                fill(fl, r, now);
+                if (fl.members.empty())
+                    break; // everything queued had expired
+                occupy(g, std::move(fl));
+                startIteration(g, now);
+            }
+        }
+    }
 
     // Greedy dispatch: the head of the replica's queue (up to the batch
     // ceiling) runs on GPU g as one batch, held until all of it is done.
-    auto startBatch = [&](int g, double now) {
-        const std::size_t gi = static_cast<std::size_t>(g);
-        const int r = repOf[gi];
-        const std::size_t ri = static_cast<std::size_t>(r);
-        ReplicaQueue& queue = queues[ri];
+    void startBatch(int g, double now)
+    {
+        const int r = gpu(g).replica;
+        Replica& rp = rep(r);
         InFlightBatch fl;
-        fl.degraded = degradeNow(ri);
+        fl.degraded = degradeNow(rp);
         const int batch = static_cast<int>(std::min<std::size_t>(
-            queue.size(), static_cast<std::size_t>(effective_max_batch)));
+            rp.queue.size(), static_cast<std::size_t>(maxBatch_)));
         // Padded-batch pricing: the batch runs at its largest member's
         // shape.
         double max_size = 1.0;
         for (int i = 0; i < batch; ++i) {
-            Member mb = launch(queue.pop(), r, now);
+            Member mb = launch(rp.queue.pop(), r, now);
             max_size = std::max(max_size, mb.copy.size);
-            if (ckptOn) {
-                mb.remIters = ckpt.iterations - mb.baseIters;
+            if (ckptOn_) {
+                mb.remIters = ckpt_.iterations - mb.baseIters;
                 fl.maxRemIters = std::max(fl.maxRemIters, mb.remIters);
             }
             fl.members.push_back(mb);
         }
-        double service = surfaces[ri].batchSeconds(batch, max_size) *
-                         slowdownAt(g, now);
+        double service =
+            rp.surface.batchSeconds(batch, max_size) * slowdownAt(g, now);
         if (fl.degraded)
-            service *= degradation.serviceScale;
-        if (ckptOn) {
+            service *= degradation_.serviceScale;
+        if (ckptOn_) {
             // Resume from the last checkpoint: the batch only runs the
             // longest member's remaining iterations, plus the cost of
             // the checkpoints it will write.
             service *= static_cast<double>(fl.maxRemIters) /
-                       static_cast<double>(ckpt.iterations);
+                       static_cast<double>(ckpt_.iterations);
             fl.workService = service;
-            fl.ckpts = fl.maxRemIters / ckpt.intervalIterations;
-            service += static_cast<double>(fl.ckpts) * ckpt.costSeconds;
+            fl.ckpts = fl.maxRemIters / ckpt_.intervalIterations;
+            service += static_cast<double>(fl.ckpts) * ckpt_.costSeconds;
         } else {
             fl.workService = service;
         }
         fl.plannedService = service;
-        launchRun(fl, g, service, now);
-        inflight[gi] = std::move(fl);
-        ++inflight_gpus;
-        ++repBatches[ri];
-    };
+        launchRun(occupy(g, std::move(fl)), g, service, now);
+    }
 
     // -- continuous batching: the batch is a set of members advancing
     //    one pipeline iteration at a time; requests join and retire at
@@ -1095,254 +1579,77 @@ simulateCluster(const ClusterConfig& cfg,
     // batch stops admitting, drains over its remaining iterations, and
     // the freed GPU re-buckets to the head — no worse a wait than
     // greedy's full-batch turnaround.
-    auto admit = [&](InFlightBatch& fl, int r, double now) {
-        const std::size_t ri = static_cast<std::size_t>(r);
-        ReplicaQueue& queue = queues[ri];
-        const BatchLatencySurface& surface = surfaces[ri];
+    void fill(InFlightBatch& fl, int r, double now)
+    {
+        Replica& rp = rep(r);
         bool has_bucket = !fl.members.empty();
         std::size_t bucket =
-            has_bucket ? sizeBucket(surface, fl.members.front().copy.size)
+            has_bucket ? sizeBucket(rp.surface, fl.members.front().copy.size)
                        : 0;
-        while (static_cast<int>(fl.members.size()) <
-                   effective_max_batch &&
-               !queue.empty()) {
-            if (expireHead(ri, now))
+        while (static_cast<int>(fl.members.size()) < maxBatch_ &&
+               !rp.queue.empty()) {
+            if (expireHead(rp, now))
                 continue;
-            const std::size_t b = sizeBucket(surface, queue.front().size);
+            const std::size_t b =
+                sizeBucket(rp.surface, rp.queue.front().size);
             if (has_bucket && b != bucket)
                 break; // incompatible head: drain, don't queue-jump
             has_bucket = true;
             bucket = b;
-            fl.members.push_back(launch(queue.pop(), r, now));
-            fl.members.back().remIters = surface.iterations;
+            fl.members.push_back(launch(rp.queue.pop(), r, now));
+            fl.members.back().remIters = rp.surface.iterations;
         }
-    };
+    }
 
     // Price and launch the next iteration of GPU g's (non-empty)
     // continuous batch.
-    auto startIteration = [&](int g, double now) {
-        const std::size_t gi = static_cast<std::size_t>(g);
-        const std::size_t ri = static_cast<std::size_t>(repOf[gi]);
-        InFlightBatch& fl = *inflight[gi];
-        const BatchLatencySurface& surface = surfaces[ri];
+    void startIteration(int g, double now)
+    {
+        InFlightBatch& fl = *gpu(g).batch;
+        const Replica& rp = rep(gpu(g).replica);
         double max_size = 1.0;
         for (const Member& mb : fl.members)
             max_size = std::max(max_size, mb.copy.size);
-        fl.degraded = degradeNow(ri);
+        fl.degraded = degradeNow(rp);
         double iter_s =
-            surface.batchSeconds(static_cast<int>(fl.members.size()),
-                                 max_size) /
-            static_cast<double>(surface.iterations) * slowdownAt(g, now);
+            rp.surface.batchSeconds(static_cast<int>(fl.members.size()),
+                                    max_size) /
+            static_cast<double>(rp.surface.iterations) * slowdownAt(g, now);
         if (fl.degraded)
-            iter_s *= degradation.serviceScale;
-        ++report.iterationsDispatched;
+            iter_s *= degradation_.serviceScale;
+        ++report_.iterationsDispatched;
         launchRun(fl, g, iter_s, now);
-    };
-
-    auto freeGpu = [&](std::size_t ri) {
-        for (int k = 0; k < cfg.replicas[ri].numGpus; ++k) {
-            const int g = gpuBase[ri] + k;
-            const std::size_t gi = static_cast<std::size_t>(g);
-            if (!inflight[gi].has_value() && !gpu_down[gi])
-                return g;
-        }
-        return -1;
-    };
-
-    auto dispatch = [&](double now) {
-        if (effective_max_batch == 0)
-            return; // memory-infeasible: nothing may be scheduled
-        for (int r = 0; r < numReplicas; ++r) {
-            const std::size_t ri = static_cast<std::size_t>(r);
-            if (breakerOn && bstate[ri] == BreakerState::Open)
-                continue;
-            ReplicaQueue& queue = queues[ri];
-            while (true) {
-                if (hedgeOn)
-                    dropCancelled(ri);
-                // A greedy batch takes the head as it stands, so the
-                // head is vetted first; continuous admission vets every
-                // request it admits.
-                if (!continuous) {
-                    while (!queue.empty() && expireHead(ri, now)) {
-                    }
-                }
-                if (queue.empty())
-                    break;
-                // A half-open breaker admits one trial batch at a time.
-                if (breakerOn && bstate[ri] == BreakerState::HalfOpen &&
-                    repBatches[ri] > 0)
-                    break;
-                const int g = freeGpu(ri);
-                if (g < 0)
-                    break;
-                if (!continuous) {
-                    startBatch(g, now);
-                    continue;
-                }
-                InFlightBatch fl;
-                admit(fl, r, now);
-                if (fl.members.empty())
-                    break; // everything queued had expired
-                inflight[static_cast<std::size_t>(g)] = std::move(fl);
-                ++inflight_gpus;
-                ++repBatches[ri];
-                startIteration(g, now);
-            }
-        }
-    };
-
-    // Take the batch off GPU g: its pending finish event goes stale and
-    // the GPU is free.
-    auto release = [&](int g) {
-        const std::size_t gi = static_cast<std::size_t>(g);
-        InFlightBatch fl = std::move(*inflight[gi]);
-        inflight[gi].reset();
-        ++epoch[gi];
-        --inflight_gpus;
-        --repBatches[static_cast<std::size_t>(repOf[gi])];
-        return fl;
-    };
-
-    // Resolve every member of a killed batch: salvage any checkpointed
-    // progress, book the destroyed GPU-seconds (a continuous member
-    // also loses the iterations it already served), and put live
-    // copies back through the retry policy.
-    auto failMembers = [&](const InFlightBatch& fl, double now) {
-        const double elapsed = now - fl.start;
-        const double b = static_cast<double>(fl.members.size());
-        // Fraction of the planned run that completed before the kill.
-        const bool salvageable = ckptOn && fl.plannedService > 0.0;
-        const double q =
-            salvageable ? std::min(elapsed / fl.plannedService, 1.0) : 0.0;
-        if (salvageable) {
-            const std::int64_t advMax = static_cast<std::int64_t>(
-                q * static_cast<double>(fl.maxRemIters));
-            const std::int64_t taken =
-                advMax / ckpt.intervalIterations;
-            report.checkpointsTaken += taken;
-            report.checkpointOverheadSeconds +=
-                static_cast<double>(taken) * ckpt.costSeconds;
-        }
-        for (const Member& mb : fl.members) {
-            const Copy& copy = mb.copy;
-            ReqMeta& m = meta[static_cast<std::size_t>(copy.id)];
-            if (!copy.hedge)
-                m.primaryInFlight = false;
-            const double share = mb.servedSeconds + elapsed / b;
-            if (m.done) {
-                // Duplicate of an already-answered request: all its
-                // progress is hedge waste, nothing retries.
-                report.hedgeWastedSeconds += share;
-                --m.liveCopies;
-                continue;
-            }
-            double salvage = 0.0;
-            if (salvageable) {
-                const std::int64_t rem = mb.remIters;
-                const std::int64_t adv = static_cast<std::int64_t>(
-                    q * static_cast<double>(rem));
-                const std::int64_t ck =
-                    (adv / ckpt.intervalIterations) *
-                    ckpt.intervalIterations;
-                if (ck > 0) {
-                    m.doneIters =
-                        std::max(m.doneIters, mb.baseIters + ck);
-                    salvage = (static_cast<double>(ck) /
-                               static_cast<double>(rem)) *
-                              (fl.workService / b);
-                }
-            }
-            report.wastedGpuSeconds += share - salvage;
-            report.restoredGpuSeconds += salvage;
-            retry_or_drop(copy, now);
-        }
-    };
-
-    // Kill the batch on GPU g at `now`: a fault hit or a batch timeout.
-    auto failBatch = [&](int g, double now) {
-        const int r = repOf[static_cast<std::size_t>(g)];
-        const std::size_t ri = static_cast<std::size_t>(r);
-        const InFlightBatch fl = release(g);
-        account_busy(fl.start, now, r);
-        report.lostGpuSeconds += now - fl.start;
-        failMembers(fl, now);
-        repQueuedPlusFlight[ri] -=
-            static_cast<std::int64_t>(fl.members.size());
-        ++cluster.replicas[ri].abortedBatches;
-        noteBatchFailure(r, now);
-    };
-
-    // A copy finished service at `finish`. The first copy of a request
-    // to finish answers it; a twin finishing later spent `spent`
-    // GPU-seconds on duplicate work.
-    auto answer = [&](const Copy& copy, double finish, double spent,
-                      std::size_t ri) {
-        ReqMeta& m = meta[static_cast<std::size_t>(copy.id)];
-        if (!copy.hedge)
-            m.primaryInFlight = false;
-        --m.liveCopies;
-        if (m.done) {
-            report.hedgeWastedSeconds += spent;
-            return;
-        }
-        m.done = true;
-        if (copy.hedge)
-            ++report.hedgesWon;
-        if (trace != nullptr && m.hedged) {
-            // Hedge span: from the hedge timer firing to whichever
-            // copy answered first.
-            telemetry::Labels args;
-            args.set("won", copy.hedge ? "hedge" : "primary");
-            trace->complete(hedge_track, "hedged request", m.hedgedAt,
-                            finish - m.hedgedAt, "hedge", args);
-        }
-        const double lat = finish - copy.arrival;
-        latencies.push_back(lat);
-        ++report.completed;
-        ++cluster.replicas[ri].completedRequests;
-        if (finish > horizon)
-            ++report.drainCompleted;
-        const bool in_deadline =
-            !deadline.hasDeadline() || lat <= deadline.deadlineSeconds;
-        if (!in_deadline)
-            ++deadline_misses;
-        if (finish <= horizon && in_deadline)
-            ++goodput_count;
-    };
+    }
 
     // A greedy batch completed on GPU g: every member answers.
-    auto finishBatch = [&](int g) {
-        const int r = repOf[static_cast<std::size_t>(g)];
-        const std::size_t ri = static_cast<std::size_t>(r);
+    void finishBatch(int g)
+    {
+        const int r = gpu(g).replica;
         const InFlightBatch fl = release(g);
-        repQueuedPlusFlight[ri] -=
-            static_cast<std::int64_t>(fl.members.size());
-        account_busy(fl.start, fl.finish, r);
-        if (ckptOn) {
-            report.checkpointsTaken += fl.ckpts;
-            report.checkpointOverheadSeconds +=
-                static_cast<double>(fl.ckpts) * ckpt.costSeconds;
+        accountBusy(fl.start, fl.finish, r);
+        if (ckptOn_) {
+            report_.checkpointsTaken += fl.ckpts;
+            report_.checkpointOverheadSeconds +=
+                static_cast<double>(fl.ckpts) * ckpt_.costSeconds;
         }
         if (fl.degraded)
-            report.degraded +=
-                static_cast<std::int64_t>(fl.members.size());
+            report_.degraded += static_cast<std::int64_t>(fl.members.size());
         const double b = static_cast<double>(fl.members.size());
         for (const Member& mb : fl.members)
-            answer(mb.copy, fl.finish, (fl.finish - fl.start) / b, ri);
+            answer(mb.copy, fl.finish, (fl.finish - fl.start) / b, r);
         noteBatchSuccess(r, fl.finish);
-    };
+    }
 
     // A continuous iteration completed on GPU g: members advance one
     // iteration, finished ones (and duplicates whose twin answered
     // meanwhile) leave, and the batch refills at the boundary before
     // its next iteration.
-    auto finishIteration = [&](int g) {
-        const std::size_t gi = static_cast<std::size_t>(g);
-        const int r = repOf[gi];
-        const std::size_t ri = static_cast<std::size_t>(r);
-        InFlightBatch& fl = *inflight[gi];
-        account_busy(fl.start, fl.finish, r);
+    void finishIteration(int g)
+    {
+        const int r = gpu(g).replica;
+        Replica& rp = rep(r);
+        InFlightBatch& fl = *gpu(g).batch;
+        accountBusy(fl.start, fl.finish, r);
         const double share = (fl.finish - fl.start) /
                              static_cast<double>(fl.members.size());
         std::vector<Member> keep;
@@ -1350,409 +1657,161 @@ simulateCluster(const ClusterConfig& cfg,
         for (Member& mb : fl.members) {
             mb.degraded = mb.degraded || fl.degraded;
             mb.servedSeconds += share;
-            const bool twinAnswered =
-                hedgeOn && meta[static_cast<std::size_t>(mb.copy.id)].done;
+            const bool twinAnswered = hedgeOn_ && meta(mb.copy.id).done;
             if (!twinAnswered && --mb.remIters > 0) {
                 keep.push_back(std::move(mb));
                 continue;
             }
             if (!twinAnswered && mb.degraded)
-                ++report.degraded;
-            answer(mb.copy, fl.finish, mb.servedSeconds, ri);
-            --repQueuedPlusFlight[ri];
+                ++report_.degraded;
+            answer(mb.copy, fl.finish, mb.servedSeconds, r);
+            --rp.running;
         }
         fl.members = std::move(keep);
         const double now = fl.finish;
         noteBatchSuccess(r, now);
-        if (!(breakerOn && bstate[ri] == BreakerState::Open)) {
-            if (hedgeOn)
-                dropCancelled(ri);
-            admit(fl, r, now);
+        if (!(breakerOn_ && rp.breaker == BreakerState::Open)) {
+            if (hedgeOn_)
+                dropCancelled(rp);
+            fill(fl, r, now);
         }
         if (fl.members.empty())
             release(g);
         else
             startIteration(g, now);
-    };
+    }
 
-    // Batch (or iteration) span on the GPU's trace lane.
-    auto traceRun = [&](int g, double end, const char* outcome) {
-        if (trace == nullptr)
-            return;
-        const std::size_t gi = static_cast<std::size_t>(g);
-        const InFlightBatch& fl = *inflight[gi];
-        const std::string b = std::to_string(fl.members.size());
-        telemetry::Labels args;
-        args.set("batch", b);
-        args.set("replica", std::to_string(repOf[gi]));
-        args.set("outcome", outcome);
-        if (fl.degraded)
-            args.set("degraded", "1");
-        trace->complete(gpu_track[gi],
-                        (continuous ? "iter b=" : "batch b=") + b,
-                        fl.start, end - fl.start, "batch", args);
-    };
+    // -- the report --
 
-    auto totalQueued = [&] {
-        std::int64_t n = 0;
-        for (const ReplicaQueue& q : queues)
-            n += static_cast<std::int64_t>(q.size());
-        return n;
-    };
-
-    // Periodic state sampling: an extra event source with the lowest
-    // tie priority, so a sample at time t observes the state *after*
-    // every simulation event at t. Sample k lands at exactly
-    // k * interval (no floating-point accumulation drift); the final
-    // sample is clamped onto the horizon, then the source goes quiet.
-    const double sample_interval =
-        sampling ? tele->sampleIntervalSeconds : 0.0;
-    std::int64_t sample_idx = sampling ? 1 : -1;
-    auto sample_time = [&]() -> double {
-        if (sample_idx < 0)
-            return kNever;
-        const double t =
-            sample_interval * static_cast<double>(sample_idx);
-        return std::min(t, horizon);
-    };
-    auto take_sample = [&](double t) {
-        telemetry::MetricsRegistry& m = *metrics;
-        m.series("serving.queue_depth")
-            .record(t, static_cast<double>(totalQueued()));
-        m.series("serving.in_flight_gpus")
-            .record(t, static_cast<double>(inflight_gpus));
-        m.series("serving.retry_backlog")
-            .record(t, static_cast<double>(retries.size()));
-        m.series("serving.arrived_total")
-            .record(t, static_cast<double>(report.arrived));
-        m.series("serving.completed_total")
-            .record(t, static_cast<double>(report.completed));
-        m.series("serving.shed_total")
-            .record(t, static_cast<double>(report.shed));
-        m.series("serving.retries_total")
-            .record(t, static_cast<double>(report.retries));
-        m.series("serving.hedges_issued_total")
-            .record(t, static_cast<double>(report.hedgesIssued));
-        for (int r = 0; r < numReplicas; ++r) {
-            const std::size_t ri = static_cast<std::size_t>(r);
-            const telemetry::Labels& lbl = repLabels[ri];
-            m.series("serving.replica.queue_depth", lbl)
-                .record(t, static_cast<double>(queues[ri].size()));
-            m.series("serving.replica.in_flight_batches", lbl)
-                .record(t, static_cast<double>(repBatches[ri]));
-            double state = 0.0;
-            if (bstate[ri] == BreakerState::Open)
-                state = 1.0;
-            else if (bstate[ri] == BreakerState::HalfOpen)
-                state = 2.0;
-            m.series("serving.replica.breaker_state", lbl)
-                .record(t, state);
-            // Utilization so far: resolved busy-seconds plus the
-            // elapsed share of still-running batches (their busy time
-            // is only booked at resolution).
-            double busy = cluster.replicas[ri].busySeconds;
-            for (int k = 0; k < cfg.replicas[ri].numGpus; ++k) {
-                const std::size_t gi = static_cast<std::size_t>(
-                    gpuBase[ri] + k);
-                if (inflight[gi].has_value())
-                    busy += std::max(0.0, t - inflight[gi]->start);
-            }
-            m.series("serving.replica.utilization", lbl)
-                .record(t, busy / (t * static_cast<double>(
-                                           cfg.replicas[ri].numGpus)));
-        }
-        if (t >= horizon)
-            sample_idx = -1; // final sample taken; source goes quiet
-        else
-            ++sample_idx;
-    };
-    double next_sample = sample_time();
-
-    // Event sources, in the order they win a same-instant tie: the
-    // first minimum of the due-time table below is the next event. A
-    // completion precedes a same-instant sample, so the sample sees
-    // the state after every simulation event at its timestamp.
-    enum Source : std::size_t
+    ClusterReport finalReport()
     {
-        kArrival,
-        kFault,
-        kProbe,
-        kHedge,
-        kRetry,
-        kCompletion,
-        kSample,
-        kSources,
-    };
-    std::size_t ti = 0;
-    while (true) {
-        // Drop stale finish events (their batch was killed).
-        while (!finishes.empty()) {
-            const FinishEvent& top = finishes.top();
-            const std::size_t gi = static_cast<std::size_t>(top.gpu);
-            if (inflight[gi].has_value() && epoch[gi] == top.epoch)
-                break;
-            finishes.pop();
+        // The backlog counts requests, not copies: an unanswered request
+        // with a live copy anywhere (queued, running, or backing off) is
+        // one backlog entry even when its primary and hedge both are.
+        for (const ReqMeta& m : meta_) {
+            if (!m.done && m.liveCopies > 0)
+                ++report_.backlog;
         }
-        double next_probe = kNever;
-        int probe_replica = -1;
-        for (int r = 0; r < numReplicas; ++r) {
-            const double t = probeNext[static_cast<std::size_t>(r)];
-            if (t <= horizon && t < next_probe) {
-                next_probe = t;
-                probe_replica = r;
-            }
-        }
-        const std::array<double, kSources> due = {
-            next_arrival,
-            ti < transitions.size() ? transitions[ti].time : kNever,
-            next_probe,
-            hedges.empty() ? kNever : hedges.top().time,
-            retries.empty() ? kNever : retries.top().ready,
-            finishes.empty() ? kNever : finishes.top().time,
-            next_sample,
-        };
-        const auto source = static_cast<std::size_t>(
-            std::min_element(due.begin(), due.end()) - due.begin());
-        const double now = due[source];
-
-        if (source == kArrival) {
-            if (now > horizon)
-                break;
-            ++report.arrived;
-            if (effective_max_batch == 0) {
-                // Not even a batch of one fits any replica's GPU:
-                // shed with a memory rejection, never queue.
-                ++report.shed;
-                ++report.memoryShed;
-                if (trace != nullptr)
-                    trace->instant(lifecycle_track, "shed_memory", now,
-                                   "lifecycle");
-            } else if (cfg.resilience.admission.enabled() &&
-                       totalQueued() >=
-                           cfg.resilience.admission.maxQueueLength) {
-                ++report.shed;
-                if (trace != nullptr)
-                    trace->instant(lifecycle_track, "shed", now,
-                                   "lifecycle");
-            } else {
-                MMGEN_CHECK(meta.size() <
-                                std::numeric_limits<std::uint32_t>::max(),
-                            "more than 2^32 admitted requests");
-                const std::uint32_t id =
-                    static_cast<std::uint32_t>(meta.size());
-                ReqMeta m;
-                m.liveCopies = 1;
-                meta.push_back(m);
-                enqueue(route(-1), Copy{.arrival = now,
-                                        .size = pending.sizeScale,
-                                        .id = id,
-                                        .priority = pending.priority});
-                size_sum += pending.sizeScale;
-                ++size_count;
-                if (trace != nullptr)
-                    trace->instant(lifecycle_track, "admit", now,
-                                   "lifecycle");
-            }
-            pending = arrivals.next();
-            next_arrival = pending.time;
-            dispatch(now);
-        } else if (source == kFault) {
-            // GPU availability edge.
-            const Transition tr = transitions[ti++];
-            const std::size_t gi = static_cast<std::size_t>(tr.gpu);
-            if (tr.down) {
-                gpu_down[gi] = true;
-                if (inflight[gi].has_value()) {
-                    traceRun(tr.gpu, now, "killed");
-                    failBatch(tr.gpu, now);
-                }
-            } else {
-                gpu_down[gi] = false;
-                dispatch(now);
-            }
-        } else if (source == kProbe) {
-            // Health probe: refresh router knowledge, advance due
-            // breakers from open to half-open.
-            const std::size_t ri =
-                static_cast<std::size_t>(probe_replica);
-            bool anyUp = false;
-            for (int k = 0; k < cfg.replicas[ri].numGpus; ++k) {
-                if (!gpu_down[static_cast<std::size_t>(
-                        gpuBase[ri] + k)]) {
-                    anyUp = true;
-                    break;
-                }
-            }
-            knownUp[ri] = anyUp;
-            probeNext[ri] += cfg.probe.intervalSeconds;
-            if (breakerOn && bstate[ri] == BreakerState::Open &&
-                now >= openedAt[ri] + cfg.breaker.openSeconds) {
-                bstate[ri] = BreakerState::HalfOpen;
-                halfOpenSucc[ri] = 0;
-                if (trace != nullptr) {
-                    telemetry::Labels args;
-                    args.set("replica",
-                             std::to_string(probe_replica));
-                    trace->instant(breaker_track, "breaker_half_open",
-                                   now, "breaker", args);
-                }
-                dispatch(now);
-            }
-        } else if (source == kHedge) {
-            // Hedge timer: the primary has run long enough — issue a
-            // backup copy on a different replica.
-            const HedgeEvent ev = hedges.top();
-            hedges.pop();
-            ReqMeta& m = meta[static_cast<std::size_t>(ev.primary.id)];
-            if (!m.done && !m.hedged && m.primaryInFlight) {
-                const int target = route(m.primaryReplica);
-                if (target >= 0 && target != m.primaryReplica) {
-                    m.hedged = true;
-                    m.hedgedAt = now;
-                    ++m.liveCopies;
-                    ++report.hedgesIssued;
-                    if (now > horizon)
-                        ++report.drainHedgesIssued;
-                    if (trace != nullptr) {
-                        telemetry::Labels args;
-                        args.set("target", std::to_string(target));
-                        trace->instant(hedge_track, "hedge_issue", now,
-                                       "hedge", args);
-                    }
-                    enqueue(target,
-                            Copy{.arrival = ev.primary.arrival,
-                                 .size = ev.primary.size,
-                                 .id = ev.primary.id,
-                                 .priority = ev.primary.priority,
-                                 .hedge = true});
-                    dispatch(now);
-                }
-            }
-        } else if (source == kRetry) {
-            // Backed-off copies re-enter a queue via the router.
-            while (!retries.empty() && retries.top().ready <= now) {
-                const Copy copy = retries.top().copy;
-                retries.pop();
-                enqueue(route(-1), copy);
-            }
-            dispatch(now);
-        } else if (source == kCompletion) {
-            // A greedy batch or a continuous iteration resolves (may
-            // run past the horizon to drain).
-            const int g = finishes.top().gpu;
-            finishes.pop();
-            const bool timedOut =
-                inflight[static_cast<std::size_t>(g)]->timedOut;
-            traceRun(g, now, timedOut ? "timeout" : "ok");
-            if (timedOut)
-                failBatch(g, now);
-            else if (continuous)
-                finishIteration(g);
-            else
-                finishBatch(g);
-            if (now > horizon && totalQueued() == 0 &&
-                inflight_gpus == 0 && retries.empty()) {
-                break;
-            }
-            dispatch(now);
-        } else {
-            take_sample(now);
-            next_sample = sample_time();
-        }
-    }
-
-    // The backlog counts requests, not copies: an unanswered request
-    // with a live copy anywhere (queued, running, or backing off) is
-    // one backlog entry even when its primary and hedge both are.
-    for (const ReqMeta& m : meta) {
-        if (!m.done && m.liveCopies > 0)
-            ++report.backlog;
-    }
-    for (std::size_t gi = 0; gi < ngpu; ++gi) {
-        if (!inflight[gi].has_value())
-            continue;
         // Batches cut off by the end of the run still occupied their
         // GPU inside the horizon.
-        account_busy(inflight[gi]->start,
-                     std::min(inflight[gi]->finish, horizon),
-                     repOf[gi]);
-    }
-
-    if (!latencies.empty()) {
-        const Summary s = summarize(latencies);
-        report.meanLatency = s.mean;
-        report.p50Latency = percentile(latencies, 50.0);
-        report.p95Latency = percentile(latencies, 95.0);
-        report.p99Latency = percentile(latencies, 99.0);
-    }
-    if (!batch_sizes.empty()) {
-        report.meanBatch = summarize(batch_sizes).mean;
-        report.maxBatchDispatched = static_cast<std::int64_t>(
-            *std::max_element(batch_sizes.begin(), batch_sizes.end()));
-    }
-    if (size_count > 0)
-        report.meanRequestSize =
-            size_sum / static_cast<double>(size_count);
-    report.throughput =
-        static_cast<double>(report.completed - report.drainCompleted) /
-        horizon;
-    report.goodput = static_cast<double>(goodput_count) / horizon;
-    report.gpuUtilization =
-        busy_in_horizon / (horizon * static_cast<double>(numGpus));
-    if (report.completed > 0) {
-        report.deadlineMissRate =
-            static_cast<double>(deadline_misses) /
-            static_cast<double>(report.completed);
-        report.degradedFraction =
-            static_cast<double>(report.degraded) /
-            static_cast<double>(report.completed);
-    }
-    if (report.arrived > 0) {
-        report.shedFraction = static_cast<double>(report.shed) /
-                              static_cast<double>(report.arrived);
-    }
-
-    for (int r = 0; r < numReplicas; ++r) {
-        const std::size_t ri = static_cast<std::size_t>(r);
-        double sum = 0.0;
-        for (int k = 0; k < cfg.replicas[ri].numGpus; ++k)
-            sum += plan.gpus[static_cast<std::size_t>(gpuBase[ri] + k)]
-                       .availability(horizon);
-        cluster.replicas[ri].availability =
-            sum / static_cast<double>(cfg.replicas[ri].numGpus);
-    }
-
-    if (metrics != nullptr) {
-        publishServingMetrics(*metrics, report, latencies,
-                              batch_sizes);
-        for (int r = 0; r < numReplicas; ++r) {
-            const std::size_t ri = static_cast<std::size_t>(r);
-            const telemetry::Labels& lbl = repLabels[ri];
-            const ReplicaStats& stats = cluster.replicas[ri];
-            metrics->counter("serving.replica.dispatched_batches", lbl)
-                .add(stats.dispatchedBatches);
-            metrics->counter("serving.replica.completed_requests", lbl)
-                .add(stats.completedRequests);
-            metrics->counter("serving.replica.aborted_batches", lbl)
-                .add(stats.abortedBatches);
-            metrics->counter("serving.replica.breaker_opens", lbl)
-                .add(stats.breakerOpens);
-            metrics->gauge("serving.replica.busy_seconds", lbl)
-                .set(stats.busySeconds);
-            metrics->gauge("serving.replica.availability", lbl)
-                .set(stats.availability);
+        for (const Gpu& gp : gpus_) {
+            if (gp.batch.has_value())
+                accountBusy(gp.batch->start,
+                            std::min(gp.batch->finish, horizon_),
+                            gp.replica);
         }
-        for (std::size_t d = 0; d < cluster.domainAvailability.size();
+        if (!latencies_.empty()) {
+            report_.meanLatency = summarize(latencies_).mean;
+            report_.p50Latency = percentile(latencies_, 50.0);
+            report_.p95Latency = percentile(latencies_, 95.0);
+            report_.p99Latency = percentile(latencies_, 99.0);
+        }
+        if (!batch_sizes_.empty()) {
+            report_.meanBatch = summarize(batch_sizes_).mean;
+            report_.maxBatchDispatched = static_cast<std::int64_t>(
+                *std::max_element(batch_sizes_.begin(), batch_sizes_.end()));
+        }
+        if (!meta_.empty())
+            report_.meanRequestSize =
+                size_sum_ / static_cast<double>(meta_.size());
+        report_.throughput =
+            static_cast<double>(report_.completed - report_.drainCompleted) /
+            horizon_;
+        report_.goodput = static_cast<double>(goodput_count_) / horizon_;
+        report_.gpuUtilization =
+            busy_in_horizon_ / (horizon_ * static_cast<double>(numGpus()));
+        if (report_.completed > 0) {
+            report_.deadlineMissRate =
+                static_cast<double>(deadline_misses_) /
+                static_cast<double>(report_.completed);
+            report_.degradedFraction =
+                static_cast<double>(report_.degraded) /
+                static_cast<double>(report_.completed);
+        }
+        if (report_.arrived > 0) {
+            report_.shedFraction = static_cast<double>(report_.shed) /
+                                   static_cast<double>(report_.arrived);
+        }
+        for (Replica& rp : reps_) {
+            double sum = 0.0;
+            for (int g = rp.firstGpu; g < rp.firstGpu + rp.numGpus; ++g)
+                sum += gpu(g).faults.availability(horizon_);
+            rp.stats.availability = sum / static_cast<double>(rp.numGpus);
+            cluster_.replicas.push_back(rp.stats);
+        }
+        if (metrics_ == nullptr)
+            return std::move(cluster_);
+        publishServingMetrics(*metrics_, report_, latencies_, batch_sizes_);
+        for (const Replica& rp : reps_) {
+            const ReplicaStats& rs = rp.stats;
+            metrics_->counter("serving.replica.dispatched_batches", rp.labels)
+                .add(rs.dispatchedBatches);
+            metrics_->counter("serving.replica.completed_requests", rp.labels)
+                .add(rs.completedRequests);
+            metrics_->counter("serving.replica.aborted_batches", rp.labels)
+                .add(rs.abortedBatches);
+            metrics_->counter("serving.replica.breaker_opens", rp.labels)
+                .add(rs.breakerOpens);
+            metrics_->gauge("serving.replica.busy_seconds", rp.labels)
+                .set(rs.busySeconds);
+            metrics_->gauge("serving.replica.availability", rp.labels)
+                .set(rs.availability);
+        }
+        for (std::size_t d = 0; d < cluster_.domainAvailability.size();
              ++d) {
-            metrics
+            metrics_
                 ->gauge("serving.domain.availability",
-                        telemetry::Labels{
-                            {"domain", std::to_string(d)}})
-                .set(cluster.domainAvailability[d]);
+                        telemetry::Labels{{"domain", std::to_string(d)}})
+                .set(cluster_.domainAvailability[d]);
         }
+        return std::move(cluster_);
     }
 
-    return cluster;
+    const ClusterConfig& cfg_;
+    const double horizon_;
+    const DeadlinePolicy& deadline_;
+    const DegradationPolicy& degradation_;
+    const CheckpointPolicy& ckpt_;
+    const bool continuous_;
+    const bool breakerOn_;
+    const bool hedgeOn_;
+    const bool ckptOn_;
+    const int maxBatch_;
+    /** Null when metrics are off; sampling and publishing need it. */
+    telemetry::MetricsRegistry* const metrics_;
+    /** 0 when the run takes no samples. */
+    const double sampleInterval_;
+
+    std::vector<Gpu> gpus_;
+    std::vector<Replica> reps_;
+    /** Per-request records, indexed by `Copy::id`. */
+    std::vector<ReqMeta> meta_;
+    Sources src_;
+    Tracer trace_;
+    int busy_gpus_ = 0;
+    std::uint64_t rr_counter_ = 0;
+    /** Router scratch, reused by every `route`. */
+    std::vector<int> cand_;
+    std::vector<int> clean_;
+
+    ClusterReport cluster_;
+    ServingReport& report_ = cluster_.serving;
+    std::vector<double> latencies_;
+    std::vector<double> batch_sizes_;
+    double busy_in_horizon_ = 0.0;
+    std::int64_t goodput_count_ = 0;
+    std::int64_t deadline_misses_ = 0;
+    /** Summed size of admitted requests, one per `meta_` record. */
+    double size_sum_ = 0.0;
+};
+
+} // namespace
+
+ClusterReport
+simulateCluster(const ClusterConfig& cfg,
+                const telemetry::Telemetry* tele)
+{
+    return ClusterSim(cfg, tele).run();
 }
 
 } // namespace mmgen::serving

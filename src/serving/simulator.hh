@@ -157,6 +157,12 @@ struct ServingReport
     std::int64_t drainCompleted = 0;
     /** Of `hedgesIssued`, how many were issued after the horizon. */
     std::int64_t drainHedgesIssued = 0;
+    /**
+     * Of `retries`, how many were issued after the horizon: a batch
+     * that fails while the cluster drains retries its members, which
+     * the closing sample at the horizon cannot see.
+     */
+    std::int64_t drainRetries = 0;
     /** GPU busy-seconds spent past the horizon. */
     double drainGpuSeconds = 0.0;
 

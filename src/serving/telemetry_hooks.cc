@@ -86,4 +86,16 @@ publishServingMetrics(telemetry::MetricsRegistry& registry,
         batch_hist.observe(v);
 }
 
+telemetry::SeriesExpectations
+seriesExpectations(const ClusterConfig& cfg, const ServingReport& report)
+{
+    return {.horizonSeconds = cfg.horizonSeconds,
+            .totalGpus = cfg.totalGpus(),
+            .arrived = report.arrived,
+            .shed = report.shed,
+            .inHorizonCompleted = report.completed - report.drainCompleted,
+            .retries = report.retries - report.drainRetries,
+            .hedgesIssued = report.hedgesIssued - report.drainHedgesIssued};
+}
+
 } // namespace mmgen::serving

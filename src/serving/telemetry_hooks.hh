@@ -7,7 +7,8 @@
  * ServingReport; this helper publishes that report into a
  * MetricsRegistry under one canonical naming scheme, so exporters,
  * `mmgen stats`, and the P009 consistency check see the same metric
- * names for every run.
+ * names for every run; `seriesExpectations` states what that check
+ * holds the sampled series to.
  */
 
 #ifndef MMGEN_SERVING_TELEMETRY_HOOKS_HH
@@ -15,7 +16,9 @@
 
 #include <span>
 
+#include "serving/cluster.hh"
 #include "serving/simulator.hh"
+#include "telemetry/consistency.hh"
 #include "telemetry/metrics.hh"
 
 namespace mmgen::serving {
@@ -36,6 +39,15 @@ void publishServingMetrics(telemetry::MetricsRegistry& registry,
                            std::span<const double> latencySeconds,
                            std::span<const double> batchSizes,
                            const telemetry::Labels& labels = {});
+
+/**
+ * The aggregates a sampled run of `cfg` that produced `report` must
+ * end its cumulative series at (P009): the closing sample sits at the
+ * horizon, so completions, retries and hedges of the drain window
+ * after it are left out.
+ */
+telemetry::SeriesExpectations seriesExpectations(const ClusterConfig& cfg,
+                                                 const ServingReport& report);
 
 /** Bucket layout used for serving.request_latency_seconds. */
 telemetry::HistogramSpec latencyHistogramSpec();

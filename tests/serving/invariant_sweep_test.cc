@@ -11,18 +11,26 @@
  * waste, and availabilities that are fractions. One digest over every
  * report pins the sweep bit-for-bit, so a refactor of the engine must
  * also keep the combinations no characterization golden reaches
- * (priority mixes with hedges, breakers and chaos) identical.
+ * (priority mixes with hedges, breakers and chaos) identical. Every
+ * fifth config runs again with metrics, trace and sampling on: its
+ * report must not move, its sampled series must pass P009, and one
+ * more digest pins the exported metrics and trace bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "report_digest.hh"
 #include "serving/cluster.hh"
 #include "serving/latency_surface.hh"
+#include "serving/telemetry_hooks.hh"
+#include "telemetry/consistency.hh"
+#include "telemetry/export.hh"
+#include "telemetry/telemetry.hh"
 #include "util/hash.hh"
 #include "util/rng.hh"
 #include "workload/workload.hh"
@@ -34,6 +42,10 @@ constexpr int kConfigs = 500;
 constexpr std::uint64_t kSweepSeed = 0x5eed'0012;
 /** Digest of all kConfigs reports, in sweep order. */
 constexpr const char* kSweepDigest = "fdaf7d016f2b36ec";
+/** Every kTelemetryEvery-th config also runs with telemetry on. */
+constexpr int kTelemetryEvery = 5;
+/** Digest of those runs' JSON-lines metrics and Chrome traces. */
+constexpr const char* kExportDigest = "e0567a7d22d39446";
 
 bool
 chance(Rng& rng, double p)
@@ -209,10 +221,40 @@ expectInvariants(const ClusterReport& cr, int index)
     }
 }
 
+/**
+ * Run `cfg` again with metrics, trace and sampling (20 samples) on:
+ * the report must equal the bare run's `bare`, the sampled series
+ * must agree with it (P009), and both exports feed `exports`.
+ */
+void
+expectTelemetryRun(const ClusterConfig& cfg, const ClusterReport& bare,
+                   int index, HashBuilder& exports)
+{
+    SCOPED_TRACE("telemetry run of config " + std::to_string(index));
+    telemetry::MetricsRegistry registry;
+    telemetry::TraceSink sink;
+    telemetry::Telemetry tel;
+    tel.metrics = &registry;
+    tel.trace = &sink;
+    tel.sampleIntervalSeconds = cfg.horizonSeconds / 20.0;
+    const ClusterReport r = simulateCluster(cfg, &tel);
+    EXPECT_TRUE(r.serving == bare.serving);
+    EXPECT_EQ(digest(r), digest(bare));
+    const verify::DiagnosticReport check =
+        telemetry::checkSeriesConsistency(
+            registry, seriesExpectations(cfg, r.serving));
+    EXPECT_FALSE(check.hasErrors()) << check.render();
+    std::ostringstream out;
+    telemetry::writeMetricsJsonLines(out, registry);
+    telemetry::writeChromeTrace(out, sink);
+    exports.mix(out.str());
+}
+
 TEST(InvariantSweep, RandomConfigsKeepReportInvariants)
 {
     Rng rng(kSweepSeed);
     HashBuilder sweep;
+    HashBuilder exports;
     int continuous = 0;
     int hedged = 0;
     for (int i = 0; i < kConfigs; ++i) {
@@ -220,6 +262,8 @@ TEST(InvariantSweep, RandomConfigsKeepReportInvariants)
         const ClusterReport r = simulateCluster(cfg);
         expectInvariants(r, i);
         mixReport(sweep, r);
+        if (i % kTelemetryEvery == 0)
+            expectTelemetryRun(cfg, r, i, exports);
         continuous += cfg.continuousBatching ? 1 : 0;
         hedged += r.serving.hedgesIssued > 0 ? 1 : 0;
         if (HasFailure())
@@ -229,6 +273,7 @@ TEST(InvariantSweep, RandomConfigsKeepReportInvariants)
     EXPECT_GT(continuous, kConfigs / 4);
     EXPECT_GT(hedged, 0);
     EXPECT_EQ(hex(sweep.digest()), kSweepDigest);
+    EXPECT_EQ(hex(exports.digest()), kExportDigest);
 }
 
 } // namespace

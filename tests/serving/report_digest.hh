@@ -1,9 +1,14 @@
 /**
  * @file
  * One 64-bit digest over every field of a serving report, shared by
- * the characterization goldens and the invariant sweep. Two reports
- * share a digest only if they are bit-identical, so a digest pinned in
- * a test catches any change to the engine's floating-point behaviour.
+ * the characterization goldens and the invariant sweep, except the
+ * two drain counters `drainHedgesIssued` and `drainRetries`. Each is a
+ * share of a mixed counter (`hedgesIssued`, `retries`) that only the
+ * P009 telemetry check reads, and mixing them in would move every
+ * pinned digest although no simulated result changed. Two reports
+ * share a digest only if they are bit-identical in every mixed field,
+ * so a digest pinned in a test catches any change to the engine's
+ * floating-point behaviour.
  */
 
 #ifndef MMGEN_TESTS_SERVING_REPORT_DIGEST_HH

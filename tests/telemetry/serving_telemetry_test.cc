@@ -15,6 +15,7 @@
 #include "runtime/parallel.hh"
 #include "serving/cluster.hh"
 #include "serving/simulator.hh"
+#include "serving/telemetry_hooks.hh"
 #include "telemetry/consistency.hh"
 #include "telemetry/export.hh"
 #include "telemetry/telemetry.hh"
@@ -217,16 +218,8 @@ TEST(ServingTelemetry, ConsistencyCheckPassesOnSampledChaosRun)
     tel.sampleIntervalSeconds = 2.0;
     const ClusterReport r = simulateCluster(cfg, &tel);
 
-    telemetry::SeriesExpectations expect;
-    expect.horizonSeconds = cfg.horizonSeconds;
-    expect.totalGpus = cfg.totalGpus();
-    expect.arrived = r.serving.arrived;
-    expect.shed = r.serving.shed;
-    expect.inHorizonCompleted =
-        r.serving.completed - r.serving.drainCompleted;
-    expect.retries = r.serving.retries;
-    expect.hedgesIssued =
-        r.serving.hedgesIssued - r.serving.drainHedgesIssued;
+    const telemetry::SeriesExpectations expect =
+        seriesExpectations(cfg, r.serving);
     const verify::DiagnosticReport report =
         telemetry::checkSeriesConsistency(registry, expect);
     EXPECT_TRUE(report.diagnostics().empty()) << report.render();

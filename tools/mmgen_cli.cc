@@ -50,6 +50,7 @@
 #include "serving/cluster.hh"
 #include "serving/latency_surface.hh"
 #include "serving/simulator.hh"
+#include "serving/telemetry_hooks.hh"
 #include "workload/workload.hh"
 #include "telemetry/consistency.hh"
 #include "telemetry/export.hh"
@@ -97,7 +98,8 @@ usage()
         << "  --graph-launch              amortize repeated launches\n"
         << "                              as a captured CUDA graph\n"
         << "  --graph-replay-frac F       overhead fraction each graph\n"
-        << "                              replay still pays (default 0)\n"
+        << "                              replay still pays (default 0;\n"
+        << "                              needs --graph-launch)\n"
         << "  --stream-weights            peel weight traffic of\n"
         << "                              memory-bound kernels onto\n"
         << "                              the copy stream\n"
@@ -488,6 +490,10 @@ parseOptions(int argc, char** argv, int first)
         else
             opts.positional.push_back(arg);
     }
+    MMGEN_CHECK(opts.schedule.graphLaunch ||
+                    opts.schedule.graphReplayOverheadFraction == 0.0,
+                "--graph-replay-frac needs --graph-launch: only a "
+                "captured graph's replays pay that overhead");
     return opts;
 }
 
@@ -846,16 +852,9 @@ cmdServe(const Options& opts)
     writeTelemetryOutputs(opts, registry, sink, exec.get());
     if (opts.sampleInterval <= 0.0)
         return 0;
-    telemetry::SeriesExpectations expect;
-    expect.horizonSeconds = cc.horizonSeconds;
-    expect.totalGpus = cc.totalGpus();
-    expect.arrived = s.arrived;
-    expect.shed = s.shed;
-    expect.inHorizonCompleted = s.completed - s.drainCompleted;
-    expect.retries = s.retries;
-    expect.hedgesIssued = s.hedgesIssued - s.drainHedgesIssued;
     const verify::DiagnosticReport check =
-        telemetry::checkSeriesConsistency(registry, expect);
+        telemetry::checkSeriesConsistency(
+            registry, serving::seriesExpectations(cc, s));
     if (!check.diagnostics().empty())
         std::cout << "\n" << check.render();
     return check.hasErrors() ? 1 : 0;
