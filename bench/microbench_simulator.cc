@@ -60,6 +60,17 @@
  *    start and end per executed kernel, and the seconds per stored
  *    record, reads ~17.
  *
+ * Plus one profile (`Profiler::profileWithPlan`, no `keepPlan`,
+ * runtime checks off) of that Parti plan:
+ *
+ *  - `profile_bytes_per_executed_kernel`: heap bytes the call requests
+ *    per executed kernel, its result's own vectors included. Building
+ *    the 16-byte-per-kernel start and end columns only to read the
+ *    makespan and per-stored seconds read ~18.5; scheduling totals
+ *    only reads ~4.4, mostly arrays per stored record (the seconds
+ *    and the aggregation's per-op totals) and the sequence-length
+ *    series.
+ *
  * Plus one memory sweep (`exec::analyzeMemory`) of that Parti plan on
  * its serial timeline:
  *
@@ -67,8 +78,9 @@
  *    (the same counting `operator new` sums the sizes) during the
  *    sweep, per executed kernel. Materializing every buffer, its
  *    endpoint lists and per-kernel sums took ~110; streaming each
- *    op's buffers through two pending heaps takes ~8, the one bound
- *    per kernel the sweep keeps.
+ *    op's buffers through two pending heaps took 8, the one release
+ *    bound per kernel the sweep kept; keeping that bound per block of
+ *    4,096 kernels takes ~0.03.
  *
  * Emits `BENCH_simulator.json` (path overridable via the last
  * argument) with the measured rates, the recorded pre-optimization
@@ -78,7 +90,8 @@
  * more than `kGateLowerAllocsPerOp` heap allocations per executed op
  * or requests more than `kGateLowerBytesPerKernel` heap bytes per
  * executed kernel, a fresh schedule requests more than
- * `kGateScheduleBytesPerKernel` heap bytes per executed kernel, or the
+ * `kGateScheduleBytesPerKernel` heap bytes per executed kernel, a
+ * profile requests more than `kGateProfileBytesPerKernel`, or the
  * memory sweep requests more than `kGateSweepBytesPerKernel` heap
  * bytes per executed kernel — the CI
  * Release-mode regression gate. The baselines were measured on this
@@ -97,6 +110,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <string>
 
@@ -109,6 +123,7 @@
 #include "profiler/engine.hh"
 #include "util/format.hh"
 #include "util/table.hh"
+#include "verify/verify.hh"
 
 namespace {
 
@@ -234,10 +249,18 @@ constexpr double kGateLowerBytesPerKernel = 58.0;
 
 /**
  * Gate ceiling for heap bytes per executed kernel one memory sweep of
- * Parti requests: between the ~110 of materializing every buffer and
- * the ~8 of streaming them.
+ * Parti requests: below the 8 of keeping its release bound per
+ * executed kernel (and the ~110 of materializing every buffer), above
+ * the ~0.03 of keeping it per block.
  */
-constexpr double kGateSweepBytesPerKernel = 16.0;
+constexpr double kGateSweepBytesPerKernel = 1.0;
+
+/**
+ * Gate ceiling for heap bytes per executed kernel one profile of Parti
+ * requests: between the ~18.5 of scheduling the start and end of every
+ * executed kernel and the ~4.4 of scheduling totals only.
+ */
+constexpr double kGateProfileBytesPerKernel = 8.0;
 
 /**
  * Gate ceiling for heap bytes per executed kernel one fresh schedule
@@ -364,6 +387,29 @@ benchScheduleBytesPerKernel(const exec::ExecutionPlan& plan)
            static_cast<double>(plan.executedNodeCount());
 }
 
+/**
+ * Heap bytes one profile of `plan`, lowered from `pipeline`, requests
+ * per executed kernel, with runtime checks off (they schedule every
+ * event) and the plan not kept.
+ */
+double
+benchProfileBytesPerKernel(const graph::Pipeline& pipeline,
+                           const exec::ExecutionPlan& plan)
+{
+    const bool checks = verify::setRuntimeChecks(false);
+    // A non-owning pointer (aliasing an empty owner), so the profile
+    // neither copies the plan nor allocates a control block.
+    const std::shared_ptr<const exec::ExecutionPlan> view(
+        std::shared_ptr<const exec::ExecutionPlan>(), &plan);
+    const std::uint64_t before = heapBytes.load();
+    // The returned profile's own vectors count too.
+    profiler::Profiler().profileWithPlan(pipeline, view);
+    const std::uint64_t requested = heapBytes.load() - before;
+    verify::setRuntimeChecks(checks);
+    return static_cast<double>(requested) /
+           static_cast<double>(plan.executedNodeCount());
+}
+
 /** Heap bytes one memory sweep of `plan` requests, per executed kernel. */
 double
 benchSweepBytesPerKernel(const exec::ExecutionPlan& plan)
@@ -440,8 +486,9 @@ main(int argc, char** argv)
     overlap_opts.launchQueueDepth = 8;
     const double overlap = benchEventsPerSec(plan, overlap_opts);
     const double cache_rate = benchCacheAccessesPerSec();
-    const LoweringRun lowering =
-        benchLowering(models::buildModel(models::ModelId::Parti));
+    const graph::Pipeline parti =
+        models::buildModel(models::ModelId::Parti);
+    const LoweringRun lowering = benchLowering(parti);
     const std::size_t stored_nodes = lowering.plan.nodes.size();
     const std::size_t executed_nodes = lowering.plan.executedNodeCount();
     const std::size_t executed_ops = lowering.plan.executedOpCount();
@@ -458,6 +505,8 @@ main(int argc, char** argv)
         static_cast<double>(executed_nodes);
     const double schedule_bytes_per_kernel =
         benchScheduleBytesPerKernel(lowering.plan);
+    const double profile_bytes_per_kernel =
+        benchProfileBytesPerKernel(parti, lowering.plan);
     const double sweep_bytes_per_kernel =
         benchSweepBytesPerKernel(lowering.plan);
 
@@ -492,6 +541,8 @@ main(int argc, char** argv)
     std::cout << "lower_executed_nodes: " << executed_nodes << "\n";
     std::cout << "schedule_bytes_per_executed_kernel: "
               << formatFixed(schedule_bytes_per_kernel, 2) << "\n";
+    std::cout << "profile_bytes_per_executed_kernel: "
+              << formatFixed(profile_bytes_per_kernel, 2) << "\n";
     std::cout << "memory_sweep_bytes_per_executed_kernel: "
               << formatFixed(sweep_bytes_per_kernel, 2) << "\n\n";
 
@@ -502,10 +553,13 @@ main(int argc, char** argv)
         lower_bytes_per_kernel <= kGateLowerBytesPerKernel;
     const bool schedule_ok =
         schedule_bytes_per_kernel <= kGateScheduleBytesPerKernel;
+    const bool profile_ok =
+        profile_bytes_per_kernel <= kGateProfileBytesPerKernel;
     const bool sweep_ok =
         sweep_bytes_per_kernel <= kGateSweepBytesPerKernel;
     const bool gate_ok = events_ok && faults_ok && allocs_ok &&
-                         lower_bytes_ok && schedule_ok && sweep_ok;
+                         lower_bytes_ok && schedule_ok && profile_ok &&
+                         sweep_ok;
     std::ofstream out(out_path);
     if (out) {
         out << "{\n  \"bench\": \"microbench_simulator\",\n";
@@ -530,6 +584,8 @@ main(int argc, char** argv)
             << formatFixed(lower_bytes_per_kernel, 4) << ",\n";
         out << "  \"schedule_bytes_per_executed_kernel\": "
             << formatFixed(schedule_bytes_per_kernel, 4) << ",\n";
+        out << "  \"profile_bytes_per_executed_kernel\": "
+            << formatFixed(profile_bytes_per_kernel, 4) << ",\n";
         out << "  \"memory_sweep_bytes_per_executed_kernel\": "
             << formatFixed(sweep_bytes_per_kernel, 4) << ",\n";
         out << "  \"baseline_events_per_sec_serial\": "
@@ -585,6 +641,12 @@ main(int argc, char** argv)
                   << " heap bytes per executed kernel, above the gate "
                   << "ceiling "
                   << formatFixed(kGateScheduleBytesPerKernel, 0) << "\n";
+    if (gate && !profile_ok)
+        std::cerr << "FAIL: one profile of Parti requested "
+                  << formatFixed(profile_bytes_per_kernel, 2)
+                  << " heap bytes per executed kernel, above the gate "
+                  << "ceiling "
+                  << formatFixed(kGateProfileBytesPerKernel, 0) << "\n";
     if (gate && !sweep_ok)
         std::cerr << "FAIL: the memory sweep of Parti requested "
                   << formatFixed(sweep_bytes_per_kernel, 2)

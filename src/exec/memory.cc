@@ -178,6 +178,69 @@ class ScheduledSweep
     std::vector<std::size_t> peakNodes_;
 };
 
+/**
+ * The sweep's release bound after each op: the smallest event start
+ * among executed kernels [k, n), +inf at k == n. No buffer defined
+ * from kernel k on allocates or frees earlier, since every event ends
+ * at or after its start. Read for non-decreasing k.
+ *
+ * It keeps the suffix minimum at each block boundary, and expands the
+ * block being read into per-kernel suffix minima seeded by the next
+ * boundary's. Both follow the recurrence
+ * bound[k] = min(start[k], bound[k + 1]), so every value is the one a
+ * per-kernel array would hold, in about n / kSweepBoundBlock +
+ * kSweepBoundBlock doubles instead of n + 1.
+ */
+class StartBound
+{
+  public:
+    explicit StartBound(const std::vector<double>& start)
+        : start_(start), expanded_(std::min(start.size(), kSweepBoundBlock))
+    {
+        const std::size_t n = start_.size();
+        const std::size_t blocks =
+            (n + kSweepBoundBlock - 1) / kSweepBoundBlock;
+        boundary_.assign(blocks + 1, kInf);
+        for (std::size_t b = blocks; b-- > 0;) {
+            double bound = boundary_[b + 1];
+            for (std::size_t k = std::min(n, (b + 1) * kSweepBoundBlock);
+                 k-- > b * kSweepBoundBlock;)
+                bound = std::min(start_[k], bound);
+            boundary_[b] = bound;
+        }
+    }
+
+    double
+    at(std::size_t k)
+    {
+        if (k >= start_.size())
+            return kInf;
+        const std::size_t b = k / kSweepBoundBlock;
+        const std::size_t first = b * kSweepBoundBlock;
+        if (b != block_) {
+            block_ = b;
+            double bound = boundary_[b + 1];
+            for (std::size_t i = std::min(start_.size(),
+                                          first + kSweepBoundBlock);
+                 i-- > first;) {
+                bound = std::min(start_[i], bound);
+                expanded_[i - first] = bound;
+            }
+        }
+        return expanded_[k - first];
+    }
+
+  private:
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    const std::vector<double>& start_;
+    /** The bound at each kernel of block `block_`. */
+    std::vector<double> expanded_;
+    /** boundary_[b]: the bound at kernel b * kSweepBoundBlock. */
+    std::vector<double> boundary_;
+    std::size_t block_ = std::numeric_limits<std::size_t>::max();
+};
+
 } // namespace
 
 MemoryProfile
@@ -193,14 +256,7 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
     for (const std::string& name : plan.stageNames)
         profile.stageResidency.push_back({name, 0.0});
 
-    // Smallest event start among executed kernels [k, n): no buffer
-    // defined from kernel k on allocates or frees earlier, since every
-    // event ends at or after its start.
-    const std::size_t num_nodes = plan.executedNodeCount();
-    std::vector<double> bound(num_nodes + 1,
-                              std::numeric_limits<double>::infinity());
-    for (std::size_t k = num_nodes; k-- > 0;)
-        bound[k] = std::min(timeline.eventStart[k], bound[k + 1]);
+    StartBound bound(timeline.eventStart);
 
     // No-reuse upper bound: weights plus every buffer of one
     // inference, allocated distinct and never freed.
@@ -259,7 +315,7 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
             stage_peak = std::max(stage_peak, cur);
             cur -= free_at[p];
         }
-        scheduled.release(bound[last + 1]);
+        scheduled.release(bound.at(last + 1));
     }
     // The last op's bound is +inf, which swept every endpoint.
     profile.noReuseBytes = no_reuse;

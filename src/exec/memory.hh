@@ -12,11 +12,14 @@
  * the scheduled peak, and a per-stage residency curve.
  *
  * The sweep streams the buffers `BufferEnumerator` yields, op by op in
- * executed order, and keeps no buffer array. The program-order side
- * keeps the current op's per-kernel sums; the scheduled side holds
- * pending allocations and frees in two min-heaps and sweeps each once
- * no buffer still to come can precede it. Every field is bit-identical
- * to sorting all endpoints at once, on any timeline.
+ * executed order, and keeps no array per buffer or per executed
+ * kernel. The program-order side keeps the current op's per-kernel
+ * sums; the scheduled side holds pending allocations and frees in two
+ * min-heaps and sweeps each once no buffer still to come can precede
+ * it. That bound, the smallest start among the kernels still to come,
+ * is kept per block of `kSweepBoundBlock` kernels, with only the block
+ * being read expanded per kernel. Every field is bit-identical to
+ * sorting all endpoints at once, on any timeline.
  *
  * `maxFeasibleBatch` turns the batch-1 profile into the static
  * admission bound ROADMAP item 2 calls for: weights are shared across
@@ -89,11 +92,20 @@ struct MemoryProfile
 };
 
 /**
- * Sweep a plan's liveness through its scheduled timeline.
+ * Sweep a plan's liveness through its scheduled timeline, which must
+ * hold one event per executed kernel (a FatalError otherwise, e.g. on
+ * a TimelineScheduler::scheduleTotals timeline).
  * Deterministic: equal inputs produce byte-identical profiles.
  */
 MemoryProfile analyzeMemory(const ExecutionPlan& plan,
                             const Timeline& timeline);
+
+/**
+ * Executed kernels per block of analyzeMemory's release bound: it
+ * keeps one bound per block boundary plus one per kernel of the block
+ * it is reading.
+ */
+inline constexpr std::size_t kSweepBoundBlock = 4096;
 
 /** Static memory feasibility of one pipeline on one GPU. */
 struct FeasibilityReport

@@ -36,12 +36,15 @@ namespace {
  * part's roofline seconds are `exec_sec + ovh`, the addition
  * `hw::estimateTime` performs. Events subdivide each op's span at the
  * running part sum, so the last one ends exactly at the op's end.
+ * Without `kEvents` the event stores compile out and the columns stay
+ * empty; no other value depends on them.
  */
+template <bool kEvents>
 void
 scheduleSerialInto(const ExecutionPlan& plan, const double* exec_sec,
                    const double* ovh, Timeline& tl)
 {
-    const std::size_t num_nodes = plan.executedNodeCount();
+    const std::size_t num_nodes = kEvents ? plan.executedNodeCount() : 0;
     tl.eventStart.resize(num_nodes);
     tl.eventEnd.resize(num_nodes);
     tl.copyStream = false;
@@ -63,9 +66,11 @@ scheduleSerialInto(const ExecutionPlan& plan, const double* exec_sec,
         double block_sum = 0.0;
         for (std::size_t p = 0; p < e.op.nodeCount; ++p) {
             const double s = op_exec[p] + op_ovh[p];
-            tl.eventStart[first + p] = clock + block_sum * r;
+            if constexpr (kEvents)
+                tl.eventStart[first + p] = clock + block_sum * r;
             block_sum += s;
-            tl.eventEnd[first + p] = clock + block_sum * r;
+            if constexpr (kEvents)
+                tl.eventEnd[first + p] = clock + block_sum * r;
             node_sec[p] = s * r;
             overhead_total += op_ovh[p] * r;
         }
@@ -191,8 +196,8 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
 } // namespace
 
 void
-TimelineScheduler::scheduleInto(const ExecutionPlan& plan,
-                                Timeline& tl) const
+TimelineScheduler::play(const ExecutionPlan& plan, Timeline& tl,
+                        bool events) const
 {
     MMGEN_CHECK(plan.costs.gpuKey == gpuKey_,
                 "plan of " << plan.model << " was lowered for another "
@@ -213,10 +218,25 @@ TimelineScheduler::scheduleInto(const ExecutionPlan& plan,
         opts.streams >= 2 && plan.hasWeightStreams;
     if (!copy_stream && opts.launchQueueDepth == 0 &&
         !opts.graphLaunch) {
-        scheduleSerialInto(plan, exec_sec, ovh, tl);
+        if (events)
+            scheduleSerialInto<true>(plan, exec_sec, ovh, tl);
+        else
+            scheduleSerialInto<false>(plan, exec_sec, ovh, tl);
         return;
     }
     scheduleOverlapInto(plan, exec_sec, ovh, copy_stream, opts, tl);
+    if (!events) {
+        // Assigning a fresh vector releases the columns' storage.
+        tl.eventStart = std::vector<double>();
+        tl.eventEnd = std::vector<double>();
+    }
+}
+
+void
+TimelineScheduler::scheduleInto(const ExecutionPlan& plan,
+                                Timeline& tl) const
+{
+    play(plan, tl, true);
 }
 
 Timeline
@@ -224,6 +244,14 @@ TimelineScheduler::schedule(const ExecutionPlan& plan) const
 {
     Timeline tl;
     scheduleInto(plan, tl);
+    return tl;
+}
+
+Timeline
+TimelineScheduler::scheduleTotals(const ExecutionPlan& plan) const
+{
+    Timeline tl;
+    play(plan, tl, false);
     return tl;
 }
 

@@ -38,6 +38,13 @@
  * over the stored records slowed plans that execute each record once,
  * like the folded diffusion plans.
  *
+ * `scheduleTotals` returns the same timeline without its columns, for
+ * a caller that reads only the makespan and per-stored seconds (the
+ * profiler's aggregation). The serial loop then compiles its column
+ * stores out. The overlap loop reads earlier kernels' starts and ends
+ * back (the launch window, the lane dependencies), so it fills the
+ * columns as `schedule` does and drops them before returning.
+ *
  * Per-kernel roofline estimates are read from the plan's
  * `NodeCostTable`, the identical doubles `hw::estimateTime` produced
  * at lowering. The table is costed for one GPU, so scheduling a plan
@@ -114,7 +121,10 @@ struct TimelineEvent
  */
 struct Timeline
 {
-    /** Event start times, one per executed kernel in program order. */
+    /**
+     * Event start times, one per executed kernel in program order
+     * (none in a TimelineScheduler::scheduleTotals timeline).
+     */
     std::vector<double> eventStart;
 
     /** Event end times, aligned with eventStart. */
@@ -158,7 +168,10 @@ struct Timeline
     /** Total host launch overhead (seconds, repeats applied). */
     double launchOverheadSeconds = 0.0;
 
-    /** Number of scheduled events (== executed kernel count). */
+    /**
+     * Number of scheduled events: the executed kernel count, or 0 for
+     * a totals-only timeline.
+     */
     std::size_t eventCount() const { return eventStart.size(); }
 
     /** Stream a kernel on `lane` ran on (0 = compute, 1 = copy). */
@@ -198,6 +211,15 @@ class TimelineScheduler
     Timeline schedule(const ExecutionPlan& plan) const;
 
     /**
+     * Schedule one plan for its totals: `eventStart` and `eventEnd`
+     * are empty (`eventCount() == 0`), and every other field equals
+     * schedule()'s bit for bit. The result is no timeline of the plan
+     * for readers of events: P007 rejects it and `analyzeMemory`
+     * throws on it.
+     */
+    Timeline scheduleTotals(const ExecutionPlan& plan) const;
+
+    /**
      * Schedule into an existing timeline, reusing its vector capacity.
      * Repeated scheduling through one Timeline does no steady-state
      * allocation; the result is identical to schedule().
@@ -207,6 +229,9 @@ class TimelineScheduler
     const ScheduleOptions& options() const { return opts; }
 
   private:
+    /** Check the plan's cost table, then schedule with or without events. */
+    void play(const ExecutionPlan& plan, Timeline& tl, bool events) const;
+
     hw::GpuSpec gpu_;
     std::uint64_t gpuKey_;
     ScheduleOptions opts;

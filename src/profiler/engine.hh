@@ -16,7 +16,9 @@
  * step reuses that step's stored nodes). The TimelineScheduler
  * (exec/schedule.hh) then plays the plan onto the GPU, producing real
  * per-kernel [start, end) intervals. The profiler only aggregates the
- * result.
+ * result, once per executed op and kernel in program order; the
+ * intervals themselves are built only for a kept plan or the runtime
+ * checks.
  *
  * With default options the schedule is one serial stream and
  * `totalSeconds` is bit-identical to summing every op's roofline time
@@ -61,8 +63,10 @@ struct ProfileOptions
      * each executed op's seconds from `timeline.opSeconds[e.opIndex]`.
      * The plan and the timeline's duration columns hold one entry per
      * stored record, but the timeline's start and end columns grow by
-     * one entry per executed kernel with every decode step; aggregate
-     * reports are always produced regardless.
+     * one entry per executed kernel with every decode step. Without
+     * it, and with runtime checks off, the profile schedules through
+     * TimelineScheduler::scheduleTotals and builds no column per
+     * executed kernel; aggregate reports are bit-identical either way.
      */
     bool keepPlan = false;
 };

@@ -47,10 +47,7 @@ void
 AttentionKindStats::add(graph::AttentionKind kind, double seconds,
                         double flops, std::int64_t calls)
 {
-    Entry& e = byKind[kind];
-    e.seconds += seconds;
-    e.flops += flops;
-    e.calls += calls;
+    byKind[kind].add(seconds, flops, calls);
 }
 
 AttentionKindStats::Entry

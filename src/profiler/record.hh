@@ -66,6 +66,15 @@ struct AttentionKindStats
         double seconds = 0.0;
         double flops = 0.0;
         std::int64_t calls = 0;
+
+        /** Accumulate one attention call (all its executions). */
+        void
+        add(double call_seconds, double call_flops, std::int64_t executions)
+        {
+            seconds += call_seconds;
+            flops += call_flops;
+            calls += executions;
+        }
     };
 
     std::map<graph::AttentionKind, Entry> byKind;

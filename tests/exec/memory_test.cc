@@ -6,7 +6,8 @@
  * backend, byte-identical profiles at any --jobs count, every profile
  * field against a full-endpoint reference sort (zoo timelines, plus
  * orders the scheduler never produces: an allocation and a free at one
- * instant, a free before its def, a mirrored Parti timeline), and the
+ * instant, a free before its def, a mirrored Parti timeline, jittered
+ * toy timelines around the release bound's block edges), and the
  * monotonicity + capacity contracts of the feasibility bound.
  */
 
@@ -24,6 +25,7 @@
 #include "models/model_suite.hh"
 #include "models/stable_diffusion.hh"
 #include "runtime/parallel.hh"
+#include "util/rng.hh"
 
 namespace mmgen::exec {
 namespace {
@@ -387,6 +389,53 @@ TEST(MemoryProfile, SweepMatchesReferenceOnMirroredTimeline)
     }
     expectSameProfile(analyzeMemory(plan, mirrored),
                       referenceSweep(plan, mirrored), "Parti/mirrored");
+}
+
+TEST(MemoryProfile, SweepMatchesReferenceAtBoundBlockEdges)
+{
+    // The release bound is kept per block of kSweepBoundBlock kernels.
+    // Each toy op is one kernel, so the bound is read after every
+    // kernel, on plans ending one kernel before, at and one kernel
+    // after a block edge. Kernels run [i, i + 1) plus a seeded jitter,
+    // except one "dip" kernel j near an edge, which starts 2.5 earlier
+    // and allocates a huge workspace. The true bound read after
+    // kernels j - 2 and j - 1 is j's start, which holds back the free
+    // of kernel j - 3's workspace (at about j - 2) until j allocates,
+    // so the peak holds both. A bound that misses j's start frees it
+    // first, and the peak comes out smaller.
+    constexpr std::size_t kBlock = kSweepBoundBlock;
+    int plans = 0;
+    for (const std::size_t n :
+         {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock - 1, 2 * kBlock,
+          2 * kBlock + 1}) {
+        for (std::size_t edge = kBlock; edge <= n + 1; edge += kBlock) {
+            for (std::size_t dip = edge - 2; dip <= edge + 1 && dip < n;
+                 ++dip) {
+                Rng rng(n * 31 + dip);
+                std::vector<ToyOp> toy(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    toy[i].outputBytes = rng.uniform(0.0, 1.0);
+                    toy[i].workspaceBytes = rng.uniform(0.0, 1.0);
+                    toy[i].start =
+                        static_cast<double>(i) + rng.uniform(0.0, 0.25);
+                    toy[i].end = toy[i].start + 1.0;
+                }
+                toy[dip].start = static_cast<double>(dip) - 2.5;
+                toy[dip].end = static_cast<double>(dip) + 1.0;
+                toy[dip].workspaceBytes = 1e6;
+                toy[dip - 3].workspaceBytes = 1e3;
+                const auto [plan, timeline] = toyPlan(toy);
+                const MemoryProfile got = analyzeMemory(plan, timeline);
+                expectSameProfile(got, referenceSweep(plan, timeline),
+                                  "toy of " + std::to_string(n) +
+                                      " kernels, dip at " +
+                                      std::to_string(dip));
+                EXPECT_GT(got.scheduledPeakBytes, 2000.0 + 1e6 + 1e3);
+                ++plans;
+            }
+        }
+    }
+    EXPECT_EQ(plans, 24);
 }
 
 TEST(Feasibility, BatchBoundMonotoneInImageSize)

@@ -2,15 +2,18 @@
  * @file
  * Tests for the event-timeline scheduler: serial bit-equivalence with
  * summed roofline time, compute/copy overlap, launch-queue overhead
- * hiding, CUDA-graph amortization, and determinism.
+ * hiding, CUDA-graph amortization, determinism, and totals-only
+ * schedules that match full ones bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "exec/memory.hh"
 #include "exec/plan.hh"
 #include "exec/schedule.hh"
 #include "graph/builder.hh"
@@ -523,6 +526,51 @@ TEST(TimelineScheduler, MatchesPerKernelReferenceBitwise)
                 }
             }
             EXPECT_EQ(mismatches, 0u) << what;
+        }
+    }
+}
+
+TEST(TimelineScheduler, TotalsMatchScheduleBitwise)
+{
+    std::vector<ScheduleOptions> configs(5);
+    configs[1].streams = 2;
+    configs[1].launchQueueDepth = 8;
+    configs[2].launchQueueDepth = 1;
+    configs[3].graphLaunch = true;
+    configs[3].graphReplayOverheadFraction = 0.25;
+    // The launch window never fills: no start is read back for it.
+    configs[4].launchQueueDepth = std::numeric_limits<int>::max();
+    const ExecutionPlan plans[] = {
+        lowerPipeline(models::buildModel(models::ModelId::Parti),
+                      costModel()),
+        splitPlan(models::buildModel(models::ModelId::StableDiffusion)),
+    };
+    ASSERT_TRUE(plans[1].hasWeightStreams);
+    for (const ExecutionPlan& plan : plans) {
+        for (const ScheduleOptions& opts : configs) {
+            const TimelineScheduler scheduler(gpu(), opts);
+            const Timeline full = scheduler.schedule(plan);
+            const Timeline totals = scheduler.scheduleTotals(plan);
+            const std::string what =
+                plan.model + " streams " + std::to_string(opts.streams) +
+                " depth " + std::to_string(opts.launchQueueDepth) +
+                " graph " + std::to_string(opts.graphLaunch);
+            EXPECT_EQ(totals.eventCount(), 0u) << what;
+            // The overlap loop's columns are released, not just emptied.
+            EXPECT_EQ(totals.eventStart.capacity(), 0u) << what;
+            EXPECT_EQ(totals.eventEnd.capacity(), 0u) << what;
+            EXPECT_EQ(totals.copyStream, full.copyStream) << what;
+            EXPECT_EQ(totals.makespan, full.makespan) << what;
+            EXPECT_EQ(totals.streamBusySeconds, full.streamBusySeconds)
+                << what;
+            EXPECT_EQ(totals.launchOverheadSeconds,
+                      full.launchOverheadSeconds)
+                << what;
+            // Whole-column compares; a failure prints no 83k doubles.
+            EXPECT_TRUE(totals.nodeSeconds == full.nodeSeconds) << what;
+            EXPECT_TRUE(totals.opSeconds == full.opSeconds) << what;
+            // No reader of events accepts it.
+            EXPECT_THROW(analyzeMemory(plan, totals), FatalError) << what;
         }
     }
 }

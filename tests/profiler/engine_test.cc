@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "models/model_suite.hh"
 #include "models/stable_diffusion.hh"
 #include "profiler/engine.hh"
@@ -161,6 +166,149 @@ TEST(Profiler, KeepsPlanOnlyWhenRequested)
     EXPECT_EQ(plan.ops[1].seqKv, 256);
     EXPECT_EQ(res.timeline.opSeconds.size(), plan.ops.size());
     EXPECT_EQ(res.timeline.nodeSeconds.size(), plan.nodes.size());
+}
+
+/**
+ * The aggregation with every sum taken per executed kernel and op, in
+ * program order, into the result's maps: the oracle profileWithPlan's
+ * per-stored sums and enum-indexed arrays must match bit for bit.
+ */
+ProfileResult
+referenceAggregate(const exec::ExecutionPlan& plan,
+                   const exec::Timeline& timeline)
+{
+    ProfileResult ref;
+    ref.totalSeconds = timeline.makespan;
+    ref.launchOverheadSeconds = timeline.launchOverheadSeconds;
+    ref.params = plan.totalParams;
+    std::vector<BreakdownReport> stages(plan.stageNames.size());
+    for (const exec::ExecutedOp e : plan.executed()) {
+        const exec::PlanOp& op = e.op;
+        const double r = static_cast<double>(op.repeat);
+        double flops = 0.0;
+        double bytes = 0.0;
+        std::int64_t launches = 0;
+        for (std::size_t p = 0; p < op.nodeCount; ++p) {
+            const exec::PlanNode& node = plan.nodes[op.firstNode + p];
+            flops += node.flops;
+            bytes += node.hbmBytes;
+            launches += node.launches;
+            ref.kernelClassSeconds[node.klass] +=
+                timeline.nodeSeconds[op.firstNode + p];
+        }
+        const double seconds = timeline.opSeconds[e.opIndex];
+        if (op.kind == graph::OpKind::Attention) {
+            ref.attention.add(op.attnKind, seconds, flops * r, op.repeat);
+            if (op.attnKind != graph::AttentionKind::CrossText)
+                ref.seqLens.record(op.seqKv,
+                                   static_cast<std::uint64_t>(op.repeat));
+        }
+        ref.breakdown.add(op.category, seconds);
+        stages[op.stageIndex].add(op.category, seconds);
+        ref.totalFlops += flops * r;
+        ref.totalHbmBytes += bytes * r;
+        ref.totalLaunches += launches * op.repeat;
+        ref.weightBytesRead += static_cast<double>(op.paramCount) *
+                               static_cast<double>(dtypeBytes(op.dtype)) *
+                               r;
+    }
+    for (std::size_t si = 0; si < stages.size(); ++si)
+        ref.stageBreakdowns.emplace_back(plan.stageNames[si],
+                                         std::move(stages[si]));
+    return ref;
+}
+
+/** Bitwise equality of every aggregate a ProfileResult reports. */
+void
+expectSameAggregates(const ProfileResult& got, const ProfileResult& want,
+                     const std::string& what)
+{
+    EXPECT_EQ(got.totalSeconds, want.totalSeconds) << what;
+    EXPECT_EQ(got.totalFlops, want.totalFlops) << what;
+    EXPECT_EQ(got.totalHbmBytes, want.totalHbmBytes) << what;
+    EXPECT_EQ(got.totalLaunches, want.totalLaunches) << what;
+    EXPECT_EQ(got.launchOverheadSeconds, want.launchOverheadSeconds)
+        << what;
+    EXPECT_EQ(got.weightBytesRead, want.weightBytesRead) << what;
+    EXPECT_EQ(got.params, want.params) << what;
+    EXPECT_EQ(got.breakdown.rawCategories(),
+              want.breakdown.rawCategories())
+        << what;
+    EXPECT_EQ(got.breakdown.totalSeconds(), want.breakdown.totalSeconds())
+        << what;
+    EXPECT_EQ(got.kernelClassSeconds, want.kernelClassSeconds) << what;
+    ASSERT_EQ(got.attention.byKind.size(), want.attention.byKind.size())
+        << what;
+    for (auto g = got.attention.byKind.begin(),
+              w = want.attention.byKind.begin();
+         w != want.attention.byKind.end(); ++g, ++w) {
+        EXPECT_EQ(g->first, w->first) << what;
+        EXPECT_EQ(g->second.seconds, w->second.seconds) << what;
+        EXPECT_EQ(g->second.flops, w->second.flops) << what;
+        EXPECT_EQ(g->second.calls, w->second.calls) << what;
+    }
+    EXPECT_TRUE(got.seqLens.series() == want.seqLens.series()) << what;
+    EXPECT_EQ(got.seqLens.histogram().buckets(),
+              want.seqLens.histogram().buckets())
+        << what;
+    ASSERT_EQ(got.stageBreakdowns.size(), want.stageBreakdowns.size())
+        << what;
+    for (std::size_t s = 0; s < want.stageBreakdowns.size(); ++s) {
+        EXPECT_EQ(got.stageBreakdowns[s].first,
+                  want.stageBreakdowns[s].first)
+            << what;
+        EXPECT_EQ(got.stageBreakdowns[s].second.rawCategories(),
+                  want.stageBreakdowns[s].second.rawCategories())
+            << what;
+        EXPECT_EQ(got.stageBreakdowns[s].second.totalSeconds(),
+                  want.stageBreakdowns[s].second.totalSeconds())
+            << what;
+    }
+}
+
+TEST(Profiler, AggregatesIndependentOfKeptPlanAndChecks)
+{
+    // Without keepPlan and runtime checks the profile schedules totals
+    // only; a kept plan or the checks schedule every event. Each must
+    // report the same bits as a per-kernel aggregation of the kept
+    // timeline.
+    ProfileOptions overlapped;
+    overlapped.lowering.splitWeightStreams = true;
+    overlapped.schedule.streams = 2;
+    overlapped.schedule.launchQueueDepth = 8;
+    for (const models::ModelId id : models::allModels()) {
+        const Pipeline pipeline = models::buildModel(id);
+        for (ProfileOptions opts : {ProfileOptions(), overlapped}) {
+            const std::string what =
+                pipeline.name +
+                (opts.lowering.splitWeightStreams ? "/overlapped"
+                                                  : "/serial");
+            const auto plan = std::make_shared<const exec::ExecutionPlan>(
+                Profiler(opts).lower(pipeline));
+            const bool saved = verify::setRuntimeChecks(false);
+            const ProfileResult totals =
+                Profiler(opts).profileWithPlan(pipeline, plan);
+            opts.keepPlan = true;
+            const ProfileResult kept =
+                Profiler(opts).profileWithPlan(pipeline, plan);
+            opts.keepPlan = false;
+            verify::setRuntimeChecks(true);
+            const ProfileResult checked =
+                Profiler(opts).profileWithPlan(pipeline, plan);
+            verify::setRuntimeChecks(saved);
+
+            ASSERT_EQ(kept.timeline.eventCount(),
+                      plan->executedNodeCount())
+                << what;
+            EXPECT_EQ(totals.plan, nullptr) << what;
+            EXPECT_EQ(checked.plan, nullptr) << what;
+            const ProfileResult ref =
+                referenceAggregate(*plan, kept.timeline);
+            expectSameAggregates(totals, ref, what + " totals");
+            expectSameAggregates(kept, ref, what + " kept");
+            expectSameAggregates(checked, ref, what + " checked");
+        }
+    }
 }
 
 TEST(Profiler, CrossAttentionExcludedFromSeqSeries)

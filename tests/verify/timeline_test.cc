@@ -77,6 +77,12 @@ TEST(TimelineVerifier, EventCountMismatchFiresP007)
         verifyTimeline(plan, tl, PhysicsContext{"muse", ""});
     EXPECT_TRUE(report.hasErrors());
     EXPECT_TRUE(report.fired(rules::TimelineConsistency));
+    // A totals-only timeline has no events to check.
+    EXPECT_TRUE(verifyTimeline(plan,
+                               exec::TimelineScheduler(kGpu).scheduleTotals(
+                                   plan),
+                               PhysicsContext{"muse", ""})
+                    .fired(rules::TimelineConsistency));
 
     // Timelines of other plans with the same executed kernel count:
     // their duration columns are sized for the other plan's stored
