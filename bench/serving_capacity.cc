@@ -232,9 +232,8 @@ main(int argc, char** argv)
                  ++si) {
                 const double direct =
                     runtime::cachedProfile(
-                        serving::scaledPipeline(
-                            p, surface.batchGrid[bi],
-                            surface.sizeGrid[si]),
+                        p.at({surface.batchGrid[bi],
+                              surface.sizeGrid[si]}),
                         popts)
                         ->totalSeconds;
                 const double stored = surface.batchSeconds(

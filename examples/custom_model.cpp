@@ -58,8 +58,8 @@ buildCustomXl()
     text.iterations = 1;
     text.emit = [clip_small, clip_big](graph::GraphBuilder& b,
                                        std::int64_t) {
-        models::textEncoder(b, clip_small);
-        models::textEncoder(b, clip_big);
+        models::textEncoder(b, clip_small, 1);
+        models::textEncoder(b, clip_big, 1);
     };
     p.stages.push_back(std::move(text));
 

@@ -31,12 +31,6 @@ GraphBuilder::scope(std::string name)
 }
 
 void
-GraphBuilder::appendOp(Op op)
-{
-    trace.append(std::move(op));
-}
-
-void
 GraphBuilder::emit(OpKind kind, OpAttrs attrs)
 {
     // Compare with the op the slot holds before writing into it, field

@@ -52,16 +52,6 @@ class GraphBuilder
     /** Default dtype ops are emitted with. */
     DType dtype() const { return dtype_; }
 
-    /**
-     * Append a fully formed op verbatim — scope, dtype, attrs, and
-     * repeat are taken from `op`, not from the builder state. This is
-     * the replay path for trace-to-trace transforms (e.g. the serving
-     * layer's batch/size-scaled pipeline variants): ops recorded from
-     * one emission are rewritten and re-appended without re-running
-     * shape inference.
-     */
-    void appendOp(Op op);
-
     // ----- convolution ---------------------------------------------------
 
     /** 2-D convolution over NCHW input; 'same' padding semantics. */

@@ -154,6 +154,18 @@ Pipeline::fingerprint() const
     return h.digest();
 }
 
+Pipeline
+Pipeline::at(RequestShape want) const
+{
+    if (want == shape)
+        return *this;
+    MMGEN_CHECK(static_cast<bool>(rebuild),
+                "pipeline '" << name << "' has no rebuild: it is priced "
+                                "only at batch "
+                             << shape.batch << ", size " << shape.size);
+    return rebuild(want);
+}
+
 Trace
 Pipeline::traceStage(std::size_t stage_idx, std::int64_t iter) const
 {

@@ -81,6 +81,20 @@ struct Stage
 std::vector<std::int64_t> sampleIterations(const Stage& stage);
 
 /**
+ * What one batch of requests asks of a model: how many requests run
+ * together, and how large each is relative to the model's default
+ * request (image pixels, image tokens, video frames or prompt tokens;
+ * each model header says which).
+ */
+struct RequestShape
+{
+    int batch = 1;
+    double size = 1.0;
+
+    bool operator==(const RequestShape&) const = default;
+};
+
+/**
  * A complete model inference pipeline.
  */
 struct Pipeline
@@ -91,6 +105,28 @@ struct Pipeline
 
     /** Element type every stage is traced with (weights/activations). */
     DType dtype = DType::F16;
+
+    /**
+     * The shape the pipeline was built at: the one asked for, with the
+     * size rounded by the model to the nearest shape it accepts.
+     */
+    RequestShape shape;
+
+    /**
+     * Builds the same model at another shape; `models::buildModel`
+     * sets it, and it is empty for a pipeline built any other way. A
+     * copy whose stages are edited afterwards keeps it, and it builds
+     * the unedited model.
+     */
+    std::function<Pipeline(RequestShape)> rebuild;
+
+    /**
+     * This pipeline at `shape`: itself when it was built there,
+     * otherwise `rebuild(shape)`, which throws `FatalError` for a
+     * batch below 1 or a non-positive size. A pipeline without
+     * `rebuild` throws `FatalError` for any other shape.
+     */
+    Pipeline at(RequestShape shape) const;
 
     /**
      * Total trainable parameters of the model: each stage is traced

@@ -1,7 +1,9 @@
 #include "blocks.hh"
 
 #include <algorithm>
+#include <cmath>
 
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace mmgen::models {
@@ -441,17 +443,18 @@ unetForward(GraphBuilder& b, const UNetConfig& cfg, std::int64_t h,
 // ---------------------------------------------------------------------
 
 TensorDesc
-textEncoder(GraphBuilder& b, const TextEncoderConfig& cfg)
+textEncoder(GraphBuilder& b, const TextEncoderConfig& cfg,
+            std::int64_t batch)
 {
     auto s = b.scope("text_encoder");
-    b.embedding(cfg.seqLen, cfg.dim, cfg.vocab);
+    b.embedding(batch * cfg.seqLen, cfg.dim, cfg.vocab);
     TransformerConfig tcfg;
     tcfg.layers = cfg.layers;
     tcfg.dim = cfg.dim;
     tcfg.heads = cfg.heads;
     tcfg.causal = false;
     tcfg.crossAttention = false;
-    const TensorDesc tokens({1, cfg.seqLen, cfg.dim}, b.dtype());
+    const TensorDesc tokens({batch, cfg.seqLen, cfg.dim}, b.dtype());
     return transformerStack(b, tcfg, tokens);
 }
 
@@ -515,6 +518,53 @@ imageDecoder(GraphBuilder& b, const ImageDecoderConfig& cfg,
     x = b.silu(x);
     x = b.conv2d(x, cfg.outChannels, 3);
     return x;
+}
+
+// ---------------------------------------------------------------------
+// Request shapes
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+checkSize(double size)
+{
+    MMGEN_CHECK(std::isfinite(size) && size > 0.0,
+                "request size must be positive, got " << size);
+}
+
+} // namespace
+
+std::int64_t
+roundedSide(std::int64_t side, double size, std::int64_t multiple)
+{
+    checkSize(size);
+    if (size == 1.0)
+        return side;
+    const double units = static_cast<double>(side) * std::sqrt(size) /
+                         static_cast<double>(multiple);
+    return std::max<std::int64_t>(1, std::llround(units)) * multiple;
+}
+
+std::int64_t
+roundedCount(std::int64_t count, double size)
+{
+    checkSize(size);
+    if (size == 1.0)
+        return count;
+    return std::max<std::int64_t>(
+        1, std::llround(static_cast<double>(count) * size));
+}
+
+void
+recordShape(graph::Pipeline& p, graph::RequestShape realized)
+{
+    MMGEN_CHECK(realized.batch >= 1, "request batch must be positive, got "
+                                         << realized.batch);
+    if (realized != graph::RequestShape{})
+        p.name += " @b" + std::to_string(realized.batch) + " s" +
+                  formatFixed(realized.size, 3);
+    p.shape = realized;
 }
 
 } // namespace mmgen::models

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/builder.hh"
+#include "graph/pipeline.hh"
 
 namespace mmgen::models {
 
@@ -189,8 +190,9 @@ struct TextEncoderConfig
     std::int64_t vocab = 49408;
 };
 
-/** Encode a prompt; returns [1, seqLen, dim]. */
-TensorDesc textEncoder(GraphBuilder& b, const TextEncoderConfig& cfg);
+/** Encode `batch` prompts; returns [batch, seqLen, dim]. */
+TensorDesc textEncoder(GraphBuilder& b, const TextEncoderConfig& cfg,
+                       std::int64_t batch);
 
 /** Convolutional VAE/VQGAN decoder from latents to pixels. */
 struct ImageDecoderConfig
@@ -217,6 +219,29 @@ struct ImageDecoderConfig
 TensorDesc imageDecoder(GraphBuilder& b, const ImageDecoderConfig& cfg,
                         std::int64_t batch, std::int64_t h,
                         std::int64_t w);
+
+// ---------------------------------------------------------------------
+// Request shapes
+// ---------------------------------------------------------------------
+
+/**
+ * The side nearest to `side * sqrt(size)` that is a positive multiple
+ * of `multiple`, so a square grid's area (pixels or tokens) scales by
+ * about `size` and every stride-2 level stays whole. Size 1.0 returns
+ * `side` itself.
+ */
+std::int64_t roundedSide(std::int64_t side, double size,
+                         std::int64_t multiple = 1);
+
+/** The count nearest to `count * size`, at least 1; `count` at 1.0. */
+std::int64_t roundedCount(std::int64_t count, double size);
+
+/**
+ * Finish a model builder: record on `p` the shape it realized. A shape
+ * other than the default also labels the name, e.g. "Parti @b2
+ * s1.978", so its diagnostics say which surface node they come from.
+ */
+void recordShape(graph::Pipeline& p, graph::RequestShape realized);
 
 } // namespace mmgen::models
 

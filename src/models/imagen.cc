@@ -49,12 +49,16 @@ ImagenConfig::ImagenConfig()
 
 namespace {
 
-/** Append one diffusion stage driving a UNet at a fixed extent. */
+/**
+ * Append one diffusion stage driving a UNet over `batch` images at a
+ * fixed extent.
+ */
 void
 addDiffusionStage(graph::Pipeline& p, const std::string& name,
-                  const UNetConfig& unet, std::int64_t extent,
-                  std::int64_t steps)
+                  UNetConfig unet, std::int64_t batch,
+                  std::int64_t extent, std::int64_t steps)
 {
+    unet.batch *= batch;
     graph::Stage stage;
     stage.name = name;
     stage.iterations = steps;
@@ -67,8 +71,15 @@ addDiffusionStage(graph::Pipeline& p, const std::string& name,
 } // namespace
 
 graph::Pipeline
-buildImagen(const ImagenConfig& cfg)
+buildImagen(ImagenConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t unit_size = cfg.baseSize;
+    cfg.baseSize = roundedSide(unit_size, shape.size,
+                               1LL << (cfg.base.channelMult.size() - 1));
+    cfg.sr1Size = cfg.sr1Size * cfg.baseSize / unit_size;
+    cfg.sr2Size = cfg.sr2Size * cfg.baseSize / unit_size;
+    const std::int64_t batch = shape.batch;
+
     graph::Pipeline p;
     p.name = "Imagen";
     p.klass = graph::ModelClass::DiffusionPixel;
@@ -76,19 +87,24 @@ buildImagen(const ImagenConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        textEncoder(b, cfg.t5);
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        textEncoder(b, cfg.t5, batch);
     };
     p.stages.push_back(std::move(text));
 
-    addDiffusionStage(p, "base_unet", cfg.base, cfg.baseSize,
+    addDiffusionStage(p, "base_unet", cfg.base, batch, cfg.baseSize,
                       cfg.baseSteps);
 
     // The SR stages attend to the upsampled conditioning image; the
     // UNet runs at the *output* resolution of each stage.
-    addDiffusionStage(p, "sr1_unet", cfg.sr1, cfg.sr1Size, cfg.sr1Steps);
-    addDiffusionStage(p, "sr2_unet", cfg.sr2, cfg.sr2Size, cfg.sr2Steps);
+    addDiffusionStage(p, "sr1_unet", cfg.sr1, batch, cfg.sr1Size,
+                      cfg.sr1Steps);
+    addDiffusionStage(p, "sr2_unet", cfg.sr2, batch, cfg.sr2Size,
+                      cfg.sr2Steps);
 
+    const double side = static_cast<double>(cfg.baseSize) /
+                        static_cast<double>(unit_size);
+    recordShape(p, {shape.batch, side * side});
     return p;
 }
 

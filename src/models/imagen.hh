@@ -44,8 +44,16 @@ struct ImagenConfig
     ImagenConfig();
 };
 
-/** Build the four-stage Imagen inference pipeline. */
-graph::Pipeline buildImagen(const ImagenConfig& cfg = ImagenConfig());
+/**
+ * Build the four-stage Imagen inference pipeline for `shape.batch`
+ * prompts. The request size scales the output's pixels: `baseSize`
+ * becomes the multiple of the base UNet's depth (8) nearest to
+ * `baseSize * sqrt(size)`, each SR extent keeps its ratio to it, and
+ * the realized size is the pixel ratio, e.g. 88 -> 352 -> 1,408 px and
+ * 1.891 for size 2.
+ */
+graph::Pipeline buildImagen(ImagenConfig cfg = ImagenConfig(),
+                            graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

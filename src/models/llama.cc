@@ -25,10 +25,14 @@ llamaStack(const LlamaConfig& cfg)
 } // namespace
 
 graph::Pipeline
-buildLlama(const LlamaConfig& cfg)
+buildLlama(LlamaConfig cfg, graph::RequestShape shape)
 {
     MMGEN_CHECK(cfg.promptLen > 0 && cfg.decodeTokens > 0,
                 "LLaMA needs positive prompt and decode lengths");
+    const std::int64_t unit_prompt = cfg.promptLen;
+    cfg.promptLen = roundedCount(unit_prompt, shape.size);
+    const std::int64_t batch = shape.batch;
+
     graph::Pipeline p;
     p.name = "LLaMA";
     p.klass = graph::ModelClass::LLM;
@@ -38,12 +42,13 @@ buildLlama(const LlamaConfig& cfg)
     graph::Stage prefill;
     prefill.name = "prefill";
     prefill.iterations = 1;
-    prefill.emit = [cfg, stack](graph::GraphBuilder& b, std::int64_t) {
-        b.embedding(cfg.promptLen, cfg.dim, cfg.vocab);
-        const TensorDesc x({1, cfg.promptLen, cfg.dim}, b.dtype());
+    prefill.emit = [cfg, batch, stack](graph::GraphBuilder& b,
+                                       std::int64_t) {
+        b.embedding(batch * cfg.promptLen, cfg.dim, cfg.vocab);
+        const TensorDesc x({batch, cfg.promptLen, cfg.dim}, b.dtype());
         transformerStack(b, stack, x);
         // Only the final position's logits are needed.
-        lmHead(b, TensorDesc({1, 1, cfg.dim}, b.dtype()), cfg.vocab);
+        lmHead(b, TensorDesc({batch, 1, cfg.dim}, b.dtype()), cfg.vocab);
     };
     p.stages.push_back(std::move(prefill));
 
@@ -52,15 +57,18 @@ buildLlama(const LlamaConfig& cfg)
     decode.iterations = cfg.decodeTokens;
     decode.perIterationShapes = true;
     decode.reusesWeights = true; // same stack as the prefill phase
-    decode.emit = [cfg, stack](graph::GraphBuilder& b,
-                               std::int64_t iter) {
-        b.embedding(1, cfg.dim, cfg.vocab);
+    decode.emit = [cfg, batch, stack](graph::GraphBuilder& b,
+                                      std::int64_t iter) {
+        b.embedding(batch, cfg.dim, cfg.vocab);
         const std::int64_t kv_len = cfg.promptLen + iter + 1;
-        const TensorDesc out = transformerDecodeStep(b, stack, 1, kv_len);
+        const TensorDesc out =
+            transformerDecodeStep(b, stack, batch, kv_len);
         lmHead(b, out, cfg.vocab);
     };
     p.stages.push_back(std::move(decode));
 
+    recordShape(p, {shape.batch, static_cast<double>(cfg.promptLen) /
+                                     static_cast<double>(unit_prompt)});
     return p;
 }
 

@@ -35,8 +35,15 @@ struct LlamaConfig
     std::int64_t decodeTokens = 32;
 };
 
-/** Build the two-stage (prefill + decode) inference pipeline. */
-graph::Pipeline buildLlama(const LlamaConfig& cfg = LlamaConfig());
+/**
+ * Build the two-stage (prefill + decode) inference pipeline for
+ * `shape.batch` prompts. The request size scales the prompt:
+ * `promptLen` becomes the integer nearest to `promptLen * size`, and
+ * the realized size is the prompt ratio, e.g. 8,192 tokens and 2.0
+ * for size 2. The decode length stays `decodeTokens`.
+ */
+graph::Pipeline buildLlama(LlamaConfig cfg = LlamaConfig(),
+                           graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

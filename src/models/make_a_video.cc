@@ -44,8 +44,17 @@ MakeAVideoConfig::MakeAVideoConfig()
 }
 
 graph::Pipeline
-buildMakeAVideo(const MakeAVideoConfig& cfg)
+buildMakeAVideo(MakeAVideoConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t unit_frames = cfg.base.frames;
+    cfg.base.frames = roundedCount(unit_frames, shape.size);
+    cfg.interp.frames = cfg.interp.frames * cfg.base.frames / unit_frames;
+    cfg.sr.batch = cfg.sr.batch * cfg.base.frames / unit_frames;
+    const std::int64_t batch = shape.batch;
+    cfg.base.batch *= batch;
+    cfg.interp.batch *= batch;
+    cfg.sr.batch *= batch;
+
     graph::Pipeline p;
     p.name = "MakeAVideo";
     p.klass = graph::ModelClass::DiffusionTTV;
@@ -53,8 +62,8 @@ buildMakeAVideo(const MakeAVideoConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        textEncoder(b, cfg.encoder);
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        textEncoder(b, cfg.encoder, batch);
     };
     p.stages.push_back(std::move(text));
 
@@ -82,6 +91,8 @@ buildMakeAVideo(const MakeAVideoConfig& cfg)
     };
     p.stages.push_back(std::move(sr));
 
+    recordShape(p, {shape.batch, static_cast<double>(cfg.base.frames) /
+                                     static_cast<double>(unit_frames)});
     return p;
 }
 

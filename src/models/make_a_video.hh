@@ -48,9 +48,16 @@ struct MakeAVideoConfig
     std::int64_t frames() const { return base.frames; }
 };
 
-/** Build the Make-A-Video inference pipeline. */
+/**
+ * Build the Make-A-Video inference pipeline for `shape.batch` prompts.
+ * The request size scales the clip's frames: `base.frames` becomes
+ * the integer nearest to `base.frames * size`, the interpolated frames
+ * and the per-frame SR batch keep their ratio to it, and the realized
+ * size is the frame ratio, e.g. 32 -> 64 frames and 2.0 for size 2.
+ */
 graph::Pipeline
-buildMakeAVideo(const MakeAVideoConfig& cfg = MakeAVideoConfig());
+buildMakeAVideo(MakeAVideoConfig cfg = MakeAVideoConfig(),
+                graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

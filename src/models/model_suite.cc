@@ -58,28 +58,40 @@ modelName(ModelId id)
     MMGEN_ASSERT(false, "unknown model id");
 }
 
+namespace {
+
 graph::Pipeline
-buildModel(ModelId id)
+buildDefaultConfig(ModelId id, graph::RequestShape shape)
 {
     switch (id) {
       case ModelId::LLaMA:
-        return buildLlama();
+        return buildLlama({}, shape);
       case ModelId::Imagen:
-        return buildImagen();
+        return buildImagen({}, shape);
       case ModelId::StableDiffusion:
-        return buildStableDiffusion();
+        return buildStableDiffusion({}, shape);
       case ModelId::Muse:
-        return buildMuse();
+        return buildMuse({}, shape);
       case ModelId::Parti:
-        return buildParti();
+        return buildParti({}, shape);
       case ModelId::ProdImage:
-        return buildProdImage();
+        return buildProdImage({}, shape);
       case ModelId::MakeAVideo:
-        return buildMakeAVideo();
+        return buildMakeAVideo({}, shape);
       case ModelId::Phenaki:
-        return buildPhenaki();
+        return buildPhenaki({}, shape);
     }
     MMGEN_ASSERT(false, "unknown model id");
+}
+
+} // namespace
+
+graph::Pipeline
+buildModel(ModelId id, graph::RequestShape shape)
+{
+    graph::Pipeline p = buildDefaultConfig(id, shape);
+    p.rebuild = [id](graph::RequestShape s) { return buildModel(id, s); };
+    return p;
 }
 
 } // namespace mmgen::models

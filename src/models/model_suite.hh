@@ -35,8 +35,14 @@ const std::vector<ModelId>& imageVideoModels();
 /** Display name matching the paper's tables. */
 std::string modelName(ModelId id);
 
-/** Build the default-configuration inference pipeline for a model. */
-graph::Pipeline buildModel(ModelId id);
+/**
+ * Build a model's default-configuration inference pipeline for a batch
+ * of requests of one size (see each builder for how the model maps
+ * the size onto its own shape). The default shape builds the model's
+ * reference pipeline. The pipeline's `rebuild` builds the same model
+ * at another shape.
+ */
+graph::Pipeline buildModel(ModelId id, graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

@@ -25,13 +25,17 @@ MuseConfig::MuseConfig()
 
 namespace {
 
-/** One parallel-decoding refinement step over a full token grid. */
+/**
+ * One parallel-decoding refinement step over a full token grid for
+ * each of `batch` requests.
+ */
 void
 refinementStep(graph::GraphBuilder& b, const TransformerConfig& cfg,
-               std::int64_t tokens, std::int64_t vocab)
+               std::int64_t batch, std::int64_t tokens,
+               std::int64_t vocab)
 {
-    b.embedding(tokens, cfg.dim, vocab);
-    const TensorDesc x({1, tokens, cfg.dim}, b.dtype());
+    b.embedding(batch * tokens, cfg.dim, vocab);
+    const TensorDesc x({batch, tokens, cfg.dim}, b.dtype());
     const TensorDesc out = transformerStack(b, cfg, x);
     lmHead(b, out, vocab);
 }
@@ -39,8 +43,13 @@ refinementStep(graph::GraphBuilder& b, const TransformerConfig& cfg,
 } // namespace
 
 graph::Pipeline
-buildMuse(const MuseConfig& cfg)
+buildMuse(MuseConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t unit_grid = cfg.baseGrid;
+    cfg.baseGrid = roundedSide(unit_grid, shape.size);
+    cfg.srGrid = cfg.srGrid * cfg.baseGrid / unit_grid;
+    const std::int64_t batch = shape.batch;
+
     graph::Pipeline p;
     p.name = "Muse";
     p.klass = graph::ModelClass::TransformerTTI;
@@ -48,8 +57,8 @@ buildMuse(const MuseConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        textEncoder(b, cfg.t5);
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        textEncoder(b, cfg.t5, batch);
     };
     p.stages.push_back(std::move(text));
 
@@ -57,9 +66,9 @@ buildMuse(const MuseConfig& cfg)
     graph::Stage base;
     base.name = "base_transformer";
     base.iterations = cfg.baseSteps;
-    base.emit = [cfg, base_tokens](graph::GraphBuilder& b,
-                                   std::int64_t) {
-        refinementStep(b, cfg.base, base_tokens, cfg.tokenVocab);
+    base.emit = [cfg, batch, base_tokens](graph::GraphBuilder& b,
+                                          std::int64_t) {
+        refinementStep(b, cfg.base, batch, base_tokens, cfg.tokenVocab);
     };
     p.stages.push_back(std::move(base));
 
@@ -67,19 +76,24 @@ buildMuse(const MuseConfig& cfg)
     graph::Stage sr;
     sr.name = "superres_transformer";
     sr.iterations = cfg.srSteps;
-    sr.emit = [cfg, sr_tokens](graph::GraphBuilder& b, std::int64_t) {
-        refinementStep(b, cfg.superRes, sr_tokens, cfg.tokenVocab);
+    sr.emit = [cfg, batch, sr_tokens](graph::GraphBuilder& b,
+                                      std::int64_t) {
+        refinementStep(b, cfg.superRes, batch, sr_tokens,
+                       cfg.tokenVocab);
     };
     p.stages.push_back(std::move(sr));
 
     graph::Stage decode;
     decode.name = "vqgan_decoder";
     decode.iterations = 1;
-    decode.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        imageDecoder(b, cfg.vqgan, 1, cfg.srGrid, cfg.srGrid);
+    decode.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        imageDecoder(b, cfg.vqgan, batch, cfg.srGrid, cfg.srGrid);
     };
     p.stages.push_back(std::move(decode));
 
+    const double side = static_cast<double>(cfg.baseGrid) /
+                        static_cast<double>(unit_grid);
+    recordShape(p, {shape.batch, side * side});
     return p;
 }
 

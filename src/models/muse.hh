@@ -48,8 +48,15 @@ struct MuseConfig
     MuseConfig();
 };
 
-/** Build the four-stage Muse inference pipeline. */
-graph::Pipeline buildMuse(const MuseConfig& cfg = MuseConfig());
+/**
+ * Build the four-stage Muse inference pipeline for `shape.batch`
+ * prompts. The request size scales the image tokens: `baseGrid`
+ * becomes the integer nearest to `baseGrid * sqrt(size)`, `srGrid`
+ * keeps its ratio to it, and the realized size is the base token
+ * ratio, e.g. 23 -> 46 grids and 2.066 for size 2.
+ */
+graph::Pipeline buildMuse(MuseConfig cfg = MuseConfig(),
+                          graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

@@ -23,8 +23,12 @@ PartiConfig::PartiConfig()
 }
 
 graph::Pipeline
-buildParti(const PartiConfig& cfg)
+buildParti(PartiConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t unit_tokens = cfg.imageTokens();
+    cfg.imageGrid = roundedSide(cfg.imageGrid, shape.size);
+    const std::int64_t batch = shape.batch;
+
     graph::Pipeline p;
     p.name = "Parti";
     p.klass = graph::ModelClass::TransformerTTI;
@@ -32,10 +36,11 @@ buildParti(const PartiConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
         auto s = b.scope("text_encoder");
-        b.embedding(cfg.textLen, cfg.encoder.dim, cfg.textVocab);
-        const TensorDesc x({1, cfg.textLen, cfg.encoder.dim}, b.dtype());
+        b.embedding(batch * cfg.textLen, cfg.encoder.dim, cfg.textVocab);
+        const TensorDesc x({batch, cfg.textLen, cfg.encoder.dim},
+                           b.dtype());
         transformerStack(b, cfg.encoder, x);
     };
     p.stages.push_back(std::move(text));
@@ -44,10 +49,11 @@ buildParti(const PartiConfig& cfg)
     decode.name = "decode";
     decode.iterations = cfg.imageTokens();
     decode.perIterationShapes = true;
-    decode.emit = [cfg](graph::GraphBuilder& b, std::int64_t iter) {
-        b.embedding(1, cfg.decoder.dim, cfg.tokenVocab);
+    decode.emit = [cfg, batch](graph::GraphBuilder& b,
+                               std::int64_t iter) {
+        b.embedding(batch, cfg.decoder.dim, cfg.tokenVocab);
         const TensorDesc out =
-            transformerDecodeStep(b, cfg.decoder, 1, iter + 1);
+            transformerDecodeStep(b, cfg.decoder, batch, iter + 1);
         lmHead(b, out, cfg.tokenVocab);
     };
     p.stages.push_back(std::move(decode));
@@ -55,12 +61,14 @@ buildParti(const PartiConfig& cfg)
     graph::Stage detok;
     detok.name = "detokenizer";
     detok.iterations = 1;
-    detok.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        imageDecoder(b, cfg.detokenizer, 1, cfg.imageGrid,
+    detok.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        imageDecoder(b, cfg.detokenizer, batch, cfg.imageGrid,
                      cfg.imageGrid);
     };
     p.stages.push_back(std::move(detok));
 
+    recordShape(p, {shape.batch, static_cast<double>(cfg.imageTokens()) /
+                                     static_cast<double>(unit_tokens)});
     return p;
 }
 

@@ -44,8 +44,15 @@ struct PartiConfig
     std::int64_t imageTokens() const { return imageGrid * imageGrid; }
 };
 
-/** Build the three-stage Parti inference pipeline. */
-graph::Pipeline buildParti(const PartiConfig& cfg = PartiConfig());
+/**
+ * Build the three-stage Parti inference pipeline for `shape.batch`
+ * prompts decoded together. The request size scales the image tokens:
+ * `imageGrid` becomes the integer nearest to `imageGrid * sqrt(size)`,
+ * so the decoder runs grid^2 steps, and the realized size is the token
+ * ratio, e.g. a 45x45 grid and 1.978 for size 2.
+ */
+graph::Pipeline buildParti(PartiConfig cfg = PartiConfig(),
+                           graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

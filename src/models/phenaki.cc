@@ -28,18 +28,20 @@ PhenakiConfig::PhenakiConfig()
 namespace {
 
 /**
- * C-ViViT decoder: per-frame spatial transformer, per-position
- * temporal attention, then a convolutional pixel tail.
+ * C-ViViT decoder over `batch` videos: per-frame spatial transformer,
+ * per-position temporal attention, then a convolutional pixel tail.
  */
 void
-cvivitDecode(graph::GraphBuilder& b, const PhenakiConfig& cfg)
+cvivitDecode(graph::GraphBuilder& b, const PhenakiConfig& cfg,
+             std::int64_t batch)
 {
     auto s = b.scope("cvivit_decoder");
     {
         auto ss = b.scope("spatial");
-        const TensorDesc frames_x(
-            {cfg.frames, cfg.tokensPerFrame(), cfg.cvivitSpatial.dim},
-            b.dtype());
+        const TensorDesc frames_x({batch * cfg.frames,
+                                   cfg.tokensPerFrame(),
+                                   cfg.cvivitSpatial.dim},
+                                  b.dtype());
         transformerStack(b, cfg.cvivitSpatial, frames_x);
     }
     {
@@ -48,8 +50,8 @@ cvivitDecode(graph::GraphBuilder& b, const PhenakiConfig& cfg)
         auto st = b.scope("temporal");
         const std::int64_t dim = cfg.cvivitTemporal.dim;
         const std::int64_t heads = cfg.cvivitTemporal.heads;
-        const TensorDesc pos_x({cfg.tokensPerFrame(), cfg.frames, dim},
-                               b.dtype());
+        const std::int64_t positions = batch * cfg.tokensPerFrame();
+        const TensorDesc pos_x({positions, cfg.frames, dim}, b.dtype());
         for (std::int64_t l = 0; l < cfg.cvivitTemporal.layers; ++l) {
             auto sl = b.scope("layer" + std::to_string(l));
             TensorDesc h = b.layerNorm(pos_x);
@@ -57,7 +59,7 @@ cvivitDecode(graph::GraphBuilder& b, const PhenakiConfig& cfg)
             b.linear(h, dim, false);
             b.linear(h, dim, false);
             const TensorDesc o = b.attention(
-                AttentionKind::Temporal, cfg.tokensPerFrame(), heads,
+                AttentionKind::Temporal, positions, heads,
                 cfg.frames, cfg.frames, dim / heads,
                 /*seq_stride=*/cfg.tokensPerFrame(), /*causal=*/false,
                 /*feature_stride=*/cfg.frames * cfg.tokensPerFrame());
@@ -65,15 +67,19 @@ cvivitDecode(graph::GraphBuilder& b, const PhenakiConfig& cfg)
             b.binary(pos_x, "residual_add");
         }
     }
-    imageDecoder(b, cfg.pixelDecoder, cfg.frames, cfg.tokenGrid,
+    imageDecoder(b, cfg.pixelDecoder, batch * cfg.frames, cfg.tokenGrid,
                  cfg.tokenGrid);
 }
 
 } // namespace
 
 graph::Pipeline
-buildPhenaki(const PhenakiConfig& cfg)
+buildPhenaki(PhenakiConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t unit_frames = cfg.frames;
+    cfg.frames = roundedCount(unit_frames, shape.size);
+    const std::int64_t batch = shape.batch;
+
     graph::Pipeline p;
     p.name = "Phenaki";
     p.klass = graph::ModelClass::TransformerTTV;
@@ -81,8 +87,8 @@ buildPhenaki(const PhenakiConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        textEncoder(b, cfg.t5);
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        textEncoder(b, cfg.t5, batch);
     };
     p.stages.push_back(std::move(text));
 
@@ -91,9 +97,10 @@ buildPhenaki(const PhenakiConfig& cfg)
     graph::Stage maskgit;
     maskgit.name = "maskgit_transformer";
     maskgit.iterations = cfg.maskgitSteps * cfg.timeChunks();
-    maskgit.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        b.embedding(cfg.chunkTokens(), cfg.maskgit.dim, cfg.tokenVocab);
-        const TensorDesc x({1, cfg.chunkTokens(), cfg.maskgit.dim},
+    maskgit.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        b.embedding(batch * cfg.chunkTokens(), cfg.maskgit.dim,
+                    cfg.tokenVocab);
+        const TensorDesc x({batch, cfg.chunkTokens(), cfg.maskgit.dim},
                            b.dtype());
         const TensorDesc out = transformerStack(b, cfg.maskgit, x);
         lmHead(b, out, cfg.tokenVocab);
@@ -103,11 +110,13 @@ buildPhenaki(const PhenakiConfig& cfg)
     graph::Stage decode;
     decode.name = "cvivit_decoder";
     decode.iterations = 1;
-    decode.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        cvivitDecode(b, cfg);
+    decode.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        cvivitDecode(b, cfg, batch);
     };
     p.stages.push_back(std::move(decode));
 
+    recordShape(p, {shape.batch, static_cast<double>(cfg.frames) /
+                                     static_cast<double>(unit_frames)});
     return p;
 }
 

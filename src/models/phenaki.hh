@@ -72,8 +72,15 @@ struct PhenakiConfig
     }
 };
 
-/** Build the Phenaki inference pipeline. */
-graph::Pipeline buildPhenaki(const PhenakiConfig& cfg = PhenakiConfig());
+/**
+ * Build the Phenaki inference pipeline for `shape.batch` prompts. The
+ * request size scales the video's frames: `frames` becomes the integer
+ * nearest to `frames * size` (the MaskGIT pass then runs over as many
+ * time chunks as those frames need), and the realized size is the
+ * frame ratio, e.g. 6 frames and 0.545 for size 0.5.
+ */
+graph::Pipeline buildPhenaki(PhenakiConfig cfg = PhenakiConfig(),
+                             graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

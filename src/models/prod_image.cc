@@ -20,11 +20,18 @@ ProdImageConfig::ProdImageConfig()
 }
 
 graph::Pipeline
-buildProdImage(const ProdImageConfig& cfg)
+buildProdImage(ProdImageConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t depth = 1LL << (cfg.unet.channelMult.size() - 1);
+    const std::int64_t unit_size = cfg.imageSize;
+    cfg.imageSize =
+        roundedSide(unit_size, shape.size, cfg.latentScale * depth);
     MMGEN_CHECK(cfg.imageSize % cfg.latentScale == 0,
                 "image size not divisible by latent scale");
     const std::int64_t latent = cfg.latentSize();
+    const std::int64_t batch = shape.batch;
+    UNetConfig unet = cfg.unet;
+    unet.batch *= batch;
 
     graph::Pipeline p;
     p.name = "ProdImage";
@@ -33,27 +40,31 @@ buildProdImage(const ProdImageConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        textEncoder(b, cfg.encoder);
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        textEncoder(b, cfg.encoder, batch);
     };
     p.stages.push_back(std::move(text));
 
     graph::Stage denoise;
     denoise.name = "unet";
     denoise.iterations = cfg.denoiseSteps;
-    denoise.emit = [cfg, latent](graph::GraphBuilder& b, std::int64_t) {
-        unetForward(b, cfg.unet, latent, latent);
+    denoise.emit = [unet, latent](graph::GraphBuilder& b, std::int64_t) {
+        unetForward(b, unet, latent, latent);
     };
     p.stages.push_back(std::move(denoise));
 
     graph::Stage decode;
     decode.name = "vae_decoder";
     decode.iterations = 1;
-    decode.emit = [cfg, latent](graph::GraphBuilder& b, std::int64_t) {
-        imageDecoder(b, cfg.vae, 1, latent, latent);
+    decode.emit = [cfg, batch, latent](graph::GraphBuilder& b,
+                                       std::int64_t) {
+        imageDecoder(b, cfg.vae, batch, latent, latent);
     };
     p.stages.push_back(std::move(decode));
 
+    const double side = static_cast<double>(cfg.imageSize) /
+                        static_cast<double>(unit_size);
+    recordShape(p, {shape.batch, side * side});
     return p;
 }
 

@@ -43,9 +43,16 @@ struct ProdImageConfig
     std::int64_t latentSize() const { return imageSize / latentScale; }
 };
 
-/** Build the production TTI inference pipeline. */
+/**
+ * Build the production TTI inference pipeline for `shape.batch`
+ * prompts. The request size scales the image's pixels: `imageSize`
+ * becomes the multiple of 64 (latent scale x UNet depth) nearest to
+ * `imageSize * sqrt(size)`, and the realized size is the pixel ratio,
+ * e.g. 1,088 px and 2.007 for size 2.
+ */
 graph::Pipeline
-buildProdImage(const ProdImageConfig& cfg = ProdImageConfig());
+buildProdImage(ProdImageConfig cfg = ProdImageConfig(),
+               graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

@@ -18,18 +18,22 @@ StableDiffusionConfig::StableDiffusionConfig()
 }
 
 graph::Pipeline
-buildStableDiffusion(const StableDiffusionConfig& cfg)
+buildStableDiffusion(StableDiffusionConfig cfg, graph::RequestShape shape)
 {
+    const std::int64_t min_factor = 1LL
+                                    << (cfg.unet.channelMult.size() - 1);
+    const std::int64_t unit_size = cfg.imageSize;
+    cfg.imageSize = roundedSide(unit_size, shape.size,
+                                cfg.latentScale * min_factor);
     MMGEN_CHECK(cfg.imageSize % cfg.latentScale == 0,
                 "image size " << cfg.imageSize
                               << " not divisible by latent scale "
                               << cfg.latentScale);
     const std::int64_t latent = cfg.latentSize();
-    const std::int64_t min_factor = 1LL
-                                    << (cfg.unet.channelMult.size() - 1);
     MMGEN_CHECK(latent % min_factor == 0,
                 "latent extent " << latent
                                  << " not divisible by the UNet depth");
+    const std::int64_t batch = shape.batch;
 
     graph::Pipeline p;
     p.name = "StableDiffusion";
@@ -38,8 +42,8 @@ buildStableDiffusion(const StableDiffusionConfig& cfg)
     graph::Stage text;
     text.name = "text_encoder";
     text.iterations = 1;
-    text.emit = [cfg](graph::GraphBuilder& b, std::int64_t) {
-        textEncoder(b, cfg.clip);
+    text.emit = [cfg, batch](graph::GraphBuilder& b, std::int64_t) {
+        textEncoder(b, cfg.clip, batch);
     };
     p.stages.push_back(std::move(text));
 
@@ -47,6 +51,7 @@ buildStableDiffusion(const StableDiffusionConfig& cfg)
     denoise.name = "unet";
     denoise.iterations = cfg.denoiseSteps;
     models::UNetConfig unet = cfg.unet;
+    unet.batch *= batch;
     if (cfg.classifierFreeGuidance)
         unet.batch *= 2; // conditional + unconditional passes
     denoise.emit = [unet, latent](graph::GraphBuilder& b, std::int64_t) {
@@ -57,11 +62,15 @@ buildStableDiffusion(const StableDiffusionConfig& cfg)
     graph::Stage decode;
     decode.name = "vae_decoder";
     decode.iterations = 1;
-    decode.emit = [cfg, latent](graph::GraphBuilder& b, std::int64_t) {
-        imageDecoder(b, cfg.vae, 1, latent, latent);
+    decode.emit = [cfg, batch, latent](graph::GraphBuilder& b,
+                                       std::int64_t) {
+        imageDecoder(b, cfg.vae, batch, latent, latent);
     };
     p.stages.push_back(std::move(decode));
 
+    const double side = static_cast<double>(cfg.imageSize) /
+                        static_cast<double>(unit_size);
+    recordShape(p, {shape.batch, side * side});
     return p;
 }
 

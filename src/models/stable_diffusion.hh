@@ -49,10 +49,16 @@ struct StableDiffusionConfig
     std::int64_t latentSize() const { return imageSize / latentScale; }
 };
 
-/** Build the three-stage SD inference pipeline. */
+/**
+ * Build the three-stage SD inference pipeline for `shape.batch`
+ * prompts. The request size scales the image's pixels: `imageSize`
+ * becomes the multiple of 64 (latent scale x UNet depth) nearest to
+ * `imageSize * sqrt(size)`, and the realized size is the pixel ratio,
+ * e.g. 704 px and 1.891 for size 2.
+ */
 graph::Pipeline
-buildStableDiffusion(const StableDiffusionConfig& cfg =
-                         StableDiffusionConfig());
+buildStableDiffusion(StableDiffusionConfig cfg = StableDiffusionConfig(),
+                     graph::RequestShape shape = {});
 
 } // namespace mmgen::models
 

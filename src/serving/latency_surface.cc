@@ -4,82 +4,14 @@
 #include <cmath>
 #include <utility>
 
-#include "graph/trace.hh"
 #include "profiler/engine.hh"
 #include "runtime/profile_cache.hh"
-#include "util/format.hh"
 #include "util/logging.hh"
 #include "verify/verify.hh"
 
 namespace mmgen::serving {
 
 namespace {
-
-/** Scale a positive count, keeping it a positive integer. */
-std::int64_t
-scaleCount(std::int64_t v, double factor)
-{
-    if (v <= 0 || factor == 1.0)
-        return v;
-    return std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::llround(
-               static_cast<double>(v) * factor)));
-}
-
-/**
- * Rewrite one op for a batch of `b` requests of `s`x work each.
- * Batch axes multiply by b; per-request work axes by s. Conv spatial
- * dims take sqrt(s) per axis so a request's conv *work* scales by s.
- * Layout strides are left alone: scaling seq lengths does not change
- * how features interleave, and the locality model keys off strides.
- */
-graph::Op
-scaleOp(graph::Op op, int b, double s)
-{
-    const double bf = static_cast<double>(b);
-    const double work = bf * s;
-    const double spatial = std::sqrt(s);
-    std::visit(
-        [&](auto& a) {
-            using T = std::decay_t<decltype(a)>;
-            if constexpr (std::is_same_v<T, graph::ConvAttrs>) {
-                a.batch = scaleCount(a.batch, bf);
-                a.inH = scaleCount(a.inH, spatial);
-                a.inW = scaleCount(a.inW, spatial);
-            } else if constexpr (std::is_same_v<T,
-                                                graph::LinearAttrs>) {
-                a.rows = scaleCount(a.rows, work);
-            } else if constexpr (std::is_same_v<T,
-                                                graph::MatmulAttrs>) {
-                a.batch = scaleCount(a.batch, bf);
-                a.m = scaleCount(a.m, s);
-            } else if constexpr (std::is_same_v<
-                                     T, graph::AttentionAttrs>) {
-                a.batch = scaleCount(a.batch, bf);
-                a.seqQ = scaleCount(a.seqQ, s);
-                a.seqKv = scaleCount(a.seqKv, s);
-            } else if constexpr (std::is_same_v<T,
-                                                graph::NormAttrs>) {
-                a.numel = scaleCount(a.numel, work);
-            } else if constexpr (std::is_same_v<T,
-                                                graph::SoftmaxAttrs>) {
-                a.rows = scaleCount(a.rows, work);
-            } else if constexpr (std::is_same_v<T, graph::ElemAttrs>) {
-                a.numel = scaleCount(a.numel, work);
-            } else if constexpr (std::is_same_v<
-                                     T, graph::EmbeddingAttrs>) {
-                a.tokens = scaleCount(a.tokens, work);
-            } else if constexpr (std::is_same_v<
-                                     T, graph::ResampleAttrs>) {
-                a.numelIn = scaleCount(a.numelIn, work);
-                a.numelOut = scaleCount(a.numelOut, work);
-            } else if constexpr (std::is_same_v<T, graph::CopyAttrs>) {
-                a.bytes = scaleCount(a.bytes, work);
-            }
-        },
-        op.attrs);
-    return op;
-}
 
 /** Locate `x` on an ascending grid: (index, interpolation weight).
     Weight 0 means "exactly node index" (clamped ends included). */
@@ -191,34 +123,6 @@ BatchLatencySurface::fromLatencyModel(const LatencyModel& model,
     return s;
 }
 
-graph::Pipeline
-scaledPipeline(const graph::Pipeline& base, int batch,
-               double sizeScale)
-{
-    MMGEN_CHECK(batch >= 1, "batch must be positive, got " << batch);
-    MMGEN_CHECK(std::isfinite(sizeScale) && sizeScale > 0.0,
-                "size scale must be positive, got " << sizeScale);
-    if (batch == 1 && sizeScale == 1.0)
-        return base;
-    graph::Pipeline scaled = base;
-    scaled.name = base.name + " @b" + std::to_string(batch) + " s" +
-                  formatFixed(sizeScale, 3);
-    for (graph::Stage& stage : scaled.stages) {
-        // Replay the base emitter into a scratch trace, then append
-        // the rewritten ops to the real builder. The wrapper captures
-        // the base emitter by value so `scaled` owns its emitters.
-        stage.emit = [base_emit = stage.emit, batch, sizeScale](
-                         graph::GraphBuilder& b, std::int64_t iter) {
-            graph::Trace scratch;
-            graph::GraphBuilder inner(scratch, b.dtype());
-            base_emit(inner, iter);
-            for (const graph::Op& op : scratch.ops())
-                b.appendOp(scaleOp(op, batch, sizeScale));
-        };
-    }
-    return scaled;
-}
-
 BatchLatencySurface
 profileLatencySurface(const graph::Pipeline& pipeline,
                       const hw::GpuSpec& gpu,
@@ -231,7 +135,6 @@ profileLatencySurface(const graph::Pipeline& pipeline,
     BatchLatencySurface s;
     s.model = pipeline.name;
     s.batchGrid = std::move(batches);
-    s.sizeGrid = std::move(sizes);
     for (const graph::Stage& stage : pipeline.stages)
         s.iterations = std::max(s.iterations, stage.iterations);
 
@@ -239,12 +142,16 @@ profileLatencySurface(const graph::Pipeline& pipeline,
     opts.gpu = gpu;
     opts.backend = graph::AttentionBackend::Flash;
     opts.schedule = schedule;
-    for (int b : s.batchGrid) {
-        for (double sz : s.sizeGrid) {
-            const std::shared_ptr<const profiler::ProfileResult> res =
-                runtime::cachedProfile(scaledPipeline(pipeline, b, sz),
-                                       opts);
-            s.seconds.push_back(res->totalSeconds);
+    for (std::size_t bi = 0; bi < s.batchGrid.size(); ++bi) {
+        for (std::size_t si = 0; si < sizes.size(); ++si) {
+            const graph::Pipeline node =
+                pipeline.at({s.batchGrid[bi], sizes[si]});
+            if (bi == 0)
+                s.sizeGrid.push_back(node.shape.size);
+            MMGEN_ASSERT(node.shape.size == s.sizeGrid[si],
+                         "realized size depends on the batch");
+            s.seconds.push_back(
+                runtime::cachedProfile(node, opts)->totalSeconds);
         }
     }
     s.validate();

@@ -12,12 +12,14 @@
  * length, frame count) price differently, which is what makes the
  * workload generator's heavy-tailed size distributions meaningful.
  *
- * Grid points are produced by `scaledPipeline`, an op-attrs-level
- * transform that replays a pipeline's op stream with batch dims
- * multiplied by `b` and per-request work dims by `s`. Because
- * `Pipeline::fingerprint()` hashes the op stream, scaled variants
- * never alias the base pipeline (or each other) in the profile and
- * plan caches.
+ * Each grid node is the model built for that request shape
+ * (`graph::Pipeline::at`): the builder passes the batch through its
+ * own tensors and maps the size onto its own setting (image side,
+ * token grid, frame count or prompt length), rounded to the nearest
+ * shape it accepts. So every node is a graph the verifier accepts, the
+ * size grid stores the sizes the model realized, and because
+ * `Pipeline::fingerprint()` hashes the op stream, distinct nodes never
+ * alias each other in the profile and plan caches.
  */
 
 #ifndef MMGEN_SERVING_LATENCY_SURFACE_HH
@@ -44,7 +46,10 @@ struct BatchLatencySurface
 {
     /** Sampled batch sizes, strictly ascending, all >= 1. */
     std::vector<int> batchGrid;
-    /** Sampled request-size scales, strictly ascending, all > 0. */
+    /**
+     * Sampled request-size scales, strictly ascending, all > 0: for a
+     * profiled surface, the sizes the model realized.
+     */
     std::vector<double> sizeGrid;
     /** Service seconds, row-major: seconds[bi * sizeGrid.size() + si]. */
     std::vector<double> seconds;
@@ -95,20 +100,14 @@ struct BatchLatencySurface
 };
 
 /**
- * Replay `base` with batch dimensions scaled by `batch` and
- * per-request work dimensions scaled by `sizeScale` (conv spatial
- * dims scale by sqrt(sizeScale) so per-request *work* scales
- * linearly; sequence/row/element dims scale directly). `batch == 1 &&
- * sizeScale == 1.0` returns `base` unchanged, same fingerprint.
- */
-graph::Pipeline scaledPipeline(const graph::Pipeline& base, int batch,
-                               double sizeScale);
-
-/**
  * Profile a pipeline at every (batch, size) grid node through
  * `runtime::cachedProfile` (Flash backend, caller's schedule options)
- * and assemble the surface. Repeated calls are O(1) after the first:
- * every node is a profile-cache hit.
+ * and assemble the surface. Node (b, s) is `pipeline.at({b, s})`, and
+ * `sizeGrid` holds the sizes those nodes realized, so requested sizes
+ * that round to one shape throw `FatalError` (the grid is no longer
+ * strictly ascending), as does any node of a pipeline without a
+ * rebuild but the shape it was built for. Repeated calls are O(1)
+ * after the first: every node is a profile-cache hit.
  */
 BatchLatencySurface profileLatencySurface(
     const graph::Pipeline& pipeline, const hw::GpuSpec& gpu,

@@ -537,7 +537,12 @@ checkOp(TraceChecker& chk, const graph::Op& op, FeatureState& state,
     }
 }
 
-/** First text-encoder embedding length, or 0 when there is none. */
+/**
+ * Encoded prompt length, or 0 when there is no text stage: the
+ * key/value length of the text stage's first attention, which holds
+ * one prompt's tokens whatever the batch (an embedding's token count
+ * folds the batch in).
+ */
 std::int64_t
 detectPromptLen(const graph::Pipeline& p)
 {
@@ -551,8 +556,8 @@ detectPromptLen(const graph::Pipeline& p)
     try {
         const graph::Trace t = p.traceStage(0, 0);
         for (const graph::Op& op : t.ops()) {
-            if (op.kind == graph::OpKind::Embedding)
-                return op.as<graph::EmbeddingAttrs>().tokens;
+            if (op.kind == graph::OpKind::Attention)
+                return op.as<graph::AttentionAttrs>().seqKv;
         }
     } catch (const FatalError&) {
         // The main loop reports the trace failure.

@@ -448,9 +448,10 @@ TEST(Feasibility, BatchBoundMonotoneInImageSize)
         const std::int64_t batch =
             maxFeasibleBatch(models::buildStableDiffusion(cfg), gpu);
         EXPECT_GT(batch, 0) << "image " << image;
-        if (prev >= 0)
+        if (prev >= 0) {
             EXPECT_LE(batch, prev)
                 << "batch bound grew with image size " << image;
+        }
         prev = batch;
     }
 }

@@ -220,16 +220,16 @@ TEST(Trace, ChangedComparesEveryField)
     f16.silu(TensorDesc({4}, DType::F16));
     Op twice = t.ops()[0];
     twice.repeat = 2;
-    f16.appendOp(twice);
+    t.append(twice);
     EXPECT_TRUE(t.changed(0));
     EXPECT_TRUE(t.changed(1));
 
-    // Re-emitted: the built op is unchanged; the replayed one now has
+    // Re-emitted: the built op is unchanged; the appended one now has
     // repeat 1 where its slot held 2.
     t.clear();
     EXPECT_TRUE(t.empty());
     f16.silu(TensorDesc({4}, DType::F16));
-    f16.appendOp(t.ops()[0]);
+    t.append(t.ops()[0]);
     ASSERT_EQ(t.size(), 2u);
     EXPECT_FALSE(t.changed(0));
     EXPECT_TRUE(t.changed(1));
@@ -237,7 +237,7 @@ TEST(Trace, ChangedComparesEveryField)
 
     // A built op whose slot held it with repeat 2.
     t.clear();
-    f16.appendOp(twice);
+    t.append(twice);
     t.clear();
     f16.silu(TensorDesc({4}, DType::F16));
     EXPECT_TRUE(t.changed(0));

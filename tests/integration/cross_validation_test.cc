@@ -85,8 +85,10 @@ TEST(CrossValidation, AmdahlPredictsMeasuredEndToEndSpeedup)
 {
     // The Amdahl decomposition applied to the measured fraction and
     // module speedup must reconstruct the measured end-to-end speedup.
-    profiler::Profiler base_prof(profiler::ProfileOptions{
-        hw::GpuSpec::a100_80gb(), graph::AttentionBackend::Baseline});
+    profiler::ProfileOptions base_opts;
+    base_opts.gpu = hw::GpuSpec::a100_80gb();
+    base_opts.backend = graph::AttentionBackend::Baseline;
+    profiler::Profiler base_prof(base_opts);
     profiler::Profiler flash_prof;
     const graph::Pipeline p = models::buildStableDiffusion();
     const profiler::ProfileResult base = base_prof.profile(p);

@@ -216,17 +216,29 @@ TEST(UNetForward, TemporalAddsTemporalAttentionAndConv3d)
 
 TEST(TextEncoder, EmitsEmbeddingAndStack)
 {
-    Trace t;
-    GraphBuilder b(t);
-    TextEncoderConfig cfg;
-    cfg.layers = 2;
-    cfg.dim = 128;
-    cfg.heads = 4;
-    cfg.seqLen = 77;
-    const TensorDesc out = textEncoder(b, cfg);
-    EXPECT_EQ(out.shape(), (std::vector<std::int64_t>{1, 77, 128}));
-    EXPECT_EQ(countKind(t, OpKind::Embedding), 1);
-    EXPECT_EQ(countKind(t, OpKind::Attention), 2);
+    for (const std::int64_t batch : {1, 3}) {
+        Trace t;
+        GraphBuilder b(t);
+        TextEncoderConfig cfg;
+        cfg.layers = 2;
+        cfg.dim = 128;
+        cfg.heads = 4;
+        cfg.seqLen = 77;
+        const TensorDesc out = textEncoder(b, cfg, batch);
+        EXPECT_EQ(out.shape(),
+                  (std::vector<std::int64_t>{batch, 77, 128}));
+        EXPECT_EQ(countKind(t, OpKind::Embedding), 1);
+        EXPECT_EQ(t.ops()[0].as<graph::EmbeddingAttrs>().tokens,
+                  batch * 77);
+        EXPECT_EQ(countKind(t, OpKind::Attention), 2);
+        // Each prompt attends its own 77 tokens.
+        for (const Op& op : t.ops()) {
+            if (op.kind == OpKind::Attention) {
+                EXPECT_EQ(op.as<AttentionAttrs>().batch, batch);
+                EXPECT_EQ(op.as<AttentionAttrs>().seqKv, 77);
+            }
+        }
+    }
 }
 
 TEST(ImageDecoder, UpsamplesToPixels)

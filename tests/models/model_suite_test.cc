@@ -18,6 +18,7 @@
 #include "models/phenaki.hh"
 #include "models/stable_diffusion.hh"
 #include "util/logging.hh"
+#include "verify/verify.hh"
 
 namespace mmgen::models {
 namespace {
@@ -50,6 +51,45 @@ TEST_P(BuildsAndTraces, AllStagesTraceable)
 
 INSTANTIATE_TEST_SUITE_P(
     Suite, BuildsAndTraces, ::testing::ValuesIn(allModels()),
+    [](const ::testing::TestParamInfo<ModelId>& info) {
+        return modelName(info.param);
+    });
+
+/**
+ * Every model builds each node of a batch-latency surface as a graph
+ * the verifier accepts, at sizes it realizes in ascending order.
+ */
+class RequestShapes : public ::testing::TestWithParam<ModelId>
+{};
+
+TEST_P(RequestShapes, EveryNodeVerifiesClean)
+{
+    const ModelId id = GetParam();
+    const std::uint64_t unit = buildModel(id).fingerprint();
+    std::set<std::uint64_t> fingerprints;
+    for (const int batch : {1, 2, 4}) {
+        double previous = 0.0;
+        for (const double size : {0.5, 1.0, 2.0, 4.0}) {
+            const graph::Pipeline p = buildModel(id, {batch, size});
+            SCOPED_TRACE(p.name);
+            EXPECT_EQ(p.shape.batch, batch);
+            EXPECT_GT(p.shape.size, previous);
+            previous = p.shape.size;
+            const verify::DiagnosticReport report =
+                verify::verifyPipeline(p);
+            EXPECT_EQ(report.errorCount(), 0) << report.render();
+
+            const std::uint64_t fp = p.fingerprint();
+            EXPECT_TRUE(fingerprints.insert(fp).second);
+            EXPECT_EQ(fp == unit, batch == 1 && size == 1.0);
+            // Asking for the realized size builds the same graph.
+            EXPECT_EQ(buildModel(id, p.shape).fingerprint(), fp);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, RequestShapes, ::testing::ValuesIn(allModels()),
     [](const ::testing::TestParamInfo<ModelId>& info) {
         return modelName(info.param);
     });

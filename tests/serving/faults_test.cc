@@ -70,8 +70,9 @@ TEST(FaultPlan, OutagesDisjointSortedAndMtbfScales)
     for (const GpuFaultTimeline& g : plan.gpus) {
         for (std::size_t i = 0; i < g.outages.size(); ++i) {
             EXPECT_LT(g.outages[i].start, g.outages[i].end);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GT(g.outages[i].start, g.outages[i - 1].end);
+            }
         }
     }
     FaultConfig rare = flakyFleet();

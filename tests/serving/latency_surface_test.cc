@@ -2,8 +2,8 @@
  * @file
  * Tests for the exec-derived batch-latency surface: exact node
  * lookups, bilinear interpolation and clamped extrapolation, the
- * bit-exact `fromLatencyModel` bridge, `scaledPipeline` fingerprint
- * behaviour, and `validate()` rejections.
+ * bit-exact `fromLatencyModel` bridge, fingerprints of the pipelines
+ * rebuilt at each node, and `validate()` rejections.
  */
 
 #include <gtest/gtest.h>
@@ -103,15 +103,15 @@ TEST(BatchLatencySurface, ProfiledNodesMatchDirectProfile)
         for (std::size_t si = 0; si < s.sizeGrid.size(); ++si) {
             const double direct =
                 runtime::cachedProfile(
-                    scaledPipeline(p, s.batchGrid[bi],
-                                   s.sizeGrid[si]),
-                    opts)
+                    p.at({s.batchGrid[bi], s.sizeGrid[si]}), opts)
                     ->totalSeconds;
             EXPECT_EQ(s.at(bi, si), direct)
                 << "node (" << s.batchGrid[bi] << ", "
                 << s.sizeGrid[si] << ")";
         }
     }
+    // The size grid holds what SD realized: a 704 px image for 2.0.
+    EXPECT_EQ(s.sizeGrid, (std::vector<double>{1.0, 1.890625}));
     // Iteration granularity comes from the dominant stage.
     std::int64_t max_iters = 1;
     for (const graph::Stage& stage : p.stages)
@@ -137,9 +137,13 @@ TEST(ScaledPipeline, UnitScaleReturnsBaseUnchanged)
 {
     const graph::Pipeline p =
         models::buildModel(models::ModelId::StableDiffusion);
-    const graph::Pipeline same = scaledPipeline(p, 1, 1.0);
+    const graph::Pipeline same = p.at({1, 1.0});
     EXPECT_EQ(same.fingerprint(), p.fingerprint());
     EXPECT_EQ(same.name, p.name);
+    // Back from another shape, the rebuild is the base pipeline again.
+    const graph::Pipeline back = p.at({2, 2.0}).at({1, 1.0});
+    EXPECT_EQ(back.fingerprint(), p.fingerprint());
+    EXPECT_EQ(back.name, p.name);
 }
 
 TEST(ScaledPipeline, ScaledVariantsNeverAliasInCaches)
@@ -147,9 +151,9 @@ TEST(ScaledPipeline, ScaledVariantsNeverAliasInCaches)
     const graph::Pipeline p =
         models::buildModel(models::ModelId::StableDiffusion);
     const std::uint64_t base = p.fingerprint();
-    const std::uint64_t b2 = scaledPipeline(p, 2, 1.0).fingerprint();
-    const std::uint64_t b4 = scaledPipeline(p, 4, 1.0).fingerprint();
-    const std::uint64_t s2 = scaledPipeline(p, 1, 2.0).fingerprint();
+    const std::uint64_t b2 = p.at({2, 1.0}).fingerprint();
+    const std::uint64_t b4 = p.at({4, 1.0}).fingerprint();
+    const std::uint64_t s2 = p.at({1, 2.0}).fingerprint();
     EXPECT_NE(b2, base);
     EXPECT_NE(b4, base);
     EXPECT_NE(s2, base);
@@ -157,7 +161,30 @@ TEST(ScaledPipeline, ScaledVariantsNeverAliasInCaches)
     EXPECT_NE(b2, s2);
     // Same (batch, size) always re-derives the same fingerprint, so
     // repeated sweeps stay profile-cache hits.
-    EXPECT_EQ(scaledPipeline(p, 2, 1.0).fingerprint(), b2);
+    EXPECT_EQ(p.at({2, 1.0}).fingerprint(), b2);
+}
+
+TEST(ScaledPipeline, HandBuiltPipelineIsPricedOnlyAtTheUnitShape)
+{
+    graph::Pipeline p;
+    p.name = "hand_built";
+    graph::Stage stage;
+    stage.name = "body";
+    stage.emit = [](graph::GraphBuilder& b, std::int64_t) {
+        b.linear(TensorDesc({1, 64, 512}, b.dtype()), 512);
+    };
+    p.stages.push_back(std::move(stage));
+    EXPECT_EQ(p.at({1, 1.0}).fingerprint(), p.fingerprint());
+    EXPECT_THROW(p.at({2, 1.0}), FatalError);
+    EXPECT_THROW(p.at({1, 2.0}), FatalError);
+    EXPECT_THROW(profileLatencySurface(p, hw::GpuSpec::a100_80gb(),
+                                       exec::ScheduleOptions(), {1, 2}),
+                 FatalError);
+    // A model pipeline rejects shapes no batch or size can mean.
+    const graph::Pipeline sd =
+        models::buildModel(models::ModelId::StableDiffusion);
+    EXPECT_THROW(sd.at({0, 1.0}), FatalError);
+    EXPECT_THROW(sd.at({1, 0.0}), FatalError);
 }
 
 TEST(BatchLatencySurfaceValidate, RejectsEmptyGrid)

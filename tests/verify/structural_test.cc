@@ -199,6 +199,42 @@ TEST(StructuralVerifier, WrongPromptLengthFiresCrossRule)
     expectOnlyRule(verifyTrace(t, ctx), rules::CrossAttention);
 }
 
+/** Two prompts encoded together, then cross-attention onto `kv_len`. */
+graph::Pipeline
+twoPromptPipeline(std::int64_t kv_len)
+{
+    graph::Pipeline p;
+    p.name = "two_prompts";
+    graph::Stage text;
+    text.name = "text_encoder";
+    text.emit = [](graph::GraphBuilder& b, std::int64_t) {
+        b.embedding(2 * 77, 768, 49408); // both prompts' tokens
+        b.attention(graph::AttentionKind::SelfSpatial, 2, 12, 77, 77, 64);
+    };
+    p.stages.push_back(std::move(text));
+    graph::Stage gen;
+    gen.name = "generator";
+    gen.emit = [kv_len](graph::GraphBuilder& b, std::int64_t) {
+        b.attention(graph::AttentionKind::CrossText, 2, 8, 256, kv_len,
+                    64);
+    };
+    p.stages.push_back(std::move(gen));
+    return p;
+}
+
+TEST(StructuralVerifier, PromptLengthIsPerRequestAtBatchTwo)
+{
+    // Each prompt is 77 tokens though the embedding looks up 154.
+    const DiagnosticReport clean = verifyPipeline(twoPromptPipeline(77));
+    EXPECT_FALSE(clean.hasErrors()) << clean.render();
+    expectOnlyRule(verifyPipeline(twoPromptPipeline(154)),
+                   rules::CrossAttention);
+
+    const DiagnosticReport sd = verifyPipeline(models::buildModel(
+        models::ModelId::StableDiffusion, {2, 1.0}));
+    EXPECT_FALSE(sd.hasErrors()) << sd.render();
+}
+
 TEST(StructuralVerifier, SpatialSeqMismatchAgainstConvState)
 {
     graph::Trace t;

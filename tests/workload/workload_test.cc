@@ -31,15 +31,6 @@ twoClassMix()
     return mix;
 }
 
-std::vector<Arrival>
-drawArrivals(ArrivalGenerator& gen, int n)
-{
-    std::vector<Arrival> out;
-    for (int i = 0; i < n; ++i)
-        out.push_back(gen.next());
-    return out;
-}
-
 TEST(WorkloadConfig, EmptyMixRejected)
 {
     EXPECT_THROW(WorkloadConfig{}.validate(), FatalError);

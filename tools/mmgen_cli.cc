@@ -648,7 +648,7 @@ cmdTaxonomy(const Options& opts)
 
 /**
  * Exec-derived pricing for `serve --continuous/--surface`: profile the
- * scaled pipeline at a power-of-two batch grid up to --batch, and at a
+ * model built at a power-of-two batch grid up to --batch, and at a
  * size grid covering the mix's heavy tail when one is configured.
  */
 serving::BatchLatencySurface
