@@ -225,7 +225,8 @@ DiskProfileCache::store(std::uint64_t key,
     const std::string path = pathFor(key);
     std::string tmp = path + ".tmp";
 #ifdef MMGEN_HAVE_FLOCK
-    tmp += "." + std::to_string(static_cast<long long>(::getpid()));
+    tmp += ".";
+    tmp += std::to_string(static_cast<long long>(::getpid()));
 #endif
     {
         std::ofstream out(tmp,

@@ -190,6 +190,31 @@ ClusterConfig::validate() const
     MMGEN_CHECK(probe.jitterFraction >= 0.0 &&
                     probe.jitterFraction < 1.0,
                 "probe jitter fraction out of [0, 1)");
+    // A one-replica pool without breakers schedules no probes.
+    const double probes = replicas.size() > 1 || breaker.enabled()
+                              ? static_cast<double>(replicas.size()) *
+                                    horizonSeconds / probe.intervalSeconds
+                              : 0.0;
+    MMGEN_CHECK(probes <= ProbeModel::kMaxExpectedProbes,
+                "replicas x horizon / probe interval = "
+                    << probes << " expected probes, above the "
+                    << ProbeModel::kMaxExpectedProbes
+                    << " one run may simulate");
+    const FaultConfig& f = resilience.faults;
+    const std::pair<double, double> processes[] = {
+        {f.failureMtbfSeconds, f.failureMttrSeconds},
+        {f.preemptionMtbfSeconds, f.preemptionMeanSeconds},
+        {f.domainMtbfSeconds, f.domainMttrSeconds}};
+    for (const auto& [mtbf, mttr] : processes) {
+        const double outages =
+            mtbf > 0.0 ? totalGpus() * horizonSeconds / (mtbf + mttr) : 0.0;
+        MMGEN_CHECK(outages <= FaultConfig::kMaxExpectedOutages,
+                    "GPUs x horizon / (MTBF " << mtbf << " + MTTR " << mttr
+                        << ") = " << outages
+                        << " expected outages, above the "
+                        << FaultConfig::kMaxExpectedOutages
+                        << " one fault process may simulate");
+    }
     const int numReplicas = static_cast<int>(replicas.size());
     for (const ChaosEvent& ev : chaos.events) {
         MMGEN_CHECK(std::isfinite(ev.atSeconds) && ev.atSeconds >= 0.0,
@@ -726,6 +751,8 @@ class ClusterSim
           trace_(tele != nullptr && tele->wantsTrace() ? tele->trace
                                                        : nullptr)
     {
+        if (tele != nullptr)
+            tele->validate(horizon_);
         layOut();
         FleetFaultPlan plan = compileFaults();
         report_.meanAvailability = plan.meanAvailability(horizon_);

@@ -224,6 +224,17 @@ struct ProbeModel
     double intervalSeconds = 5.0;
     /** Phase offset is uniform in [0, jitterFraction * interval). */
     double jitterFraction = 0.5;
+
+    /**
+     * Most probes one run may expect (replicas x horizon / interval).
+     * A probe stores nothing, but each is one pass of the event loop,
+     * so the cap is `TrafficConfig::kMaxExpectedArrivals`: probes never
+     * take more events than the arrivals a run may simulate (2e7 probes
+     * take ~0.2 s in a Release build). It sits 11,000x above every
+     * test, bench, example and hostbench run (at most 1,800).
+     */
+    static constexpr double kMaxExpectedProbes =
+        TrafficConfig::kMaxExpectedArrivals;
 };
 
 /**
@@ -256,9 +267,11 @@ struct ClusterConfig : TrafficConfig
 
     /**
      * Throw `FatalError` on any malformed knob, replica pricing, or
-     * chaos target, and on checkpointing combined with continuous
-     * batching (a checkpoint resumes a whole greedy batch; continuous
-     * members join and leave mid-request).
+     * chaos target, on more than `ProbeModel::kMaxExpectedProbes`
+     * expected probes or `FaultConfig::kMaxExpectedOutages` expected
+     * outages of one fault process, and on checkpointing combined with
+     * continuous batching (a checkpoint resumes a whole greedy batch;
+     * continuous members join and leave mid-request).
      */
     void validate() const;
 };

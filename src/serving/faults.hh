@@ -69,6 +69,18 @@ struct FaultConfig
     /** Mean time to recover a failed domain, seconds. */
     double domainMttrSeconds = 120.0;
 
+    /**
+     * Most outages one fault process may expect over a run: GPUs x
+     * horizon / (MTBF + MTTR), since a domain outage is copied onto
+     * each member GPU's timeline. An outage keeps ~56 bytes (its
+     * 24-byte window plus the simulator's two 16-byte up/down edges)
+     * and planning copies it once more, so a Release run at this cap
+     * peaks at ~0.4 GB (~0.8 GB with all three processes there). It
+     * sits 100,000x above every test, bench, example and hostbench run
+     * (at most 42).
+     */
+    static constexpr double kMaxExpectedOutages = 5e6;
+
     /** True if any fault process is active. */
     bool any() const;
 };

@@ -308,8 +308,11 @@ writeSinkEvents(EventArray& events, const TraceSink& sink)
                 if (!firstArg)
                     line += ",";
                 firstArg = false;
-                line += "\"" + json::escape(k) + "\":\"" +
-                        json::escape(v) + "\"";
+                line += "\"";
+                line += json::escape(k);
+                line += "\":\"";
+                line += json::escape(v);
+                line += "\"";
             }
             line += "}";
         }

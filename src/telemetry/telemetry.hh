@@ -24,6 +24,7 @@
 
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
+#include "util/logging.hh"
 
 namespace mmgen::telemetry {
 
@@ -43,11 +44,37 @@ struct Telemetry
      */
     double sampleIntervalSeconds = 0.0;
 
+    /**
+     * Most samples one run may take (horizon / sample interval). A
+     * sample appends a 16-byte point to each of 8 fleet series and 4
+     * series per replica, 192 bytes at one replica, so a Release run
+     * at this cap peaks at ~0.2 GB (~0.6 GB at 8 replicas). It sits
+     * 800x above every test, bench, example and hostbench run (at most
+     * 1,200).
+     */
+    static constexpr double kMaxSamples = 1e6;
+
     bool wantsMetrics() const { return metrics != nullptr; }
     bool wantsTrace() const { return trace != nullptr; }
     bool wantsSampling() const
     {
         return metrics != nullptr && sampleIntervalSeconds > 0.0;
+    }
+
+    /**
+     * Throw `FatalError` if sampling a run of `horizonSeconds` would
+     * take more than `kMaxSamples` samples.
+     */
+    void
+    validate(double horizonSeconds) const
+    {
+        if (!wantsSampling())
+            return;
+        const double samples = horizonSeconds / sampleIntervalSeconds;
+        MMGEN_CHECK(samples <= kMaxSamples,
+                    "horizon / sample interval = "
+                        << samples << " samples, above the " << kMaxSamples
+                        << " one run may take");
     }
 };
 

@@ -223,6 +223,52 @@ TEST(Cluster, ValidationRejectsBadKnobs)
     EXPECT_THROW(c.validate(), FatalError);
 }
 
+TEST(Cluster, ValidationCapsExpectedProbes)
+{
+    ClusterConfig c;
+    c.arrivalRate = 1e-3;
+    c.replicas = {ReplicaSpec{unitModel(), 1, 0},
+                  ReplicaSpec{unitModel(), 1, 1}};
+    c.probe.intervalSeconds = 0.5;
+    // 2 replicas x horizon / 0.5 s lands exactly on the cap.
+    c.horizonSeconds = ProbeModel::kMaxExpectedProbes / 4.0;
+    EXPECT_NO_THROW(c.validate());
+    c.horizonSeconds += 1.0;
+    EXPECT_THROW(c.validate(), FatalError);
+    // One replica without breakers schedules no probes; a breaker
+    // needs the probe clock again.
+    c.replicas.pop_back();
+    c.horizonSeconds = ProbeModel::kMaxExpectedProbes;
+    EXPECT_NO_THROW(c.validate());
+    c.breaker.failureThreshold = 1;
+    EXPECT_THROW(c.validate(), FatalError);
+}
+
+TEST(Cluster, ValidationCapsExpectedOutagesPerFaultProcess)
+{
+    ClusterConfig base;
+    base.arrivalRate = 1e-3;
+    base.replicas = {ReplicaSpec{unitModel(), 4, 0}};
+    base.horizonSeconds = FaultConfig::kMaxExpectedOutages;
+    // 4 GPUs x horizon / (3 s + 1 s) lands exactly on the cap; a
+    // shorter MTBF goes past it. Each process is capped on its own.
+    using Knob = double FaultConfig::*;
+    const std::pair<Knob, Knob> processes[] = {
+        {&FaultConfig::failureMtbfSeconds, &FaultConfig::failureMttrSeconds},
+        {&FaultConfig::preemptionMtbfSeconds,
+         &FaultConfig::preemptionMeanSeconds},
+        {&FaultConfig::domainMtbfSeconds, &FaultConfig::domainMttrSeconds}};
+    for (const auto& [mtbf, mttr] : processes) {
+        ClusterConfig c = base;
+        FaultConfig& f = c.resilience.faults;
+        f.*mtbf = 3.0;
+        f.*mttr = 1.0;
+        EXPECT_NO_THROW(c.validate());
+        f.*mtbf = 2.5;
+        EXPECT_THROW(c.validate(), FatalError);
+    }
+}
+
 ClusterConfig
 twoReplicaCluster(double rate = 1.5)
 {

@@ -209,6 +209,30 @@ TEST(ServingTelemetry, SamplesLandOnCadenceAndEndAtHorizon)
     EXPECT_EQ(s->points().back().tSeconds, 100.0);
 }
 
+TEST(ServingTelemetry, SamplesCappedAtMaxSamples)
+{
+    telemetry::MetricsRegistry registry;
+    telemetry::Telemetry tel;
+    tel.metrics = &registry;
+    tel.sampleIntervalSeconds = 0.5;
+    // horizon / interval lands exactly on the cap, then one sample past.
+    const double atCap = 0.5 * telemetry::Telemetry::kMaxSamples;
+    EXPECT_NO_THROW(tel.validate(atCap));
+    EXPECT_THROW(tel.validate(atCap + 0.5), FatalError);
+    // Without a registry nothing is sampled, so nothing is capped.
+    tel.metrics = nullptr;
+    EXPECT_NO_THROW(tel.validate(atCap + 0.5));
+
+    // A run past the cap stops before it simulates anything.
+    tel.metrics = &registry;
+    ServingConfig cfg;
+    tel.sampleIntervalSeconds =
+        cfg.horizonSeconds / (2.0 * telemetry::Telemetry::kMaxSamples);
+    EXPECT_THROW(simulateServing(cfg, unitModel(), ResilienceConfig{}, &tel),
+                 FatalError);
+    EXPECT_EQ(registry.findSeries("serving.queue_depth"), nullptr);
+}
+
 TEST(ServingTelemetry, ConsistencyCheckPassesOnSampledChaosRun)
 {
     const ClusterConfig cfg = chaosCluster();

@@ -1,29 +1,13 @@
 /**
  * @file
- * mmgen command-line interface.
+ * mmgen command-line interface: `mmgen <command> [options]`.
  *
- * Subcommands:
- *   list                          the model suite and GPU presets
- *   profile <model> [options]     one-model operator breakdown
- *                                 (--trace-out FILE: Chrome/Perfetto
- *                                 timeline export)
- *   hotspots <model> [options]    top operator sites by time
- *   suite [options]               Table II / breakdown across models
- *   taxonomy                      Table I labels
- *   serve <model> [options]       serving simulation: one replica
- *                                 pool, or --replicas N pools
- *                                 behind a router
- *   stats [options]               runtime cache / thread-pool counters
- *   lint [--model X|--all]        graph, physics and memory verifier
- *   analyze --memory [--model X|--all]
- *                                 memory-liveness analysis: weights,
- *                                 peaks, max feasible batch
- *
- * Options:
- *   --gpu a100|v100|h100          simulated device (default a100)
- *   --backend baseline|flash|flash_decode   attention backend
- *
- * `mmgen` without arguments prints every subcommand's options.
+ * One table holds every flag: its spelling, the commands that read it,
+ * the kind of its value and, where no library `validate()` owns one, its
+ * range. The parser, the range checks and the usage text all read that
+ * table, so a flag the command does not read is an error, never
+ * silently ignored. `mmgen` without arguments prints the commands and
+ * every flag under the commands that read it.
  */
 
 #include <algorithm>
@@ -35,6 +19,9 @@
 #include <limits>
 #include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/lint.hh"
@@ -63,143 +50,6 @@ namespace {
 
 using namespace mmgen;
 
-int
-usage()
-{
-    std::cerr
-        << "usage: mmgen <command> [options]\n"
-        << "  list                        models and GPU presets\n"
-        << "  profile <model> [options]   one-model breakdown\n"
-        << "  hotspots <model> [options]  top operator sites by time\n"
-        << "  suite [options]             both-backend suite run\n"
-        << "  taxonomy                    Table I labels\n"
-        << "  serve <model> [options]     fault-tolerant serving sim\n"
-        << "  stats [options]             run the suite, print runtime\n"
-        << "                              cache / thread-pool counters\n"
-        << "  lint [--model X|--all]      graph & physics verifier\n"
-        << "  analyze --memory [--model X|--all]\n"
-        << "                              static memory-liveness\n"
-        << "                              analysis & admission bound\n"
-        << "options:\n"
-        << "  --gpu a100|v100|h100        (default a100)\n"
-        << "  --backend baseline|flash|flash_decode\n"
-        << "  --jobs N                    parallel sweep/lint lanes\n"
-        << "                              (default: MMGEN_JOBS env,\n"
-        << "                              else hardware threads)\n"
-        << "  --no-disk-cache             skip the persistent profile\n"
-        << "                              cache (MMGEN_CACHE_DIR, else\n"
-        << "                              $XDG_CACHE_HOME/mmgen, else\n"
-        << "                              ~/.cache/mmgen)\n"
-        << "profile / hotspots options (timeline scheduler):\n"
-        << "  --streams N                 hardware streams (default 1;\n"
-        << "                              2 overlaps weight copies)\n"
-        << "  --launch-depth N            host launch-queue depth\n"
-        << "                              (default 0 = synchronous)\n"
-        << "  --graph-launch              amortize repeated launches\n"
-        << "                              as a captured CUDA graph\n"
-        << "  --graph-replay-frac F       overhead fraction each graph\n"
-        << "                              replay still pays (default 0;\n"
-        << "                              needs --graph-launch)\n"
-        << "  --stream-weights            peel weight traffic of\n"
-        << "                              memory-bound kernels onto\n"
-        << "                              the copy stream\n"
-        << "serve options (every option applies to every replica):\n"
-        << "  --rate R --batch B --horizon S --seed S\n"
-        << "  --replicas N                replica pools behind the\n"
-        << "                              router (default 1)\n"
-        << "  --gpus N                    GPUs per replica (default 1)\n"
-        << "  --mix NAME                  client workload mix\n"
-        << "                              (poisson|interactive|\n"
-        << "                              bursty|diurnal|production)\n"
-        << "  --continuous                continuous batching at\n"
-        << "                              iteration boundaries\n"
-        << "                              (implies --surface)\n"
-        << "  --surface                   price batches off the\n"
-        << "                              exec-profiled latency\n"
-        << "                              surface instead of the\n"
-        << "                              linear model\n"
-        << "  --mtbf S --mttr S           per-GPU failure process\n"
-        << "  --preempt-mtbf S --preempt-mean S\n"
-        << "  --straggler-frac F --straggler-slowdown X\n"
-        << "  --deadline S --timeout S    request SLO / batch abort\n"
-        << "  --retries N --max-queue N   retry budget / admission\n"
-        << "  --degrade-threshold N       queue depth to degrade at\n"
-        << "  --degrade-steps F           fraction of denoise steps\n"
-        << "                              kept in degraded mode\n"
-        << "  --router round-robin|least-loaded|domain-aware\n"
-        << "  --chaos NAME                none|kill-replica|\n"
-        << "                              kill-replica-at-zero|\n"
-        << "                              rolling-kill|degrade-domain|\n"
-        << "                              straggle-gpu\n"
-        << "  --hedge-delay S             hedge after S seconds, or\n"
-        << "  --hedge-quantile Q          derive delay from the\n"
-        << "                              Q-quantile batch service\n"
-        << "                              (needs --replicas >= 2)\n"
-        << "  --breaker-threshold N       failures to open breaker\n"
-        << "  --breaker-open S            open duration before probe\n"
-        << "  --ckpt-interval N           checkpoint every N iters of\n"
-        << "                              the dominant pipeline stage\n"
-        << "                              (greedy batching only)\n"
-        << "  --ckpt-cost S               GPU-seconds per checkpoint\n"
-        << "  --probe-interval S          health-probe period\n"
-        << "  --domain-size N             replicas per failure domain\n"
-        << "                              (default 1: one per replica)\n"
-        << "  --domain-mtbf S --domain-mttr S\n"
-        << "                              correlated rack outages\n"
-        << "telemetry options (profile / serve / stats):\n"
-        << "  --metrics-out FILE          JSON-lines metrics dump\n"
-        << "  --prom-out FILE             Prometheus text metrics\n"
-        << "  --trace-out FILE            Chrome/Perfetto trace: the\n"
-        << "                              scheduled exec timeline\n"
-        << "                              (profile), after the\n"
-        << "                              serving spans (serve)\n"
-        << "  --sample-interval S         sample serving state every\n"
-        << "                              S sim-seconds into time\n"
-        << "                              series (serve only)\n"
-        << "lint options:\n"
-        << "  --model X | --all           lint one model or the zoo\n"
-        << "  --json                      machine-readable findings\n"
-        << "  --rules                     list the rule registry\n"
-        << "  --no-physics --no-probes    structural checks only\n"
-        << "  --no-memory                 skip the memory-liveness\n"
-        << "                              pass (S013/P010/P011)\n"
-        << "  --suppress RULE             drop one rule's findings\n"
-        << "                              (repeatable)\n"
-        << "analyze options:\n"
-        << "  --memory                    the liveness analysis (peak\n"
-        << "                              residency, reuse bounds,\n"
-        << "                              max feasible batch)\n"
-        << "  --model X | --all --json    as for lint\n";
-    return 2;
-}
-
-hw::GpuSpec
-parseGpu(const std::string& name)
-{
-    if (name == "a100")
-        return hw::GpuSpec::a100_80gb();
-    if (name == "v100")
-        return hw::GpuSpec::v100_32gb();
-    if (name == "h100")
-        return hw::GpuSpec::h100_80gb();
-    MMGEN_CHECK(false, "unknown GPU '" << name
-                                       << "' (a100|v100|h100)");
-}
-
-graph::AttentionBackend
-parseBackend(const std::string& name)
-{
-    if (name == "baseline")
-        return graph::AttentionBackend::Baseline;
-    if (name == "flash")
-        return graph::AttentionBackend::Flash;
-    if (name == "flash_decode")
-        return graph::AttentionBackend::FlashDecode;
-    MMGEN_CHECK(false, "unknown backend '"
-                           << name
-                           << "' (baseline|flash|flash_decode)");
-}
-
 models::ModelId
 parseModel(const std::string& name)
 {
@@ -211,67 +61,19 @@ parseModel(const std::string& name)
                                          << "'; see `mmgen list`");
 }
 
-double
-parseDouble(const std::string& arg, const std::string& value)
-{
-    std::size_t pos = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::logic_error&) {
-        pos = 0;
-    }
-    // No flag gives infinity a meaning ("off" is always 0), and NaN
-    // fails every range test, so both are input errors.
-    MMGEN_CHECK(!value.empty() && pos == value.size() && std::isfinite(v),
-                arg << " needs a finite number, got '" << value << "'");
-    return v;
-}
-
-std::int64_t
-parseInt(const std::string& arg, const std::string& value)
-{
-    std::size_t pos = 0;
-    std::int64_t v = 0;
-    try {
-        v = static_cast<std::int64_t>(std::stoll(value, &pos));
-    } catch (const std::logic_error&) {
-        pos = 0;
-    }
-    MMGEN_CHECK(!value.empty() && pos == value.size(),
-                arg << " needs an integer, got '" << value << "'");
-    return v;
-}
-
-/** parseInt for an `int` flag: out-of-range values fail, never wrap. */
-int
-parseInt32(const std::string& arg, const std::string& value)
-{
-    using limits = std::numeric_limits<int>;
-    const std::int64_t v = parseInt(arg, value);
-    MMGEN_CHECK(v >= limits::min() && v <= limits::max(),
-                arg << " needs an integer in [" << limits::min() << ", "
-                    << limits::max() << "], got '" << value << "'");
-    return static_cast<int>(v);
-}
-
 struct Options
 {
-    hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
-    graph::AttentionBackend backend = graph::AttentionBackend::Flash;
+    /** GPU, backend, lowering and scheduler flags. */
+    profiler::ProfileOptions profile;
     std::vector<std::string> positional;
-
-    // profile subcommand knobs
-    exec::ScheduleOptions schedule;
-    exec::LoweringOptions lowering;
 
     // lint subcommand knobs
     bool lintAll = false;
     bool lintJson = false;
     bool lintRules = false;
-    bool lintPhysics = true;
-    bool lintProbes = true;
-    bool lintMemory = true;
+    bool skipPhysics = false;
+    bool skipProbes = false;
+    bool skipMemory = false;
     std::vector<std::string> suppressRules;
 
     // analyze subcommand knobs
@@ -299,12 +101,12 @@ struct Options
     int domainSize = 1;
 
     /**
-     * Persistent profile cache under MMGEN_CACHE_DIR /
-     * $XDG_CACHE_HOME/mmgen / ~/.cache/mmgen. On by default so warm
-     * reruns load results instead of re-simulating; --no-disk-cache
-     * opts out (results are bit-identical either way).
+     * Skip the persistent profile cache under MMGEN_CACHE_DIR /
+     * $XDG_CACHE_HOME/mmgen / ~/.cache/mmgen. The cache is on by
+     * default so warm reruns load results instead of re-simulating
+     * (results are bit-identical either way).
      */
-    bool diskCache = true;
+    bool skipDiskCache = false;
 
     // telemetry knobs (profile / serve / stats)
     std::string metricsOut;
@@ -320,180 +122,344 @@ struct Options
     }
 };
 
-serving::RouterPolicy
-parseRouter(const std::string& name)
+// The subcommands, one bit each: a flag row names those that read it.
+constexpr unsigned kList = 1, kProfile = 2, kHotspots = 4, kSuite = 8,
+                   kTaxonomy = 16, kServe = 32, kStats = 64, kLint = 128,
+                   kAnalyze = 256, kEveryCommand = 511;
+
+/** A subcommand: its name, its arguments in usage, and what it runs. */
+struct Command
 {
-    if (name == "round-robin")
-        return serving::RouterPolicy::RoundRobin;
-    if (name == "least-loaded")
-        return serving::RouterPolicy::LeastLoaded;
-    if (name == "domain-aware")
-        return serving::RouterPolicy::FailureDomainAware;
-    MMGEN_CHECK(false,
-                "unknown router '"
-                    << name
-                    << "' (round-robin|least-loaded|domain-aware)");
+    const char* name;
+    const char* args;
+    unsigned bit;
+    int (*run)(const Options&);
+    const char* help;
+};
+
+/** The values a number flag admits; the default admits every one. */
+struct Range
+{
+    double low = -std::numeric_limits<double>::infinity();
+    bool lowOpen = false; // `low` itself is out of range
+    double high = std::numeric_limits<double>::infinity();
+};
+
+/** A flag whose value is one name of a fixed list. */
+template <typename T>
+struct Choice
+{
+    T* field;
+    std::vector<std::pair<std::string, T>> values;
+
+    std::string
+    names(const char* sep) const
+    {
+        std::vector<std::string> out;
+        for (const auto& value : values)
+            out.push_back(value.first);
+        return join(out, sep);
+    }
+};
+
+/**
+ * Where a flag's value goes, which also fixes the value's kind: a
+ * `bool` is a switch, a string a non-empty word (a list collects every
+ * repeat), a number is parsed to its field's type, and the jobs setter
+ * takes an `int`.
+ */
+using Target =
+    std::variant<bool*, std::string*, std::vector<std::string>*, int*,
+                 std::int64_t*, std::uint64_t*, double*, void (*)(int),
+                 Choice<hw::GpuSpec>, Choice<graph::AttentionBackend>,
+                 Choice<serving::RouterPolicy>>;
+
+/** One row of the flag table. */
+struct Flag
+{
+    const char* name;
+    /** The value's placeholder in usage; empty for switches and choices. */
+    const char* metavar;
+    /** The bits of the commands that read it. */
+    unsigned commands;
+    Target target;
+    /** Its one-line usage text. */
+    const char* help;
+    Range range = {};
+};
+
+// The flags that messages outside their own row name.
+constexpr const char* kAllFlag = "--all";
+constexpr const char* kModelFlag = "--model";
+constexpr const char* kMemoryFlag = "--memory";
+constexpr const char* kReplicasFlag = "--replicas";
+constexpr const char* kGraphLaunchFlag = "--graph-launch";
+constexpr const char* kReplayFracFlag = "--graph-replay-frac";
+
+/**
+ * Every flag, with its value written into `o`. Rows come grouped by
+ * the commands that read them; usage prints one heading per group. A
+ * row holds a range only where no library `validate()` checks one.
+ */
+std::vector<Flag>
+flagTable(Options& o)
+{
+    // `serve` reads the profile flags for the exec timeline that its
+    // trace output writes below the serving spans.
+    constexpr unsigned kProfiles = kProfile | kHotspots | kServe;
+    constexpr unsigned kOutputs = kProfile | kServe | kStats;
+    constexpr Range kAtLeastOne{1.0};
+    constexpr Range kZeroIsOff{0.0};
+    exec::ScheduleOptions& sched = o.profile.schedule;
+    serving::ResilienceConfig& res = o.resilience;
+    serving::FaultConfig& faults = o.resilience.faults;
+    using graph::AttentionBackend;
+    using hw::GpuSpec;
+    using serving::RouterPolicy;
+    return {
+        {"--gpu", "", kEveryCommand,
+         Choice<GpuSpec>{&o.profile.gpu, {{"a100", GpuSpec::a100_80gb()},
+                                          {"v100", GpuSpec::v100_32gb()},
+                                          {"h100", GpuSpec::h100_80gb()}}},
+         "simulated device (default a100)"},
+        {"--jobs", "N", kEveryCommand, &runtime::setGlobalJobs,
+         "parallel lanes (default MMGEN_JOBS, or cores)", kAtLeastOne},
+        {"--no-disk-cache", "", kEveryCommand, &o.skipDiskCache,
+         "skip the persistent profile cache"},
+        {kModelFlag, "X", kProfiles | kLint | kAnalyze, &o.positional,
+         "the model, as the <model> argument"},
+        {"--backend", "", kProfiles | kAnalyze,
+         Choice<AttentionBackend>{
+             &o.profile.backend, {{"baseline", AttentionBackend::Baseline},
+                                  {"flash", AttentionBackend::Flash},
+                                  {"flash_decode",
+                                   AttentionBackend::FlashDecode}}},
+         "attention backend (default flash)"},
+        {"--streams", "N", kProfiles, &sched.streams,
+         "hardware streams (2 overlaps weight copies)"},
+        {"--launch-depth", "N", kProfiles, &sched.launchQueueDepth,
+         "host launch-queue depth (0 = synchronous)"},
+        {kGraphLaunchFlag, "", kProfiles, &sched.graphLaunch,
+         "amortize repeated launches as a CUDA graph"},
+        {kReplayFracFlag, "F", kProfiles, &sched.graphReplayOverheadFraction,
+         "launch overhead each graph replay still pays"},
+        {"--stream-weights", "", kProfiles,
+         &o.profile.lowering.splitWeightStreams,
+         "move memory-bound weight reads to a stream"},
+        {"--metrics-out", "FILE", kOutputs, &o.metricsOut,
+         "JSON-lines metrics dump"},
+        {"--prom-out", "FILE", kOutputs, &o.promOut,
+         "Prometheus text metrics"},
+        {"--trace-out", "FILE", kOutputs, &o.traceOut,
+         "Chrome/Perfetto trace with the exec timeline"},
+        {"--rate", "R", kServe, &o.serving.arrivalRate,
+         "mean arrivals per second (default 1)"},
+        {"--batch", "B", kServe, &o.serving.maxBatch,
+         "most requests per batch (default 4)"},
+        {"--horizon", "S", kServe, &o.serving.horizonSeconds,
+         "simulated seconds (default 600)"},
+        {"--seed", "S", kServe, &o.serving.seed, "arrival seed (default 7)"},
+        {kReplicasFlag, "N", kServe, &o.replicas,
+         "replica pools behind the router (default 1)", kAtLeastOne},
+        {"--gpus", "N", kServe, &o.serving.numGpus,
+         "GPUs per replica (default 1)"},
+        {"--mix", "NAME", kServe, &o.mixName,
+         "poisson|interactive|bursty|diurnal|production"},
+        {"--continuous", "", kServe, &o.continuous,
+         "continuous batching (prices off the surface)"},
+        {"--surface", "", kServe, &o.useSurface,
+         "price batches off the exec latency surface"},
+        {"--mtbf", "S", kServe, &faults.failureMtbfSeconds,
+         "per-GPU mean time between failures"},
+        {"--mttr", "S", kServe, &faults.failureMttrSeconds,
+         "mean time to repair (default 300)"},
+        {"--preempt-mtbf", "S", kServe, &faults.preemptionMtbfSeconds,
+         "per-GPU mean time between preemptions"},
+        {"--preempt-mean", "S", kServe, &faults.preemptionMeanSeconds,
+         "mean preemption length (default 30)"},
+        {"--straggler-frac", "F", kServe, &faults.stragglerFraction,
+         "fraction of GPUs that straggle"},
+        {"--straggler-slowdown", "X", kServe, &faults.stragglerSlowdown,
+         "service-time multiplier of a straggler"},
+        {"--deadline", "S", kServe, &res.deadline.deadlineSeconds,
+         "request SLO from arrival (0 = none)"},
+        {"--timeout", "S", kServe, &res.deadline.batchTimeoutSeconds,
+         "abort a batch running this long (0 = none)"},
+        {"--retries", "N", kServe, &res.retry.maxRetries,
+         "retry budget per request"},
+        {"--max-queue", "N", kServe, &res.admission.maxQueueLength,
+         "shed arrivals past this queue (0 = never)"},
+        {"--degrade-threshold", "N", kServe, &o.degradeThreshold,
+         "queue depth to degrade at (0 = never)", kZeroIsOff},
+        {"--degrade-steps", "F", kServe, &o.degradeStepsKept,
+         "denoise steps kept degraded (default 0.5)", {0.0, true, 1.0}},
+        {"--router", "", kServe,
+         Choice<RouterPolicy>{
+             &o.router, {{"round-robin", RouterPolicy::RoundRobin},
+                         {"least-loaded", RouterPolicy::LeastLoaded},
+                         {"domain-aware", RouterPolicy::FailureDomainAware}}},
+         "replica routing (default least-loaded)"},
+        {"--chaos", "NAME", kServe, &o.chaosName,
+         "kill-replica, rolling-kill, straggle-gpu, ..."},
+        {"--hedge-delay", "S", kServe, &o.hedgeDelay,
+         "hedge after S seconds (0 = off)", kZeroIsOff},
+        {"--hedge-quantile", "Q", kServe, &o.hedgeQuantile,
+         "hedge after the Q-quantile batch service", kZeroIsOff},
+        {"--breaker-threshold", "N", kServe, &o.breaker.failureThreshold,
+         "failures to open a breaker (0 = never)"},
+        {"--breaker-open", "S", kServe, &o.breaker.openSeconds,
+         "open duration before a probe"},
+        {"--ckpt-interval", "N", kServe, &o.ckptInterval,
+         "checkpoint every N iterations (0 = never)", kZeroIsOff},
+        {"--ckpt-cost", "S", kServe, &o.ckptCost,
+         "GPU-seconds per checkpoint"},
+        {"--probe-interval", "S", kServe, &o.probe.intervalSeconds,
+         "health-probe period (default 5)"},
+        {"--domain-size", "N", kServe, &o.domainSize,
+         "replicas per failure domain (default 1)", kAtLeastOne},
+        {"--domain-mtbf", "S", kServe, &faults.domainMtbfSeconds,
+         "mean time between failure-domain outages"},
+        {"--domain-mttr", "S", kServe, &faults.domainMttrSeconds,
+         "mean domain recovery time (default 120)"},
+        {"--sample-interval", "S", kServe, &o.sampleInterval,
+         "sample serving state into time series", {0.0, true}},
+        {kAllFlag, "", kLint | kAnalyze, &o.lintAll,
+         "the whole zoo instead of one model"},
+        {"--json", "", kLint | kAnalyze, &o.lintJson,
+         "machine-readable output"},
+        {"--rules", "", kLint, &o.lintRules, "list the rule registry"},
+        {"--no-physics", "", kLint, &o.skipPhysics,
+         "skip the physics checks"},
+        {"--no-probes", "", kLint, &o.skipProbes,
+         "skip the behavioural probes"},
+        {"--no-memory", "", kLint, &o.skipMemory,
+         "skip the memory pass (S013/P010/P011)"},
+        {"--suppress", "RULE", kLint, &o.suppressRules,
+         "drop one rule's findings (repeatable)"},
+        {kMemoryFlag, "", kAnalyze, &o.memoryAnalysis,
+         "peak residency, reuse bounds, max batch"},
+    };
 }
 
+/** The choice list of the row that picks a T. */
+template <typename T>
+const Choice<T>&
+choiceOf(const std::vector<Flag>& flags)
+{
+    for (const Flag& f : flags) {
+        if (const auto* choice = std::get_if<Choice<T>>(&f.target))
+            return *choice;
+    }
+    MMGEN_ASSERT(false, "no flag picks this type");
+}
+
+/**
+ * The one number parser. All of `value` must parse (integers through
+ * std::stoll, so a 64-bit seed keeps every bit), be finite, fit T and
+ * lie in the row's range.
+ */
+template <typename T>
+T
+parseNumber(const Flag& flag, const std::string& value)
+{
+    constexpr bool integral = std::is_integral_v<T>;
+    std::conditional_t<integral, long long, double> v = 0;
+    std::size_t pos = 0;
+    try {
+        if constexpr (integral)
+            v = std::stoll(value, &pos);
+        else
+            v = std::stod(value, &pos);
+    } catch (const std::logic_error&) {
+        pos = 0;
+    }
+    // No flag gives infinity a meaning ("off" is always 0), and NaN
+    // fails every range test, so both are input errors.
+    MMGEN_CHECK(pos == value.size() && std::isfinite(double(v)),
+                flag.name << " needs "
+                          << (integral ? "an integer" : "a finite number")
+                          << ", got '" << value << "'");
+    if constexpr (integral && sizeof(T) < sizeof(v)) {
+        using limits = std::numeric_limits<T>;
+        MMGEN_CHECK(v >= limits::min() && v <= limits::max(),
+                    flag.name << " needs an integer in [" << limits::min()
+                              << ", " << limits::max() << "], got '"
+                              << value << "'");
+    }
+    const Range& r = flag.range;
+    MMGEN_CHECK((v > r.low || (v == r.low && !r.lowOpen)) && v <= r.high,
+                flag.name << " must be in " << (r.lowOpen ? "(" : "[")
+                          << r.low << ", " << r.high
+                          << (std::isinf(r.high) ? ")" : "]") << ", got "
+                          << v);
+    return static_cast<T>(v);
+}
+
+/**
+ * Read the words after `cmd` against the flag rows. An unknown flag, a
+ * flag `cmd` does not read, a missing or empty value and a value of the
+ * wrong kind or out of range are errors; a word that is no flag is a
+ * positional argument.
+ */
 Options
-parseOptions(int argc, char** argv, int first)
+parseOptions(const Command& cmd, int argc, char** argv)
 {
     Options opts;
-    for (int i = first; i < argc; ++i) {
+    const std::vector<Flag> flags = flagTable(opts);
+    for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            MMGEN_CHECK(i + 1 < argc, arg << " needs a value");
-            return argv[++i];
-        };
-        auto nextDouble = [&]() { return parseDouble(arg, next()); };
-        // For the knobs where 0 means "off".
-        auto nextNonNegative = [&]() {
-            const double v = nextDouble();
-            MMGEN_CHECK(v >= 0.0,
-                        arg << " must be >= 0 (0 = off), got " << v);
-            return v;
-        };
-        auto nextInt = [&]() { return parseInt(arg, next()); };
-        auto nextInt32 = [&]() { return parseInt32(arg, next()); };
-        if (arg == "--gpu")
-            opts.gpu = parseGpu(next());
-        else if (arg == "--backend")
-            opts.backend = parseBackend(next());
-        else if (arg == "--jobs") {
-            const int jobs = nextInt32();
-            MMGEN_CHECK(jobs >= 1, "--jobs must be >= 1, got "
-                                       << jobs);
-            runtime::setGlobalJobs(jobs);
-        }
-        else if (arg == "--rate")
-            opts.serving.arrivalRate = nextDouble();
-        else if (arg == "--gpus")
-            opts.serving.numGpus = nextInt32();
-        else if (arg == "--batch")
-            opts.serving.maxBatch = nextInt32();
-        else if (arg == "--horizon")
-            opts.serving.horizonSeconds = nextDouble();
-        else if (arg == "--seed")
-            opts.serving.seed =
-                static_cast<std::uint64_t>(nextInt());
-        else if (arg == "--mtbf")
-            opts.resilience.faults.failureMtbfSeconds = nextDouble();
-        else if (arg == "--mttr")
-            opts.resilience.faults.failureMttrSeconds = nextDouble();
-        else if (arg == "--preempt-mtbf")
-            opts.resilience.faults.preemptionMtbfSeconds =
-                nextDouble();
-        else if (arg == "--preempt-mean")
-            opts.resilience.faults.preemptionMeanSeconds =
-                nextDouble();
-        else if (arg == "--straggler-frac")
-            opts.resilience.faults.stragglerFraction = nextDouble();
-        else if (arg == "--straggler-slowdown")
-            opts.resilience.faults.stragglerSlowdown = nextDouble();
-        else if (arg == "--deadline")
-            opts.resilience.deadline.deadlineSeconds = nextDouble();
-        else if (arg == "--timeout")
-            opts.resilience.deadline.batchTimeoutSeconds =
-                nextDouble();
-        else if (arg == "--retries")
-            opts.resilience.retry.maxRetries = nextInt32();
-        else if (arg == "--max-queue")
-            opts.resilience.admission.maxQueueLength = nextInt();
-        else if (arg == "--streams")
-            opts.schedule.streams = nextInt32();
-        else if (arg == "--launch-depth")
-            opts.schedule.launchQueueDepth = nextInt32();
-        else if (arg == "--graph-launch")
-            opts.schedule.graphLaunch = true;
-        else if (arg == "--graph-replay-frac")
-            opts.schedule.graphReplayOverheadFraction = nextDouble();
-        else if (arg == "--stream-weights")
-            opts.lowering.splitWeightStreams = true;
-        else if (arg == "--model")
-            opts.positional.push_back(next());
-        else if (arg == "--all")
-            opts.lintAll = true;
-        else if (arg == "--json")
-            opts.lintJson = true;
-        else if (arg == "--rules")
-            opts.lintRules = true;
-        else if (arg == "--no-physics")
-            opts.lintPhysics = false;
-        else if (arg == "--no-probes")
-            opts.lintProbes = false;
-        else if (arg == "--no-memory")
-            opts.lintMemory = false;
-        else if (arg == "--suppress")
-            opts.suppressRules.push_back(next());
-        else if (arg == "--memory")
-            opts.memoryAnalysis = true;
-        else if (arg == "--mix")
-            opts.mixName = next();
-        else if (arg == "--continuous")
-            opts.continuous = true;
-        else if (arg == "--surface")
-            opts.useSurface = true;
-        else if (arg == "--degrade-threshold") {
-            opts.degradeThreshold = nextInt();
-            MMGEN_CHECK(opts.degradeThreshold >= 0,
-                        "--degrade-threshold must be >= 0 (0 = off), got "
-                            << opts.degradeThreshold);
-        }
-        else if (arg == "--degrade-steps")
-            opts.degradeStepsKept = nextDouble();
-        else if (arg == "--replicas")
-            opts.replicas = nextInt32();
-        else if (arg == "--router")
-            opts.router = parseRouter(next());
-        else if (arg == "--chaos")
-            opts.chaosName = next();
-        else if (arg == "--hedge-delay")
-            opts.hedgeDelay = nextNonNegative();
-        else if (arg == "--hedge-quantile")
-            opts.hedgeQuantile = nextNonNegative();
-        else if (arg == "--breaker-threshold")
-            opts.breaker.failureThreshold = nextInt32();
-        else if (arg == "--breaker-open")
-            opts.breaker.openSeconds = nextDouble();
-        else if (arg == "--ckpt-interval") {
-            opts.ckptInterval = nextInt();
-            MMGEN_CHECK(opts.ckptInterval >= 0,
-                        "--ckpt-interval must be >= 0 (0 = off), got "
-                            << opts.ckptInterval);
-        }
-        else if (arg == "--ckpt-cost")
-            opts.ckptCost = nextDouble();
-        else if (arg == "--probe-interval")
-            opts.probe.intervalSeconds = nextDouble();
-        else if (arg == "--domain-size")
-            opts.domainSize = nextInt32();
-        else if (arg == "--metrics-out")
-            opts.metricsOut = next();
-        else if (arg == "--prom-out")
-            opts.promOut = next();
-        else if (arg == "--trace-out")
-            opts.traceOut = next();
-        else if (arg == "--sample-interval") {
-            opts.sampleInterval = nextDouble();
-            MMGEN_CHECK(opts.sampleInterval > 0.0,
-                        "--sample-interval must be > 0, got "
-                            << opts.sampleInterval);
-        }
-        else if (arg == "--no-disk-cache")
-            opts.diskCache = false;
-        else if (arg == "--domain-mtbf")
-            opts.resilience.faults.domainMtbfSeconds = nextDouble();
-        else if (arg == "--domain-mttr")
-            opts.resilience.faults.domainMttrSeconds = nextDouble();
-        else if (!arg.empty() && arg[0] == '-')
-            MMGEN_CHECK(false, "unknown option " << arg);
-        else
+        if (arg.empty() || arg[0] != '-') {
             opts.positional.push_back(arg);
+            continue;
+        }
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag& f) { return arg == f.name; });
+        MMGEN_CHECK(flag != flags.end(), "unknown option " << arg);
+        MMGEN_CHECK((flag->commands & cmd.bit) != 0,
+                    cmd.name << " does not take " << arg);
+        const bool isSwitch = std::holds_alternative<bool*>(flag->target);
+        MMGEN_CHECK(isSwitch || i + 1 < argc, arg << " needs a value");
+        const std::string value = isSwitch ? "" : argv[++i];
+        MMGEN_CHECK(isSwitch || !value.empty(),
+                    arg << " needs a non-empty value");
+        std::visit(
+            [&](const auto& target) {
+                using T = std::decay_t<decltype(target)>;
+                if constexpr (std::is_same_v<T, bool*>)
+                    *target = true;
+                else if constexpr (std::is_same_v<T, std::string*>)
+                    *target = value;
+                else if constexpr (std::is_same_v<T,
+                                                  std::vector<std::string>*>)
+                    target->push_back(value);
+                else if constexpr (std::is_same_v<T, void (*)(int)>)
+                    target(parseNumber<int>(*flag, value));
+                else if constexpr (std::is_pointer_v<T>)
+                    *target =
+                        parseNumber<std::remove_pointer_t<T>>(*flag, value);
+                else {
+                    const auto pick = std::find_if(
+                        target.values.begin(), target.values.end(),
+                        [&](const auto& c) { return c.first == value; });
+                    MMGEN_CHECK(pick != target.values.end(),
+                                arg << " needs one of " << target.names("|")
+                                    << ", got '" << value << "'");
+                    *target.field = pick->second;
+                }
+            },
+            flag->target);
     }
-    MMGEN_CHECK(opts.schedule.graphLaunch ||
-                    opts.schedule.graphReplayOverheadFraction == 0.0,
-                "--graph-replay-frac needs --graph-launch: only a "
-                "captured graph's replays pay that overhead");
+    MMGEN_CHECK(opts.profile.schedule.graphLaunch ||
+                    opts.profile.schedule.graphReplayOverheadFraction == 0.0,
+                kReplayFracFlag << " needs " << kGraphLaunchFlag
+                                << ": only a captured graph's replays pay "
+                                   "that overhead");
+    MMGEN_CHECK(opts.replicas >= 2 ||
+                    (opts.hedgeDelay == 0.0 && opts.hedgeQuantile == 0.0),
+                "hedging needs " << kReplicasFlag
+                                 << " >= 2: a hedge runs on another "
+                                    "replica than its primary");
     return opts;
 }
 
@@ -537,20 +503,24 @@ writeTelemetryOutputs(const Options& opts,
     }
 }
 
-/** Profile knobs selected by --gpu, --backend and the scheduler flags. */
-profiler::ProfileOptions
-profileOptions(const Options& opts)
+/** The models `lint` and `analyze` run on: the whole zoo or the one named. */
+std::vector<models::ModelId>
+targetModels(const Options& opts, const char* cmd)
 {
-    profiler::ProfileOptions popts;
-    popts.gpu = opts.gpu;
-    popts.backend = opts.backend;
-    popts.lowering = opts.lowering;
-    popts.schedule = opts.schedule;
-    return popts;
+    if (!opts.lintAll) {
+        MMGEN_CHECK(opts.positional.size() == 1,
+                    cmd << " needs " << kModelFlag << " <name> or "
+                        << kAllFlag);
+        return {parseModel(opts.positional[0])};
+    }
+    MMGEN_CHECK(opts.positional.empty(),
+                kAllFlag << " and " << kModelFlag
+                         << " are mutually exclusive");
+    return models::allModels();
 }
 
 int
-cmdList()
+cmdList(const Options&)
 {
     std::cout << "models:\n";
     for (models::ModelId id : models::allModels()) {
@@ -560,9 +530,14 @@ cmdList()
                   << formatCount(double(p.totalParams()))
                   << " params\n";
     }
-    std::cout << "gpus: a100 (A100-SXM4-80GB), v100 (V100-SXM2-32GB), "
-                 "h100 (H100-SXM5-80GB)\n";
-    std::cout << "backends: baseline, flash, flash_decode\n";
+    Options scratch;
+    const std::vector<Flag> flags = flagTable(scratch);
+    std::vector<std::string> gpus;
+    for (const auto& [name, spec] : choiceOf<hw::GpuSpec>(flags).values)
+        gpus.push_back(name + " (" + spec.name + ")");
+    std::cout << "gpus: " << join(gpus, ", ") << "\nbackends: "
+              << choiceOf<graph::AttentionBackend>(flags).names(", ")
+              << "\n";
     return 0;
 }
 
@@ -572,21 +547,21 @@ cmdProfile(const Options& opts)
     MMGEN_CHECK(opts.positional.size() == 1,
                 "profile needs exactly one model name");
     const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts = profileOptions(opts);
+    profiler::ProfileOptions popts = opts.profile;
     // The trace streams the retained plan + timeline.
     popts.keepPlan = !opts.traceOut.empty();
     const profiler::ProfileResult res =
         *runtime::cachedProfile(models::buildModel(id), popts);
-    std::cout << "GPU: " << opts.gpu.name << "\n\n";
+    std::cout << "GPU: " << opts.profile.gpu.name << "\n\n";
     std::cout << core::profileSummary(res);
     if (opts.wantsTelemetry()) {
         telemetry::MetricsRegistry registry;
         telemetry::TraceSink sink;
         const telemetry::Labels labels{
             {"model", res.model},
-            {"gpu", opts.gpu.name},
+            {"gpu", opts.profile.gpu.name},
             {"backend",
-             graph::attentionBackendName(opts.backend)}};
+             graph::attentionBackendName(opts.profile.backend)}};
         registry.gauge("profile.total_seconds", labels)
             .set(res.totalSeconds);
         registry.gauge("profile.total_flops", labels)
@@ -611,12 +586,12 @@ cmdHotspots(const Options& opts)
     MMGEN_CHECK(opts.positional.size() == 1,
                 "hotspots needs exactly one model name");
     const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts = profileOptions(opts);
+    profiler::ProfileOptions popts = opts.profile;
     popts.keepPlan = true;
     const profiler::ProfileResult res =
         profiler::Profiler(popts).profile(models::buildModel(id));
-    std::cout << res.model << " on " << opts.gpu.name << " ["
-              << graph::attentionBackendName(opts.backend)
+    std::cout << res.model << " on " << opts.profile.gpu.name << " ["
+              << graph::attentionBackendName(opts.profile.backend)
               << "], total " << formatTime(res.totalSeconds) << "\n\n";
     std::cout << core::hotspotTable(res, 15).render();
     return 0;
@@ -625,20 +600,20 @@ cmdHotspots(const Options& opts)
 int
 cmdSuite(const Options& opts)
 {
-    core::CharacterizationSuite suite(opts.gpu);
+    core::CharacterizationSuite suite(opts.profile.gpu);
     const std::vector<core::ModelRunResult> results =
         suite.runAll(models::allModels());
-    std::cout << "GPU: " << opts.gpu.name << "\n\n";
+    std::cout << "GPU: " << opts.profile.gpu.name << "\n\n";
     std::cout << core::flashSpeedupTable(results).render() << "\n";
     std::cout << core::attentionSpeedupTable(results).render() << "\n";
-    std::cout << core::rooflineTable(results, opts.gpu).render();
+    std::cout << core::rooflineTable(results, opts.profile.gpu).render();
     return 0;
 }
 
 int
 cmdTaxonomy(const Options& opts)
 {
-    core::CharacterizationSuite suite(opts.gpu);
+    core::CharacterizationSuite suite(opts.profile.gpu);
     const std::vector<core::ModelRunResult> results =
         suite.runAll(models::allModels());
     std::cout
@@ -647,9 +622,10 @@ cmdTaxonomy(const Options& opts)
 }
 
 /**
- * Exec-derived pricing for `serve --continuous/--surface`: profile the
- * model built at a power-of-two batch grid up to --batch, and at a
- * size grid covering the mix's heavy tail when one is configured.
+ * Exec-derived pricing for continuous batching or surface pricing:
+ * profile the model built at a power-of-two batch grid up to the batch
+ * ceiling, and at a size grid covering the mix's heavy tail when one is
+ * configured.
  */
 serving::BatchLatencySurface
 serveSurface(const graph::Pipeline& pipeline, const Options& opts,
@@ -663,7 +639,7 @@ serveSurface(const graph::Pipeline& pipeline, const Options& opts,
     if (scfg.workload.enabled() && !scfg.workload.isPlainPoisson())
         sizes = {0.5, 1.0, 2.0, 4.0};
     serving::BatchLatencySurface surface = serving::profileLatencySurface(
-        pipeline, opts.gpu, exec::ScheduleOptions(), batches, sizes);
+        pipeline, opts.profile.gpu, exec::ScheduleOptions(), batches, sizes);
     std::cout << "latency surface: " << batches.size() << "x"
               << sizes.size() << " grid, " << surface.iterations
               << " iterations per request\n";
@@ -671,27 +647,19 @@ serveSurface(const graph::Pipeline& pipeline, const Options& opts,
 }
 
 /**
- * `serve`: one replica pool, or `--replicas N` pools behind a router.
- * Every run builds one cluster configuration, simulates it once and
- * prints one report.
+ * `serve`: one replica pool, or several pools behind a router. Every
+ * run builds one cluster configuration, simulates it once and prints
+ * one report.
  */
 int
 cmdServe(const Options& opts)
 {
     MMGEN_CHECK(opts.positional.size() == 1,
                 "serve needs exactly one model name");
-    MMGEN_CHECK(opts.replicas >= 1, "--replicas must be >= 1, got "
-                                        << opts.replicas);
-    MMGEN_CHECK(opts.domainSize >= 1,
-                "--domain-size must be >= 1, got " << opts.domainSize);
-    MMGEN_CHECK(opts.replicas >= 2 ||
-                    (opts.hedgeDelay <= 0.0 && opts.hedgeQuantile <= 0.0),
-                "hedging needs --replicas >= 2: a hedge runs on another "
-                "replica than its primary");
     const models::ModelId id = parseModel(opts.positional[0]);
     const graph::Pipeline pipeline = models::buildModel(id);
     const serving::LatencyModel latency =
-        serving::profileLatencyModel(pipeline, opts.gpu);
+        serving::profileLatencyModel(pipeline, opts.profile.gpu);
 
     serving::ResilienceConfig res = opts.resilience;
     if (opts.degradeThreshold > 0) {
@@ -707,7 +675,7 @@ cmdServe(const Options& opts)
                        opts.degradeStepsKept));
             res.degradation = serving::degradationFromPipelines(
                 pipeline, models::buildStableDiffusion(cheap),
-                opts.gpu, 1.0 - opts.degradeStepsKept);
+                opts.profile.gpu, 1.0 - opts.degradeStepsKept);
         } else {
             res.degradation.serviceScale = opts.degradeStepsKept;
             res.degradation.qualityCost =
@@ -721,7 +689,7 @@ cmdServe(const Options& opts)
         scfg.workload = workload::namedWorkloadMix(opts.mixName);
     scfg.continuousBatching = opts.continuous;
     // Reject bad knobs before pricing: the surface grid is sized by
-    // --batch.
+    // the batch ceiling.
     scfg.validate();
     serving::BatchLatencySurface surface;
     if (opts.continuous || opts.useSurface)
@@ -760,7 +728,7 @@ cmdServe(const Options& opts)
 
     std::cout << pipeline.name << " on " << opts.replicas
               << " replica(s) x " << scfg.numGpus << " "
-              << opts.gpu.name << " ["
+              << opts.profile.gpu.name << " ["
               << serving::routerPolicyName(cc.router)
               << " router, chaos: " << cc.chaos.name
               << "] (batch-1 latency "
@@ -840,12 +808,12 @@ cmdServe(const Options& opts)
 
     if (!opts.wantsTelemetry())
         return 0;
-    // `--trace-out` streams the pipeline's exec timeline below the
+    // The trace output streams the pipeline's exec timeline below the
     // serving spans. The kept-plan profile goes through the plan
     // cache, so it reuses the plan `profileLatencyModel` lowered.
     std::shared_ptr<const profiler::ProfileResult> exec;
     if (!opts.traceOut.empty()) {
-        profiler::ProfileOptions popts = profileOptions(opts);
+        profiler::ProfileOptions popts = opts.profile;
         popts.keepPlan = true;
         exec = runtime::cachedProfile(pipeline, popts);
     }
@@ -868,11 +836,11 @@ cmdStats(const Options& opts)
     // Exercise the parallel harness + memo cache with a real
     // workload: the full both-backend suite, run twice so repeated
     // profiles show up as cache hits.
-    core::CharacterizationSuite suite(opts.gpu);
+    core::CharacterizationSuite suite(opts.profile.gpu);
     suite.runAll(models::allModels());
     suite.runAll(models::allModels());
     std::cout << "runtime counters after two suite runs on "
-              << opts.gpu.name << ":\n\n"
+              << opts.profile.gpu.name << ":\n\n"
               << runtime::runtimeStatsTable();
     if (opts.wantsTelemetry()) {
         telemetry::MetricsRegistry registry;
@@ -887,17 +855,10 @@ int
 cmdAnalyze(const Options& opts)
 {
     MMGEN_CHECK(opts.memoryAnalysis,
-                "analyze needs --memory (the only analysis so far)");
-    std::vector<models::ModelId> targets;
-    if (opts.lintAll) {
-        MMGEN_CHECK(opts.positional.empty(),
-                    "--all and --model are mutually exclusive");
-        targets = models::allModels();
-    } else {
-        MMGEN_CHECK(opts.positional.size() == 1,
-                    "analyze needs --model <name> or --all");
-        targets = {parseModel(opts.positional[0])};
-    }
+                "analyze needs " << kMemoryFlag
+                                 << " (the only analysis so far)");
+    const std::vector<models::ModelId> targets =
+        targetModels(opts, "analyze");
 
     bool all_feasible = true;
     json::Writer w(std::cout);
@@ -906,16 +867,17 @@ cmdAnalyze(const Options& opts)
     for (models::ModelId id : targets) {
         const graph::Pipeline pipeline = models::buildModel(id);
         const exec::FeasibilityReport rep =
-            exec::analyzeFeasibility(pipeline, opts.gpu, opts.backend);
+            exec::analyzeFeasibility(pipeline, opts.profile.gpu,
+                                     opts.profile.backend);
         const exec::MemoryProfile& mp = rep.profile;
         const bool feasible = rep.maxBatch >= 1;
         all_feasible = all_feasible && feasible;
         if (opts.lintJson) {
             w.beginObject()
                 .field("model", pipeline.name)
-                .field("gpu", opts.gpu.name)
+                .field("gpu", opts.profile.gpu.name)
                 .field("backend",
-                       graph::attentionBackendName(opts.backend))
+                       graph::attentionBackendName(opts.profile.backend))
                 .field("weight_bytes", mp.weightBytes)
                 .field("program_peak_bytes", mp.programPeakBytes)
                 .field("scheduled_peak_bytes", mp.scheduledPeakBytes)
@@ -937,8 +899,8 @@ cmdAnalyze(const Options& opts)
             w.endArray().endObject();
             continue;
         }
-        std::cout << "== " << pipeline.name << " on " << opts.gpu.name
-                  << " (" << graph::attentionBackendName(opts.backend)
+        std::cout << "== " << pipeline.name << " on " << opts.profile.gpu.name
+                  << " (" << graph::attentionBackendName(opts.profile.backend)
                   << ") ==\n"
                   << "  weights          "
                   << formatBytes(mp.weightBytes) << "\n"
@@ -985,34 +947,80 @@ cmdLint(const Options& opts)
     }
 
     core::LintOptions lopts;
-    lopts.gpu = opts.gpu;
-    lopts.physics = opts.lintPhysics;
-    lopts.probes = opts.lintProbes;
-    lopts.memory = opts.lintMemory;
+    lopts.gpu = opts.profile.gpu;
+    lopts.physics = !opts.skipPhysics;
+    lopts.probes = !opts.skipProbes;
+    lopts.memory = !opts.skipMemory;
     lopts.suppressRules = opts.suppressRules;
 
-    std::vector<models::ModelId> targets;
-    if (opts.lintAll) {
-        MMGEN_CHECK(opts.positional.empty(),
-                    "--all and --model are mutually exclusive");
-        targets = models::allModels();
-    } else {
-        MMGEN_CHECK(opts.positional.size() == 1,
-                    "lint needs --model <name> or --all");
-        targets = {parseModel(opts.positional[0])};
-    }
-
-    verify::DiagnosticReport report;
-    for (models::ModelId id : targets) {
-        if (!opts.lintJson)
+    const std::vector<models::ModelId> targets = targetModels(opts, "lint");
+    if (!opts.lintJson) {
+        for (models::ModelId id : targets)
             std::cout << "linting " << models::modelName(id) << "...\n";
-        report.merge(core::lintModel(id, lopts));
     }
+    // The zoo lints its models in parallel, one per job.
+    const verify::DiagnosticReport report =
+        opts.lintAll ? core::lintAll(lopts)
+                     : core::lintModel(targets.front(), lopts);
     if (opts.lintJson)
         std::cout << report.toJson() << "\n";
     else
         std::cout << report.render();
     return report.hasErrors() ? 1 : 0;
+}
+
+const Command kCommands[] = {
+    {"list", "", kList, cmdList, "models and GPU presets"},
+    {"profile", " <model>", kProfile, cmdProfile, "one-model breakdown"},
+    {"hotspots", " <model>", kHotspots, cmdHotspots, "top operator sites"},
+    {"suite", "", kSuite, cmdSuite, "both-backend suite run"},
+    {"taxonomy", "", kTaxonomy, cmdTaxonomy, "Table I labels"},
+    {"serve", " <model>", kServe, cmdServe, "fault-tolerant serving sim"},
+    {"stats", "", kStats, cmdStats, "runtime cache / thread-pool counters"},
+    {"lint", " [<model>]", kLint, cmdLint, "graph & physics verifier"},
+    {"analyze", " [<model>]", kAnalyze, cmdAnalyze, "memory-liveness bound"},
+};
+
+/** Every command, then every flag under the commands that read it. */
+int
+usage()
+{
+    auto line = [](const std::string& lead, const char* help) {
+        std::cerr << (lead.size() < 28 ? padRight(lead, 30)
+                                       : lead + "\n" + padRight("", 30))
+                  << help << "\n";
+    };
+    std::cerr << "usage: mmgen <command> [options]\ncommands:\n";
+    for (const Command& c : kCommands)
+        line("  " + std::string(c.name) + c.args, c.help);
+    Options scratch;
+    unsigned group = 0;
+    for (const Flag& f : flagTable(scratch)) {
+        if (f.commands != group) {
+            group = f.commands;
+            std::vector<std::string> readers;
+            for (const Command& c : kCommands) {
+                if ((group & c.bit) != 0)
+                    readers.push_back(c.name);
+            }
+            std::cerr << "options of "
+                      << (group == kEveryCommand ? "every command"
+                                                 : join(readers, ", "))
+                      << ":\n";
+        }
+        line(std::visit(
+                 [&](const auto& target) {
+                     const std::string name = std::string("  ") + f.name;
+                     if constexpr (requires { target.names(""); })
+                         return name + " " + target.names("|");
+                     else
+                         return *f.metavar != '\0' ? name + " " + f.metavar
+                                                    : name;
+                 },
+                 f.target),
+             f.help);
+    }
+    return 2;
 }
 
 } // namespace
@@ -1022,35 +1030,23 @@ main(int argc, char** argv)
 {
     if (argc < 2)
         return usage();
-    const std::string cmd = argv[1];
+    const std::string name = argv[1];
+    const Command* cmd =
+        std::find_if(std::begin(kCommands), std::end(kCommands),
+                     [&](const Command& c) { return name == c.name; });
+    if (cmd == std::end(kCommands)) {
+        std::cerr << "unknown command '" << name << "'\n";
+        return usage();
+    }
     try {
-        const Options opts = parseOptions(argc, argv, 2);
-        if (opts.diskCache) {
+        const Options opts = parseOptions(*cmd, argc, argv);
+        if (!opts.skipDiskCache) {
             auto disk = std::make_shared<runtime::DiskProfileCache>();
             if (disk->enabled())
                 runtime::ProfileCache::global().attachDiskCache(
                     std::move(disk));
         }
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "profile")
-            return cmdProfile(opts);
-        if (cmd == "hotspots")
-            return cmdHotspots(opts);
-        if (cmd == "suite")
-            return cmdSuite(opts);
-        if (cmd == "taxonomy")
-            return cmdTaxonomy(opts);
-        if (cmd == "serve")
-            return cmdServe(opts);
-        if (cmd == "stats")
-            return cmdStats(opts);
-        if (cmd == "lint")
-            return cmdLint(opts);
-        if (cmd == "analyze")
-            return cmdAnalyze(opts);
-        std::cerr << "unknown command '" << cmd << "'\n";
-        return usage();
+        return cmd->run(opts);
     } catch (const mmgen::FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
