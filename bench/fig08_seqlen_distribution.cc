@@ -11,6 +11,7 @@
 
 #include <iostream>
 #include <map>
+#include <memory>
 
 #include "core/suite.hh"
 #include "models/stable_diffusion.hh"
@@ -27,28 +28,31 @@ main()
 
     const std::vector<std::int64_t> image_sizes = {64, 128, 256, 512};
 
-    profiler::ProfileOptions opts;
-    opts.keepPlan = true;
-    const profiler::Profiler prof(opts);
+    const profiler::Profiler prof;
+    const exec::TimelineScheduler scheduler(prof.options().gpu,
+                                            prof.options().schedule);
 
     for (std::int64_t size : image_sizes) {
         models::StableDiffusionConfig cfg;
         cfg.imageSize = size;
+        const graph::Pipeline pipeline = models::buildStableDiffusion(cfg);
+        const auto plan = std::make_shared<const exec::ExecutionPlan>(
+            prof.lower(pipeline));
         const profiler::ProfileResult res =
-            prof.profile(models::buildStableDiffusion(cfg));
+            prof.profileWithPlan(pipeline, plan);
+        const exec::Timeline timeline = scheduler.scheduleTotals(*plan);
 
         // Attention time per bucket: the "tailor hardware towards
         // sequence lengths of interest" angle the paper raises.
         std::map<std::int64_t, double> seconds_by_len;
         double attn_seconds = 0.0;
-        for (const exec::ExecutedOp e : res.plan->executed()) {
+        for (const exec::ExecutedOp e : plan->executed()) {
             if (e.op.kind != graph::OpKind::Attention ||
                 e.op.attnKind == graph::AttentionKind::CrossText) {
                 continue;
             }
-            seconds_by_len[e.op.seqKv] +=
-                res.timeline.opSeconds[e.opIndex];
-            attn_seconds += res.timeline.opSeconds[e.opIndex];
+            seconds_by_len[e.op.seqKv] += timeline.opSeconds[e.opIndex];
+            attn_seconds += timeline.opSeconds[e.opIndex];
         }
 
         std::cout << "image " << size << "x" << size << " (latent "

@@ -60,8 +60,8 @@
  *    start and end per executed kernel, and the seconds per stored
  *    record, reads ~17.
  *
- * Plus one profile (`Profiler::profileWithPlan`, no `keepPlan`,
- * runtime checks off) of that Parti plan:
+ * Plus one profile (`Profiler::profileWithPlan`, runtime checks off)
+ * of that Parti plan:
  *
  *  - `profile_bytes_per_executed_kernel`: heap bytes the call requests
  *    per executed kernel, its result's own vectors included. Building

@@ -2,7 +2,7 @@
  * @file
  * Export a simulated inference timeline as a Chrome/Perfetto trace.
  *
- * Profiles Stable Diffusion with its lowered plan kept and writes
+ * Lowers Stable Diffusion to its kernel plan, schedules it and writes
  * sd_trace.json, viewable at chrome://tracing or ui.perfetto.dev —
  * the same workflow the paper uses with PyTorch Profiler on real
  * hardware (Section III, "Tools").
@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "exec/schedule.hh"
 #include "models/stable_diffusion.hh"
 #include "profiler/engine.hh"
 #include "telemetry/export.hh"
@@ -25,21 +26,20 @@ main(int argc, char** argv)
 
     profiler::ProfileOptions opts;
     opts.backend = graph::AttentionBackend::Flash;
-    opts.keepPlan = true;
-    profiler::Profiler prof(opts);
-    const profiler::ProfileResult res =
-        prof.profile(models::buildStableDiffusion());
+    const exec::ExecutionPlan plan =
+        profiler::Profiler(opts).lower(models::buildStableDiffusion());
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(opts.gpu, opts.schedule).schedule(plan);
 
     std::ofstream out(path);
     if (!out) {
         std::cerr << "cannot open " << path << " for writing\n";
         return 1;
     }
-    telemetry::writeChromeTrace(out, telemetry::TraceSink(), *res.plan,
-                                res.timeline);
-    std::cout << "Wrote " << res.plan->ops.size()
+    telemetry::writeChromeTrace(out, telemetry::TraceSink(), plan, timeline);
+    std::cout << "Wrote " << plan.ops.size()
               << " operator records covering "
-              << formatTime(res.totalSeconds)
+              << formatTime(timeline.makespan)
               << " of simulated inference to " << path << "\n";
     std::cout << "Open chrome://tracing or https://ui.perfetto.dev and "
                  "load the file.\n";

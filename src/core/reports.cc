@@ -98,12 +98,13 @@ rooflineTable(const std::vector<ModelRunResult>& results,
 }
 
 TextTable
-hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
+hotspotTable(const exec::ExecutionPlan& plan, const exec::Timeline& timeline,
+             std::size_t top_k)
 {
-    MMGEN_CHECK(result.plan != nullptr,
-                "hotspots need the lowered plan; re-profile with "
-                "ProfileOptions::keepPlan = true");
-    const exec::ExecutionPlan& plan = *result.plan;
+    MMGEN_CHECK(timeline.opSeconds.size() == plan.ops.size(),
+                "timeline has " << timeline.opSeconds.size()
+                                << " op durations for a plan storing "
+                                << plan.ops.size() << " ops");
     struct Agg
     {
         double seconds = 0.0;
@@ -122,7 +123,7 @@ hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
         for (std::size_t n = op.firstNode;
              n < op.firstNode + op.nodeCount; ++n)
             flops += plan.nodes[n].flops;
-        site->seconds += result.timeline.opSeconds[e.opIndex];
+        site->seconds += timeline.opSeconds[e.opIndex];
         site->flops += flops * static_cast<double>(op.repeat);
         site->calls += op.repeat;
     }
@@ -140,7 +141,7 @@ hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
         const auto& [key, agg] = sites[i];
         table.addRow({key.first, graph::opKindName(key.second),
                       formatTime(agg.seconds),
-                      formatPercent(agg.seconds / result.totalSeconds),
+                      formatPercent(agg.seconds / timeline.makespan),
                       std::to_string(agg.calls),
                       formatFlops(agg.flops)});
     }

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "core/suite.hh"
+#include "exec/plan.hh"
+#include "exec/schedule.hh"
 #include "util/table.hh"
 
 namespace mmgen::core {
@@ -36,12 +38,14 @@ TextTable rooflineTable(const std::vector<ModelRunResult>& results,
 std::string profileSummary(const profiler::ProfileResult& result);
 
 /**
- * Top-k hotspots of a profiled run: operator instances grouped by
- * (scope, kind), ranked by total simulated time. Reads the retained
- * plan and timeline, so requires a result produced with
- * ProfileOptions::keepPlan; throws FatalError otherwise.
+ * Top-k hotspots of a scheduled plan: operator instances grouped by
+ * (scope, kind), ranked by total simulated time. Reads only the
+ * timeline's per-op seconds and makespan, so a
+ * TimelineScheduler::scheduleTotals timeline serves; one scheduled
+ * from another plan is a FatalError.
  */
-TextTable hotspotTable(const profiler::ProfileResult& result,
+TextTable hotspotTable(const exec::ExecutionPlan& plan,
+                       const exec::Timeline& timeline,
                        std::size_t top_k = 10);
 
 } // namespace mmgen::core

@@ -76,11 +76,11 @@ Profiler::profileWithPlan(
         verify::verifyPipelineOrThrow(pipeline);
 
     // The aggregation reads only the makespan and per-stored seconds;
-    // the runtime checks and a kept timeline read every event.
+    // only the runtime checks read every event.
     const exec::TimelineScheduler scheduler(opts.gpu, opts.schedule);
-    exec::Timeline timeline = checks || opts.keepPlan
-                                  ? scheduler.schedule(*plan)
-                                  : scheduler.scheduleTotals(*plan);
+    const exec::Timeline timeline = checks
+                                        ? scheduler.schedule(*plan)
+                                        : scheduler.scheduleTotals(*plan);
 
     ProfileResult result;
     result.model = pipeline.name;
@@ -195,11 +195,6 @@ Profiler::profileWithPlan(
                 opts.gpu, physics);
         }
         verify::throwOnErrors(physics);
-    }
-
-    if (opts.keepPlan) {
-        result.plan = std::move(plan);
-        result.timeline = std::move(timeline);
     }
     return result;
 }

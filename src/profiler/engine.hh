@@ -17,8 +17,10 @@
  * (exec/schedule.hh) then plays the plan onto the GPU, producing real
  * per-kernel [start, end) intervals. The profiler only aggregates the
  * result, once per executed op and kernel in program order; the
- * intervals themselves are built only for a kept plan or the runtime
- * checks.
+ * intervals themselves are built only for the runtime checks. A
+ * result holds only aggregates: per-op and per-kernel readers (hotspot
+ * tables, trace export) take the plan from `lower` or
+ * `runtime::cachedPlan` and schedule it themselves.
  *
  * With default options the schedule is one serial stream and
  * `totalSeconds` is bit-identical to summing every op's roofline time
@@ -56,19 +58,6 @@ struct ProfileOptions
 
     /** How plans schedule onto the GPU (streams, queue, graphs). */
     exec::ScheduleOptions schedule;
-
-    /**
-     * Keep the lowered plan and scheduled timeline in the result; per-op
-     * readers (hotspots, trace export) walk `plan->executed()` and read
-     * each executed op's seconds from `timeline.opSeconds[e.opIndex]`.
-     * The plan and the timeline's duration columns hold one entry per
-     * stored record, but the timeline's start and end columns grow by
-     * one entry per executed kernel with every decode step. Without
-     * it, and with runtime checks off, the profile schedules through
-     * TimelineScheduler::scheduleTotals and builds no column per
-     * executed kernel; aggregate reports are bit-identical either way.
-     */
-    bool keepPlan = false;
 };
 
 /** Everything one profiling run produces. */
@@ -107,15 +96,6 @@ struct ProfileResult
      */
     std::vector<std::pair<std::string, BreakdownReport>>
         stageBreakdowns;
-
-    /**
-     * The lowered plan and its scheduled timeline (only when
-     * ProfileOptions::keepPlan — the timeline holds one event per
-     * executed kernel). Hotspot tables and Chrome-trace export read
-     * these.
-     */
-    std::shared_ptr<const exec::ExecutionPlan> plan;
-    exec::Timeline timeline;
 
     /** Seconds spent in the Attention category. */
     double attentionSeconds() const;

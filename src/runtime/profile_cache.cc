@@ -155,11 +155,6 @@ std::shared_ptr<const profiler::ProfileResult>
 cachedProfile(const graph::Pipeline& pipeline,
               const profiler::ProfileOptions& options)
 {
-    if (options.keepPlan) {
-        return std::make_shared<const profiler::ProfileResult>(
-            profiler::Profiler(options).profileWithPlan(
-                pipeline, cachedPlan(pipeline, options)));
-    }
     return ProfileCache::global().getOrCompute(
         profileKey(pipeline, options), [&] {
             return profiler::Profiler(options).profileWithPlan(

@@ -146,10 +146,7 @@ SingleFlightStats planCacheStats();
 /**
  * Profile through the global cache: O(1) for a repeated
  * (pipeline, options) setup, plan-cached when only the schedule
- * changed. Requests with `keepPlan` set bypass the result cache
- * entirely (a retained plan and timeline are too large to memoize and
- * the exporters that need them never profile repeatedly) but still
- * reuse cached plans.
+ * changed.
  */
 std::shared_ptr<const profiler::ProfileResult>
 cachedProfile(const graph::Pipeline& pipeline,

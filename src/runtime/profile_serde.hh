@@ -2,13 +2,11 @@
  * @file
  * Binary serialization of ProfileResult for the on-disk profile cache.
  *
- * Serializes every aggregate field of a ProfileResult — totals,
- * breakdowns, attention statistics, sequence-length trace, per-stage
- * reports — but not the plan or timeline (runs with keepPlan bypass
- * caching entirely, so those fields are always empty here). Doubles
- * round-trip bit-exactly via their raw bit patterns: a warm
- * disk-cache load reproduces the cold run's report bytes, which is
- * the tier's correctness contract.
+ * Serializes every field of a ProfileResult — totals, breakdowns,
+ * attention statistics, sequence-length trace, per-stage reports — so
+ * a result round-trips whole. Doubles round-trip bit-exactly via their
+ * raw bit patterns: a warm disk-cache load reproduces the cold run's
+ * report bytes, which is the tier's correctness contract.
  *
  * The format is host-endian and only ever read back on the machine
  * that wrote it; DiskProfileCache's versioned, checksummed envelope
@@ -25,7 +23,7 @@
 
 namespace mmgen::runtime {
 
-/** Serialize the aggregate fields of a profile result. */
+/** Serialize a profile result. */
 std::string serializeProfileResult(
     const profiler::ProfileResult& result);
 

@@ -50,7 +50,7 @@ chaosEventKindName(ChaosEventKind kind)
 }
 
 double
-hedgeDelayForQuantile(const LatencyModel& latency, int maxBatch,
+hedgeDelayForQuantile(const BatchLatencySurface& surface, int maxBatch,
                       double quantile)
 {
     MMGEN_CHECK(maxBatch >= 1, "need max batch >= 1");
@@ -58,7 +58,16 @@ hedgeDelayForQuantile(const LatencyModel& latency, int maxBatch,
                 "hedge quantile out of (0, 1], got " << quantile);
     const int batch = std::clamp(
         static_cast<int>(std::ceil(quantile * maxBatch)), 1, maxBatch);
-    return latency.batchSeconds(batch);
+    return surface.batchSeconds(batch);
+}
+
+double
+hedgeDelayForQuantile(const LatencyModel& latency, int maxBatch,
+                      double quantile)
+{
+    return hedgeDelayForQuantile(
+        BatchLatencySurface::fromLatencyModel(latency, maxBatch), maxBatch,
+        quantile);
 }
 
 CheckpointPolicy

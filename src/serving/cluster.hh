@@ -123,10 +123,14 @@ struct HedgePolicy
 
 /**
  * Quantile-based hedge delay: the service time of the q-quantile
- * batch size in [1, maxBatch] under the given latency model — hedge
- * once the primary has run longer than the q-quantile batch would
- * normally take.
+ * batch size in [1, maxBatch] at unit request size on the surface the
+ * replicas price batches by — hedge once the primary has run longer
+ * than the q-quantile batch would normally take.
  */
+double hedgeDelayForQuantile(const BatchLatencySurface& surface,
+                             int maxBatch, double quantile);
+
+/** The same, priced by a linear model's exact surface. */
 double hedgeDelayForQuantile(const LatencyModel& latency, int maxBatch,
                              double quantile);
 

@@ -240,44 +240,31 @@ workloadMixNames()
             "production"};
 }
 
-PoissonArrivalStream::PoissonArrivalStream(std::uint64_t seed,
-                                           double rate)
-    : rng_(seed), rate_(rate)
-{
-    MMGEN_CHECK(std::isfinite(rate) && rate > 0.0,
-                "arrival rate must be positive and finite, got "
-                    << rate);
-}
-
-double
-PoissonArrivalStream::next()
-{
-    time_ += rng_.exponential(rate_);
-    return time_;
-}
-
 ArrivalGenerator::ArrivalGenerator(std::uint64_t seed, double rate)
-    : legacy_(true), legacyStream_(seed, rate)
+    : ArrivalGenerator(seed, rate, namedWorkloadMix("poisson"))
 {}
 
 ArrivalGenerator::ArrivalGenerator(std::uint64_t seed, double rate,
                                    const WorkloadConfig& mix)
-    : legacy_(mix.isPlainPoisson()), legacyStream_(seed, rate)
 {
     mix.validate();
     MMGEN_CHECK(std::isfinite(rate) && rate > 0.0,
                 "arrival rate must be positive and finite, got "
                     << rate);
-    if (legacy_)
-        return;
+    const bool plain = mix.isPlainPoisson();
     for (std::size_t i = 0; i < mix.classes.size(); ++i) {
         const ClientClass& k = mix.classes[i];
         ClassState cs;
+        cs.klass = k;
         // Two split streams per class: gaps and sizes. Stream ids are
         // a function of the class *index* so class i's arrival times
-        // do not change when another class is added to the mix.
-        cs.arrivalRng = Rng::stream(
-            seed, kWorkloadStreamBase + 2 * static_cast<std::uint64_t>(i));
+        // do not change when another class is added to the mix. A
+        // plain-Poisson class keeps the legacy unsplit stream (its
+        // unit size draws nothing).
+        cs.arrivalRng =
+            plain ? Rng(seed)
+                  : Rng::stream(seed, kWorkloadStreamBase +
+                                          2 * static_cast<std::uint64_t>(i));
         cs.sizeRng = Rng::stream(
             seed,
             kWorkloadStreamBase + 2 * static_cast<std::uint64_t>(i) + 1);
@@ -298,11 +285,6 @@ ArrivalGenerator::ArrivalGenerator(std::uint64_t seed, double rate,
         }
         classes_.push_back(std::move(cs));
     }
-    // mix.classes may outlive this object or not; copy the class
-    // descriptors we need instead of pointing into the caller's mix.
-    ownedClasses_ = mix.classes;
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        classes_[i].klass = &ownedClasses_[i];
     for (ClassState& cs : classes_)
         advance(cs);
 }
@@ -310,7 +292,7 @@ ArrivalGenerator::ArrivalGenerator(std::uint64_t seed, double rate,
 void
 ArrivalGenerator::advance(ClassState& cs)
 {
-    const RateProcess& rp = cs.klass->rate;
+    const RateProcess& rp = cs.klass.rate;
     switch (rp.kind) {
     case RateKind::Poisson:
         cs.nextTime += cs.arrivalRng.exponential(cs.meanRate);
@@ -358,8 +340,6 @@ ArrivalGenerator::advance(ClassState& cs)
 Arrival
 ArrivalGenerator::next()
 {
-    if (legacy_)
-        return Arrival{legacyStream_.next(), 0, 1.0, 0};
     std::size_t best = 0;
     for (std::size_t i = 1; i < classes_.size(); ++i) {
         if (classes_[i].nextTime < classes_[best].nextTime)
@@ -369,8 +349,8 @@ ArrivalGenerator::next()
     Arrival a;
     a.time = cs.nextTime;
     a.classIndex = static_cast<int>(best);
-    a.sizeScale = cs.klass->size.sample(cs.sizeRng);
-    a.priority = cs.klass->priority;
+    a.sizeScale = cs.klass.size.sample(cs.sizeRng);
+    a.priority = cs.klass.priority;
     advance(cs);
     return a;
 }

@@ -195,39 +195,21 @@ struct Arrival
 };
 
 /**
- * The deduplicated legacy interarrival sampler: successive
- * `rng.exponential(rate)` gaps on the *unsplit* `Rng(seed)` stream:
- * the legacy arrival sequence pre-workload serving reports depend on.
- */
-class PoissonArrivalStream
-{
-  public:
-    PoissonArrivalStream(std::uint64_t seed, double rate);
-
-    /** Absolute time of the next arrival. */
-    double next();
-
-  private:
-    Rng rng_;
-    double rate_;
-    double time_ = 0.0;
-};
-
-/**
  * Merges a mix's per-class arrival processes into one deterministic
- * time-ordered stream. Plain-Poisson construction (or a degenerate
- * mix) reproduces `PoissonArrivalStream` byte-for-byte; every other
- * class draws from its own split streams.
+ * time-ordered stream. The one class of a plain-Poisson mix draws its
+ * gaps from the unsplit `Rng(seed)`: successive `exponential(rate)`
+ * gaps, the legacy arrival sequence. Every other class draws from its
+ * own split streams.
  */
 class ArrivalGenerator
 {
   public:
-    /** Legacy plain Poisson at `rate` on the unsplit seed stream. */
+    /** Plain Poisson at `rate`: the "poisson" mix. */
     ArrivalGenerator(std::uint64_t seed, double rate);
 
     /**
      * Workload mix at total rate `rate` (validated; per-class rate is
-     * `rate * weight`). A degenerate mix takes the legacy path.
+     * `rate * weight`).
      */
     ArrivalGenerator(std::uint64_t seed, double rate,
                      const WorkloadConfig& mix);
@@ -247,15 +229,12 @@ class ArrivalGenerator
         double stateEnd = 0.0;
         double calmRate = 0.0;
         double burstRate = 0.0;
-        const ClientClass* klass = nullptr;
+        /** A copy of the class, so a copied generator owns its own. */
+        ClientClass klass;
     };
 
     void advance(ClassState& cs);
 
-    bool legacy_ = false;
-    PoissonArrivalStream legacyStream_;
-    /** Copied class descriptors (ClassState::klass points here). */
-    std::vector<ClientClass> ownedClasses_;
     std::vector<ClassState> classes_;
 };
 

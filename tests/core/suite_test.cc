@@ -68,22 +68,26 @@ TEST(Reports, TablesRenderWithExpectedRows)
 
 TEST(Reports, HotspotTableRanksByTime)
 {
-    profiler::ProfileOptions opts;
-    opts.keepPlan = true;
-    const profiler::ProfileResult res = profiler::Profiler(opts).profile(
-        models::buildModel(models::ModelId::StableDiffusion));
-    const TextTable table = hotspotTable(res, 5);
+    const profiler::Profiler prof;
+    const exec::TimelineScheduler scheduler(prof.options().gpu);
+    const exec::ExecutionPlan plan =
+        prof.lower(models::buildModel(models::ModelId::StableDiffusion));
+    const TextTable table = hotspotTable(plan, scheduler.schedule(plan), 5);
     EXPECT_EQ(table.rowCount(), 5u);
     // Rendered output carries scopes and shares.
     const std::string out = table.render();
     EXPECT_NE(out.find("%"), std::string::npos);
     EXPECT_NE(out.find("unet"), std::string::npos);
+    // The table reads only per-op seconds and the makespan, which a
+    // totals-only schedule keeps bit for bit.
+    EXPECT_EQ(hotspotTable(plan, scheduler.scheduleTotals(plan), 5).render(),
+              out);
 
-    // Without a kept plan the call is a user error.
-    const profiler::ProfileResult bare =
-        profiler::Profiler().profile(
-            models::buildModel(models::ModelId::Muse));
-    EXPECT_THROW(hotspotTable(bare), mmgen::FatalError);
+    // A timeline of another plan is a user error.
+    const exec::ExecutionPlan muse =
+        prof.lower(models::buildModel(models::ModelId::Muse));
+    EXPECT_THROW(hotspotTable(plan, scheduler.scheduleTotals(muse)),
+                 mmgen::FatalError);
 }
 
 TEST(Taxonomy, TercilesSpanLevels)

@@ -151,21 +151,19 @@ TEST(Profiler, BreakdownFractionsSumToOne)
     EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(Profiler, KeepsPlanOnlyWhenRequested)
+TEST(Profiler, LowerFoldsRepeatsAndScheduleSizesPerStoredRecord)
 {
-    EXPECT_EQ(Profiler().profile(toyDiffusion(2)).plan, nullptr);
-    ProfileOptions opts;
-    opts.keepPlan = true;
-    const ProfileResult res = Profiler(opts).profile(toyDiffusion(2));
-    ASSERT_NE(res.plan, nullptr);
-    const exec::ExecutionPlan& plan = *res.plan;
+    const Profiler prof;
+    const exec::ExecutionPlan plan = prof.lower(toyDiffusion(2));
     ASSERT_EQ(plan.ops.size(), 2u);
     EXPECT_EQ(plan.stageNames[plan.ops[0].stageIndex], "unet");
     EXPECT_EQ(plan.ops[0].repeat, 2);
     EXPECT_EQ(plan.ops[1].seqQ, 256);
     EXPECT_EQ(plan.ops[1].seqKv, 256);
-    EXPECT_EQ(res.timeline.opSeconds.size(), plan.ops.size());
-    EXPECT_EQ(res.timeline.nodeSeconds.size(), plan.nodes.size());
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(prof.options().gpu).schedule(plan);
+    EXPECT_EQ(timeline.opSeconds.size(), plan.ops.size());
+    EXPECT_EQ(timeline.nodeSeconds.size(), plan.nodes.size());
 }
 
 /**
@@ -266,12 +264,11 @@ expectSameAggregates(const ProfileResult& got, const ProfileResult& want,
     }
 }
 
-TEST(Profiler, AggregatesIndependentOfKeptPlanAndChecks)
+TEST(Profiler, AggregatesIndependentOfChecks)
 {
-    // Without keepPlan and runtime checks the profile schedules totals
-    // only; a kept plan or the checks schedule every event. Each must
-    // report the same bits as a per-kernel aggregation of the kept
-    // timeline.
+    // Without runtime checks the profile schedules totals only; the
+    // checks schedule every event. Both must report the same bits as a
+    // per-kernel aggregation of the full schedule.
     ProfileOptions overlapped;
     overlapped.lowering.splitWeightStreams = true;
     overlapped.schedule.streams = 2;
@@ -288,24 +285,18 @@ TEST(Profiler, AggregatesIndependentOfKeptPlanAndChecks)
             const bool saved = verify::setRuntimeChecks(false);
             const ProfileResult totals =
                 Profiler(opts).profileWithPlan(pipeline, plan);
-            opts.keepPlan = true;
-            const ProfileResult kept =
-                Profiler(opts).profileWithPlan(pipeline, plan);
-            opts.keepPlan = false;
             verify::setRuntimeChecks(true);
             const ProfileResult checked =
                 Profiler(opts).profileWithPlan(pipeline, plan);
             verify::setRuntimeChecks(saved);
 
-            ASSERT_EQ(kept.timeline.eventCount(),
-                      plan->executedNodeCount())
+            const exec::Timeline events =
+                exec::TimelineScheduler(opts.gpu, opts.schedule)
+                    .schedule(*plan);
+            ASSERT_EQ(events.eventCount(), plan->executedNodeCount())
                 << what;
-            EXPECT_EQ(totals.plan, nullptr) << what;
-            EXPECT_EQ(checked.plan, nullptr) << what;
-            const ProfileResult ref =
-                referenceAggregate(*plan, kept.timeline);
+            const ProfileResult ref = referenceAggregate(*plan, events);
             expectSameAggregates(totals, ref, what + " totals");
-            expectSameAggregates(kept, ref, what + " kept");
             expectSameAggregates(checked, ref, what + " checked");
         }
     }

@@ -148,20 +148,6 @@ TEST(ProfileCache, CachedProfileMatchesDirectProfile)
     EXPECT_EQ(cached->totalLaunches, direct.totalLaunches);
 }
 
-TEST(ProfileCache, KeepPlanBypassesGlobalCache)
-{
-    const graph::Pipeline p =
-        models::buildModel(models::ModelId::Muse);
-    profiler::ProfileOptions opts;
-    opts.keepPlan = true;
-    const ProfileCacheStats before =
-        ProfileCache::global().stats();
-    const auto res = cachedProfile(p, opts);
-    EXPECT_NE(res->plan, nullptr);
-    const ProfileCacheStats after = ProfileCache::global().stats();
-    EXPECT_EQ(after.lookups(), before.lookups());
-}
-
 TEST(ProfileKey, SensitiveToEveryProfileInput)
 {
     const graph::Pipeline p =

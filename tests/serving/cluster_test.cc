@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "exec/memory.hh"
 #include "models/stable_diffusion.hh"
 #include "serving/cluster.hh"
@@ -458,6 +460,25 @@ TEST(Cluster, HedgeDelayQuantileIsMonotone)
     EXPECT_DOUBLE_EQ(hi, m.batchSeconds(8));
     EXPECT_THROW(hedgeDelayForQuantile(m, 8, 0.0), FatalError);
     EXPECT_THROW(hedgeDelayForQuantile(m, 8, 1.5), FatalError);
+}
+
+TEST(Cluster, HedgeDelayOfLinearModelMatchesItsSurface)
+{
+    // The linear form prices through the model's exact surface, the
+    // one its replicas run on, so both forms agree bit for bit.
+    LatencyModel m;
+    m.baseSeconds = 3.1627;
+    m.overheadFraction = 0.137;
+    const BatchLatencySurface surface =
+        BatchLatencySurface::fromLatencyModel(m, 7);
+    for (const double q : {0.25, 0.5, 0.95, 1.0}) {
+        EXPECT_EQ(hedgeDelayForQuantile(m, 7, q),
+                  hedgeDelayForQuantile(surface, 7, q))
+            << q;
+        EXPECT_EQ(hedgeDelayForQuantile(surface, 7, q),
+                  m.batchSeconds(static_cast<int>(std::ceil(q * 7))))
+            << q;
+    }
 }
 
 TEST(Cluster, CheckpointAddsOverheadWhenFaultFree)

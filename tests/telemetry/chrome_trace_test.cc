@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/schedule.hh"
 #include "profiler/engine.hh"
 #include "telemetry/export.hh"
 #include "verify/structural.hh"
@@ -20,10 +21,26 @@ namespace mmgen::telemetry {
 namespace {
 
 using profiler::ProfileOptions;
-using profiler::ProfileResult;
 using profiler::Profiler;
 
-ProfileResult
+/** A lowered plan and its full schedule. */
+struct Scheduled
+{
+    exec::ExecutionPlan plan;
+    exec::Timeline timeline;
+};
+
+Scheduled
+scheduled(const graph::Pipeline& p,
+          const ProfileOptions& opts = ProfileOptions())
+{
+    Scheduled s{Profiler(opts).lower(p), {}};
+    s.timeline =
+        exec::TimelineScheduler(opts.gpu, opts.schedule).schedule(s.plan);
+    return s;
+}
+
+Scheduled
 smallProfile(std::int64_t iterations = 5)
 {
     graph::Pipeline p;
@@ -38,15 +55,13 @@ smallProfile(std::int64_t iterations = 5)
                     16);
     };
     p.stages.push_back(std::move(s));
-    // The fixture must lint clean, or runtime checks reject it.
+    // The fixture lints clean, as every profiled pipeline must.
     EXPECT_EQ(verify::verifyPipeline(p).errorCount(), 0);
-    ProfileOptions opts;
-    opts.keepPlan = true;
-    return Profiler(opts).profile(p);
+    return scheduled(p);
 }
 
-/** A profile whose plan streams weights onto the copy lane. */
-ProfileResult
+/** A schedule whose plan streams weights onto the copy lane. */
+Scheduled
 overlappedProfile()
 {
     graph::Pipeline p;
@@ -61,10 +76,9 @@ overlappedProfile()
     };
     p.stages.push_back(std::move(s));
     ProfileOptions opts;
-    opts.keepPlan = true;
     opts.lowering.splitWeightStreams = true;
     opts.schedule.streams = 2;
-    return Profiler(opts).profile(p);
+    return scheduled(p, opts);
 }
 
 std::size_t
@@ -78,12 +92,12 @@ countOccurrences(const std::string& s, const std::string& needle)
     return n;
 }
 
-/** The exec-only document of a kept-plan profile. */
+/** The exec-only document of a schedule. */
 std::string
-traceOf(const ProfileResult& res)
+traceOf(const Scheduled& s)
 {
     std::ostringstream oss;
-    writeChromeTrace(oss, TraceSink(), *res.plan, res.timeline);
+    writeChromeTrace(oss, TraceSink(), s.plan, s.timeline);
     return oss.str();
 }
 
@@ -177,9 +191,7 @@ TEST(ChromeTrace, LongScopeEventIsWrittenWhole)
         b.conv2d(TensorDesc({1, 8, 16, 16}, DType::F16), 8);
     };
     p.stages.push_back(std::move(s));
-    ProfileOptions opts;
-    opts.keepPlan = true;
-    const std::string json = traceOf(Profiler(opts).profile(p));
+    const std::string json = traceOf(scheduled(p));
 
     // Stage tracing prefixes the stage name to every op scope.
     EXPECT_NE(json.find("\"scope\":\"stage_a." + scope + "\",\"lane\":"),
@@ -199,9 +211,8 @@ TEST(ChromeTrace, RepeatInstancesCapped)
 
 TEST(ChromeTrace, OverlappedScheduleShowsBothStreamLanes)
 {
-    const ProfileResult res = overlappedProfile();
-    ASSERT_NE(res.plan, nullptr);
-    ASSERT_TRUE(res.plan->hasWeightStreams);
+    const Scheduled res = overlappedProfile();
+    ASSERT_TRUE(res.plan.hasWeightStreams);
     const std::string json = traceOf(res);
 
     EXPECT_NE(json.find("\"name\":\"stream 0 (compute)\""),

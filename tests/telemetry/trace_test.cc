@@ -127,15 +127,24 @@ TEST(ChromeExport, EscapesEventNamesAndArgs)
     EXPECT_NE(out.str().find("v\\\\w"), std::string::npos);
 }
 
-/** Shared fixture: one profile with its plan kept. */
-const profiler::ProfileResult&
+/** A lowered plan and its full schedule. */
+struct Scheduled
+{
+    exec::ExecutionPlan plan;
+    exec::Timeline timeline;
+};
+
+/** Shared fixture: Stable Diffusion's plan and schedule. */
+const Scheduled&
 profiledStableDiffusion()
 {
-    static const profiler::ProfileResult res = [] {
-        profiler::ProfileOptions opts;
-        opts.keepPlan = true;
-        return profiler::Profiler(opts).profile(
-            models::buildStableDiffusion());
+    static const Scheduled res = [] {
+        const profiler::ProfileOptions opts;
+        Scheduled s{profiler::Profiler(opts).lower(
+                        models::buildStableDiffusion()),
+                    {}};
+        s.timeline = exec::TimelineScheduler(opts.gpu).schedule(s.plan);
+        return s;
     }();
     return res;
 }
@@ -157,12 +166,11 @@ servingSink()
 
 /** The document of `sink`, followed by `res`'s timeline if given. */
 std::string
-document(const TraceSink& sink,
-         const profiler::ProfileResult* res = nullptr)
+document(const TraceSink& sink, const Scheduled* res = nullptr)
 {
     std::ostringstream out;
     if (res != nullptr)
-        writeChromeTrace(out, sink, *res->plan, res->timeline);
+        writeChromeTrace(out, sink, res->plan, res->timeline);
     else
         writeChromeTrace(out, sink);
     return out.str();
@@ -219,7 +227,7 @@ isSpan(const std::string& line)
 
 TEST(ChromeExport, CombinedDocument)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const Scheduled& res = profiledStableDiffusion();
     const TraceSink sink = servingSink();
     ASSERT_FALSE(sink.empty());
     const std::string sink_only = document(sink);
@@ -259,13 +267,13 @@ TEST(ChromeExport, CombinedDocument)
 
 TEST(ChromeExport, ExecLanesCarryProvenance)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const Scheduled& res = profiledStableDiffusion();
     const TraceSink sink = servingSink();
     const std::vector<std::string> lines =
         eventLines(document(sink, &res));
     const std::size_t first_exec = eventLines(document(sink)).size();
     ASSERT_LT(first_exec, lines.size());
-    const std::vector<std::string>& stages = res.plan->stageNames;
+    const std::vector<std::string>& stages = res.plan.stageNames;
     for (std::size_t i = first_exec; i < lines.size(); ++i) {
         const std::string& line = lines[i];
         // Stages are processes, streams are threads.
@@ -295,7 +303,7 @@ TEST(ChromeExport, ExecLanesCarryProvenance)
 
 TEST(ChromeExport, FoldedRepeatsAreElidedWithAnnotation)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const Scheduled& res = profiledStableDiffusion();
     // Diffusion denoising repeats far more than three times, so at
     // least one span must be flagged as a truncated expansion.
     EXPECT_NE(document(servingSink(), &res).find(", showing 3]\""),
@@ -304,7 +312,7 @@ TEST(ChromeExport, FoldedRepeatsAreElidedWithAnnotation)
 
 TEST(ChromeExport, ExecLanesSortBelowSinkProcesses)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const Scheduled& res = profiledStableDiffusion();
     TraceSink sink;
     sink.track("serving", "lifecycle");
     sink.track("serving", "gpu 0");
@@ -315,14 +323,14 @@ TEST(ChromeExport, ExecLanesSortBelowSinkProcesses)
         if (line.find("\"process_name\"") != std::string::npos)
             process_pids.push_back(pidOf(line));
     std::vector<int> expected = {3, 1}; // chaos, serving by name
-    for (std::size_t si = 0; si < res.plan->stageNames.size(); ++si)
+    for (std::size_t si = 0; si < res.plan.stageNames.size(); ++si)
         expected.push_back(4 + static_cast<int>(si));
     EXPECT_EQ(process_pids, expected);
 }
 
 TEST(ChromeExport, CombinedExportIsDeterministic)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const Scheduled& res = profiledStableDiffusion();
     const std::string a = document(servingSink(), &res);
     EXPECT_EQ(a, document(servingSink(), &res));
     EXPECT_FALSE(a.empty());

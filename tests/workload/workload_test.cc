@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "util/logging.hh"
@@ -137,16 +138,20 @@ TEST(WorkloadConfig, PlainPoissonDetection)
     EXPECT_FALSE(namedWorkloadMix("production").isPlainPoisson());
 }
 
-TEST(PoissonArrivalStream, MatchesInlineGapSampler)
+TEST(ArrivalGenerator, MatchesInlineGapSampler)
 {
-    // The dedup contract: successive exponential gaps on the unsplit
+    // Plain Poisson: successive exponential gaps on the unsplit
     // Rng(seed) stream, exactly what the simulators used to inline.
-    PoissonArrivalStream stream(7, 2.0);
+    ArrivalGenerator gen(7, 2.0);
     Rng rng(7);
     double t = 0.0;
     for (int i = 0; i < 1000; ++i) {
         t += rng.exponential(2.0);
-        EXPECT_EQ(stream.next(), t); // bit-identical, not just close
+        const Arrival a = gen.next();
+        EXPECT_EQ(a.time, t); // bit-identical, not just close
+        EXPECT_EQ(a.classIndex, 0);
+        EXPECT_EQ(a.sizeScale, 1.0);
+        EXPECT_EQ(a.priority, 0);
     }
 }
 
@@ -161,6 +166,25 @@ TEST(ArrivalGenerator, DegenerateMixIsByteIdenticalToLegacy)
         EXPECT_EQ(a.sizeScale, 1.0);
         EXPECT_EQ(b.sizeScale, 1.0);
         EXPECT_EQ(b.priority, 0);
+    }
+}
+
+TEST(ArrivalGenerator, CopyOwnsItsClasses)
+{
+    // A copy keeps drawing the same trace after its source is gone: it
+    // reads no class descriptor of the source (the sanitize build
+    // checks every read).
+    std::optional<ArrivalGenerator> source(
+        std::in_place, 11, 6.0, namedWorkloadMix("production"));
+    ArrivalGenerator copy = *source;
+    ArrivalGenerator reference(11, 6.0, namedWorkloadMix("production"));
+    source.reset();
+    for (int i = 0; i < 500; ++i) {
+        const Arrival a = copy.next();
+        const Arrival b = reference.next();
+        EXPECT_EQ(a.time, b.time);
+        EXPECT_EQ(a.sizeScale, b.sizeScale);
+        EXPECT_EQ(a.priority, b.priority);
     }
 }
 

@@ -33,16 +33,24 @@ WALL_SECONDS = 10.0
 AS_LIMIT_BYTES = 2 << 30
 WORKERS = 3
 
-# Each command's cheapest run, cheapest command first. Two replicas and a
-# degrade threshold on Stable Diffusion reach the probe, hedge and
-# degraded-pipeline paths of `serve`.
+# Each command's cheapest run, cheapest command first. A flag whose
+# controlling knob is off is an error before its value reaches the
+# library's checks, so each base run turns every such knob on: graph
+# launch for the replay fraction, and for `serve` two replicas, every
+# fault process, stragglers, checkpoints, breakers and a degrade
+# threshold on Stable Diffusion, which also reach the probe, hedge and
+# degraded-pipeline paths.
 BASE_RUNS = [
     ("list", ["list"]),
-    ("profile", ["profile", "Muse"]),
+    ("profile", ["profile", "Muse", "--graph-launch"]),
     ("analyze", ["analyze", "--model", "Muse", "--memory"]),
     ("hotspots", ["hotspots", "Muse"]),
     ("serve", ["serve", "StableDiffusion", "--rate", "2", "--horizon", "60",
-               "--replicas", "2", "--degrade-threshold", "1"]),
+               "--replicas", "2", "--degrade-threshold", "1",
+               "--mtbf", "1e6", "--preempt-mtbf", "1e6",
+               "--domain-mtbf", "1e6", "--straggler-frac", "0.25",
+               "--straggler-slowdown", "2", "--ckpt-interval", "10",
+               "--breaker-threshold", "3", "--graph-launch"]),
     ("lint", ["lint", "--model", "Muse"]),
     ("suite", ["suite"]),
     ("taxonomy", ["taxonomy"]),

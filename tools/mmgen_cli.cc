@@ -14,6 +14,7 @@
 #include <cmath>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <iostream>
 #include <limits>
@@ -66,6 +67,8 @@ struct Options
     /** GPU, backend, lowering and scheduler flags. */
     profiler::ProfileOptions profile;
     std::vector<std::string> positional;
+    /** The models named, or the whole zoo under --all. */
+    std::vector<models::ModelId> models;
 
     // lint subcommand knobs
     bool lintAll = false;
@@ -127,11 +130,14 @@ constexpr unsigned kList = 1, kProfile = 2, kHotspots = 4, kSuite = 8,
                    kTaxonomy = 16, kServe = 32, kStats = 64, kLint = 128,
                    kAnalyze = 256, kEveryCommand = 511;
 
-/** A subcommand: its name, its arguments in usage, and what it runs. */
+/** A subcommand's arguments: none, one model, or one model or --all. */
+enum class Args { None, Model, ModelOrAll };
+
+/** A subcommand: its name, its arguments, and what it runs. */
 struct Command
 {
     const char* name;
-    const char* args;
+    Args args;
     unsigned bit;
     int (*run)(const Options&);
     const char* help;
@@ -174,6 +180,13 @@ using Target =
                  Choice<hw::GpuSpec>, Choice<graph::AttentionBackend>,
                  Choice<serving::RouterPolicy>>;
 
+/** The knob a flag has no effect without, and whether it is on. */
+struct Needs
+{
+    const char* knob = nullptr;
+    std::function<bool()> on;
+};
+
 /** One row of the flag table. */
 struct Flag
 {
@@ -186,20 +199,19 @@ struct Flag
     /** Its one-line usage text. */
     const char* help;
     Range range = {};
+    Needs needs = {};
 };
 
 // The flags that messages outside their own row name.
 constexpr const char* kAllFlag = "--all";
 constexpr const char* kModelFlag = "--model";
 constexpr const char* kMemoryFlag = "--memory";
-constexpr const char* kReplicasFlag = "--replicas";
-constexpr const char* kGraphLaunchFlag = "--graph-launch";
-constexpr const char* kReplayFracFlag = "--graph-replay-frac";
 
 /**
  * Every flag, with its value written into `o`. Rows come grouped by
  * the commands that read them; usage prints one heading per group. A
- * row holds a range only where no library `validate()` checks one.
+ * row holds a range only where no library `validate()` checks one, and
+ * names the knob it needs where the flag does nothing without it.
  */
 std::vector<Flag>
 flagTable(Options& o)
@@ -216,6 +228,28 @@ flagTable(Options& o)
     using graph::AttentionBackend;
     using hw::GpuSpec;
     using serving::RouterPolicy;
+    // The knobs the rows below need, each on once its value in `o`
+    // passes `low`. A one-replica pool without breakers runs no probes.
+    auto above = [](const auto& value, auto low) -> std::function<bool()> {
+        return [at = &value, low] { return *at > low; };
+    };
+    const Needs graphLaunch{"--graph-launch", above(sched.graphLaunch, false)};
+    const Needs twoReplicas{"--replicas >= 2", above(o.replicas, 1)};
+    const Needs mtbf{"--mtbf", above(faults.failureMtbfSeconds, 0.0)};
+    const Needs preemptMtbf{"--preempt-mtbf",
+                            above(faults.preemptionMtbfSeconds, 0.0)};
+    const Needs domainMtbf{"--domain-mtbf",
+                           above(faults.domainMtbfSeconds, 0.0)};
+    const Needs stragglers{"--straggler-frac",
+                           above(faults.stragglerFraction, 0.0)};
+    const Needs slowdown{"--straggler-slowdown > 1",
+                         above(faults.stragglerSlowdown, 1.0)};
+    const Needs ckpts{"--ckpt-interval", above(o.ckptInterval, 0)};
+    const Needs degrade{"--degrade-threshold", above(o.degradeThreshold, 0)};
+    const Needs breaker{"--breaker-threshold",
+                        above(o.breaker.failureThreshold, 0)};
+    const Needs probes{"--replicas >= 2 or --breaker-threshold",
+                       [=] { return twoReplicas.on() || breaker.on(); }};
     return {
         {"--gpu", "", kEveryCommand,
          Choice<GpuSpec>{&o.profile.gpu, {{"a100", GpuSpec::a100_80gb()},
@@ -239,10 +273,11 @@ flagTable(Options& o)
          "hardware streams (2 overlaps weight copies)"},
         {"--launch-depth", "N", kProfiles, &sched.launchQueueDepth,
          "host launch-queue depth (0 = synchronous)"},
-        {kGraphLaunchFlag, "", kProfiles, &sched.graphLaunch,
+        {"--graph-launch", "", kProfiles, &sched.graphLaunch,
          "amortize repeated launches as a CUDA graph"},
-        {kReplayFracFlag, "F", kProfiles, &sched.graphReplayOverheadFraction,
-         "launch overhead each graph replay still pays"},
+        {"--graph-replay-frac", "F", kProfiles,
+         &sched.graphReplayOverheadFraction,
+         "launch overhead each graph replay still pays", {}, graphLaunch},
         {"--stream-weights", "", kProfiles,
          &o.profile.lowering.splitWeightStreams,
          "move memory-bound weight reads to a stream"},
@@ -259,7 +294,7 @@ flagTable(Options& o)
         {"--horizon", "S", kServe, &o.serving.horizonSeconds,
          "simulated seconds (default 600)"},
         {"--seed", "S", kServe, &o.serving.seed, "arrival seed (default 7)"},
-        {kReplicasFlag, "N", kServe, &o.replicas,
+        {"--replicas", "N", kServe, &o.replicas,
          "replica pools behind the router (default 1)", kAtLeastOne},
         {"--gpus", "N", kServe, &o.serving.numGpus,
          "GPUs per replica (default 1)"},
@@ -272,15 +307,15 @@ flagTable(Options& o)
         {"--mtbf", "S", kServe, &faults.failureMtbfSeconds,
          "per-GPU mean time between failures"},
         {"--mttr", "S", kServe, &faults.failureMttrSeconds,
-         "mean time to repair (default 300)"},
+         "mean time to repair (default 300)", {}, mtbf},
         {"--preempt-mtbf", "S", kServe, &faults.preemptionMtbfSeconds,
          "per-GPU mean time between preemptions"},
         {"--preempt-mean", "S", kServe, &faults.preemptionMeanSeconds,
-         "mean preemption length (default 30)"},
+         "mean preemption length (default 30)", {}, preemptMtbf},
         {"--straggler-frac", "F", kServe, &faults.stragglerFraction,
-         "fraction of GPUs that straggle"},
+         "fraction of GPUs that straggle", {}, slowdown},
         {"--straggler-slowdown", "X", kServe, &faults.stragglerSlowdown,
-         "service-time multiplier of a straggler"},
+         "service-time multiplier of a straggler", {}, stragglers},
         {"--deadline", "S", kServe, &res.deadline.deadlineSeconds,
          "request SLO from arrival (0 = none)"},
         {"--timeout", "S", kServe, &res.deadline.batchTimeoutSeconds,
@@ -292,7 +327,8 @@ flagTable(Options& o)
         {"--degrade-threshold", "N", kServe, &o.degradeThreshold,
          "queue depth to degrade at (0 = never)", kZeroIsOff},
         {"--degrade-steps", "F", kServe, &o.degradeStepsKept,
-         "denoise steps kept degraded (default 0.5)", {0.0, true, 1.0}},
+         "denoise steps kept degraded (default 0.5)", {0.0, true, 1.0},
+         degrade},
         {"--router", "", kServe,
          Choice<RouterPolicy>{
              &o.router, {{"round-robin", RouterPolicy::RoundRobin},
@@ -302,25 +338,25 @@ flagTable(Options& o)
         {"--chaos", "NAME", kServe, &o.chaosName,
          "kill-replica, rolling-kill, straggle-gpu, ..."},
         {"--hedge-delay", "S", kServe, &o.hedgeDelay,
-         "hedge after S seconds (0 = off)", kZeroIsOff},
+         "hedge after S seconds (0 = off)", kZeroIsOff, twoReplicas},
         {"--hedge-quantile", "Q", kServe, &o.hedgeQuantile,
-         "hedge after the Q-quantile batch service", kZeroIsOff},
+         "hedge after the Q-quantile batch service", kZeroIsOff, twoReplicas},
         {"--breaker-threshold", "N", kServe, &o.breaker.failureThreshold,
          "failures to open a breaker (0 = never)"},
         {"--breaker-open", "S", kServe, &o.breaker.openSeconds,
-         "open duration before a probe"},
+         "open duration before a probe", {}, breaker},
         {"--ckpt-interval", "N", kServe, &o.ckptInterval,
          "checkpoint every N iterations (0 = never)", kZeroIsOff},
         {"--ckpt-cost", "S", kServe, &o.ckptCost,
-         "GPU-seconds per checkpoint"},
+         "GPU-seconds per checkpoint", {}, ckpts},
         {"--probe-interval", "S", kServe, &o.probe.intervalSeconds,
-         "health-probe period (default 5)"},
+         "health-probe period (default 5)", {}, probes},
         {"--domain-size", "N", kServe, &o.domainSize,
-         "replicas per failure domain (default 1)", kAtLeastOne},
+         "replicas per failure domain (default 1)", kAtLeastOne, twoReplicas},
         {"--domain-mtbf", "S", kServe, &faults.domainMtbfSeconds,
          "mean time between failure-domain outages"},
         {"--domain-mttr", "S", kServe, &faults.domainMttrSeconds,
-         "mean domain recovery time (default 120)"},
+         "mean domain recovery time (default 120)", {}, domainMtbf},
         {"--sample-interval", "S", kServe, &o.sampleInterval,
          "sample serving state into time series", {0.0, true}},
         {kAllFlag, "", kLint | kAnalyze, &o.lintAll,
@@ -397,8 +433,9 @@ parseNumber(const Flag& flag, const std::string& value)
 
 /**
  * Read the words after `cmd` against the flag rows. An unknown flag, a
- * flag `cmd` does not read, a missing or empty value and a value of the
- * wrong kind or out of range are errors; a word that is no flag is a
+ * flag `cmd` does not read, a missing or empty value, a value of the
+ * wrong kind or out of range, a flag whose knob is off and arguments
+ * `cmd` does not take are errors; a word that is no flag is a
  * positional argument.
  */
 Options
@@ -406,6 +443,7 @@ parseOptions(const Command& cmd, int argc, char** argv)
 {
     Options opts;
     const std::vector<Flag> flags = flagTable(opts);
+    std::vector<const Flag*> given;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.empty() || arg[0] != '-') {
@@ -418,6 +456,7 @@ parseOptions(const Command& cmd, int argc, char** argv)
         MMGEN_CHECK(flag != flags.end(), "unknown option " << arg);
         MMGEN_CHECK((flag->commands & cmd.bit) != 0,
                     cmd.name << " does not take " << arg);
+        given.push_back(&*flag);
         const bool isSwitch = std::holds_alternative<bool*>(flag->target);
         MMGEN_CHECK(isSwitch || i + 1 < argc, arg << " needs a value");
         const std::string value = isSwitch ? "" : argv[++i];
@@ -450,29 +489,42 @@ parseOptions(const Command& cmd, int argc, char** argv)
             },
             flag->target);
     }
-    MMGEN_CHECK(opts.profile.schedule.graphLaunch ||
-                    opts.profile.schedule.graphReplayOverheadFraction == 0.0,
-                kReplayFracFlag << " needs " << kGraphLaunchFlag
-                                << ": only a captured graph's replays pay "
-                                   "that overhead");
-    MMGEN_CHECK(opts.replicas >= 2 ||
-                    (opts.hedgeDelay == 0.0 && opts.hedgeQuantile == 0.0),
-                "hedging needs " << kReplicasFlag
-                                 << " >= 2: a hedge runs on another "
-                                    "replica than its primary");
+    for (const Flag* f : given)
+        MMGEN_CHECK(!f->needs.on || f->needs.on(),
+                    f->name << " has no effect without " << f->needs.knob);
+
+    // `lint --rules` prints the rule table and reads no model.
+    const Args args = opts.lintRules ? Args::None : cmd.args;
+    const std::string command =
+        std::string(cmd.name) + (opts.lintRules ? " --rules" : "");
+    const std::vector<std::string>& names = opts.positional;
+    MMGEN_CHECK(args != Args::None || names.empty(),
+                command << " takes no model, got '" << names.front() << "'");
+    MMGEN_CHECK(args == Args::ModelOrAll || !opts.lintAll,
+                command << " takes no " << kAllFlag);
+    MMGEN_CHECK(args != Args::Model || names.size() == 1,
+                command << " needs exactly one model name");
+    MMGEN_CHECK(args != Args::ModelOrAll ||
+                    names.size() == (opts.lintAll ? 0u : 1u),
+                command << " needs either " << kModelFlag << " <name> or "
+                        << kAllFlag);
+    for (const std::string& name : names)
+        opts.models.push_back(parseModel(name));
+    if (opts.lintAll)
+        opts.models = models::allModels();
     return opts;
 }
 
 /**
  * Write the requested metric / trace artifacts, logging each path.
- * With a kept-plan profile, the trace streams its exec timeline after
- * the sink's spans.
+ * Given a pipeline, the trace streams the schedule of its cached plan
+ * under the profile flags after the sink's spans.
  */
 void
 writeTelemetryOutputs(const Options& opts,
                       const telemetry::MetricsRegistry& registry,
                       const telemetry::TraceSink& sink,
-                      const profiler::ProfileResult* exec = nullptr)
+                      const graph::Pipeline* pipeline = nullptr)
 {
     auto open = [](const std::string& path) {
         std::ofstream out(path);
@@ -491,32 +543,21 @@ writeTelemetryOutputs(const Options& opts,
         std::cout << "wrote Prometheus metrics to " << opts.promOut
                   << "\n";
     }
-    if (!opts.traceOut.empty()) {
-        std::ofstream out = open(opts.traceOut);
-        const std::size_t events =
-            exec != nullptr
-                ? telemetry::writeChromeTrace(out, sink, *exec->plan,
-                                              exec->timeline)
-                : telemetry::writeChromeTrace(out, sink);
-        std::cout << "wrote " << events << " trace events to "
-                  << opts.traceOut << "\n";
+    if (opts.traceOut.empty())
+        return;
+    std::ofstream out = open(opts.traceOut);
+    std::size_t events = 0;
+    if (pipeline != nullptr) {
+        const auto plan = runtime::cachedPlan(*pipeline, opts.profile);
+        const exec::Timeline timeline =
+            exec::TimelineScheduler(opts.profile.gpu, opts.profile.schedule)
+                .schedule(*plan);
+        events = telemetry::writeChromeTrace(out, sink, *plan, timeline);
+    } else {
+        events = telemetry::writeChromeTrace(out, sink);
     }
-}
-
-/** The models `lint` and `analyze` run on: the whole zoo or the one named. */
-std::vector<models::ModelId>
-targetModels(const Options& opts, const char* cmd)
-{
-    if (!opts.lintAll) {
-        MMGEN_CHECK(opts.positional.size() == 1,
-                    cmd << " needs " << kModelFlag << " <name> or "
-                        << kAllFlag);
-        return {parseModel(opts.positional[0])};
-    }
-    MMGEN_CHECK(opts.positional.empty(),
-                kAllFlag << " and " << kModelFlag
-                         << " are mutually exclusive");
-    return models::allModels();
+    std::cout << "wrote " << events << " trace events to " << opts.traceOut
+              << "\n";
 }
 
 int
@@ -544,14 +585,9 @@ cmdList(const Options&)
 int
 cmdProfile(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 1,
-                "profile needs exactly one model name");
-    const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts = opts.profile;
-    // The trace streams the retained plan + timeline.
-    popts.keepPlan = !opts.traceOut.empty();
+    const graph::Pipeline pipeline = models::buildModel(opts.models.front());
     const profiler::ProfileResult res =
-        *runtime::cachedProfile(models::buildModel(id), popts);
+        *runtime::cachedProfile(pipeline, opts.profile);
     std::cout << "GPU: " << opts.profile.gpu.name << "\n\n";
     std::cout << core::profileSummary(res);
     if (opts.wantsTelemetry()) {
@@ -574,8 +610,7 @@ cmdProfile(const Options& opts)
             .counter("profile.kernel_launches", labels)
             .add(res.totalLaunches);
         runtime::publishRuntimeMetrics(registry);
-        writeTelemetryOutputs(opts, registry, sink,
-                              res.plan != nullptr ? &res : nullptr);
+        writeTelemetryOutputs(opts, registry, sink, &pipeline);
     }
     return 0;
 }
@@ -583,17 +618,19 @@ cmdProfile(const Options& opts)
 int
 cmdHotspots(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 1,
-                "hotspots needs exactly one model name");
-    const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts = opts.profile;
-    popts.keepPlan = true;
+    const graph::Pipeline pipeline = models::buildModel(opts.models.front());
+    // The profile runs the runtime checks on the schedule the table
+    // reads; both use the one cached plan.
+    const auto plan = runtime::cachedPlan(pipeline, opts.profile);
     const profiler::ProfileResult res =
-        profiler::Profiler(popts).profile(models::buildModel(id));
+        profiler::Profiler(opts.profile).profileWithPlan(pipeline, plan);
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(opts.profile.gpu, opts.profile.schedule)
+            .scheduleTotals(*plan);
     std::cout << res.model << " on " << opts.profile.gpu.name << " ["
               << graph::attentionBackendName(opts.profile.backend)
               << "], total " << formatTime(res.totalSeconds) << "\n\n";
-    std::cout << core::hotspotTable(res, 15).render();
+    std::cout << core::hotspotTable(*plan, timeline, 15).render();
     return 0;
 }
 
@@ -654,9 +691,7 @@ serveSurface(const graph::Pipeline& pipeline, const Options& opts,
 int
 cmdServe(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 1,
-                "serve needs exactly one model name");
-    const models::ModelId id = parseModel(opts.positional[0]);
+    const models::ModelId id = opts.models.front();
     const graph::Pipeline pipeline = models::buildModel(id);
     const serving::LatencyModel latency =
         serving::profileLatencyModel(pipeline, opts.profile.gpu);
@@ -691,9 +726,12 @@ cmdServe(const Options& opts)
     // Reject bad knobs before pricing: the surface grid is sized by
     // the batch ceiling.
     scfg.validate();
-    serving::BatchLatencySurface surface;
-    if (opts.continuous || opts.useSurface)
-        surface = serveSurface(pipeline, opts, scfg);
+    // One pricing surface for every replica and for the hedge delay.
+    const serving::BatchLatencySurface pricing =
+        opts.continuous || opts.useSurface
+            ? serveSurface(pipeline, opts, scfg)
+            : serving::BatchLatencySurface::fromLatencyModel(latency,
+                                                             scfg.maxBatch);
 
     serving::ClusterConfig cc = serving::singlePoolCluster(scfg, latency);
     cc.resilience = res;
@@ -703,12 +741,12 @@ cmdServe(const Options& opts)
     cc.replicas.clear();
     for (int r = 0; r < opts.replicas; ++r)
         cc.replicas.push_back(serving::ReplicaSpec{
-            latency, scfg.numGpus, r / opts.domainSize, surface});
+            latency, scfg.numGpus, r / opts.domainSize, pricing});
     if (opts.hedgeDelay > 0.0)
         cc.hedge.delaySeconds = opts.hedgeDelay;
     else if (opts.hedgeQuantile > 0.0)
         cc.hedge.delaySeconds = serving::hedgeDelayForQuantile(
-            latency, cc.maxBatch, opts.hedgeQuantile);
+            pricing, cc.maxBatch, opts.hedgeQuantile);
     if (opts.ckptInterval > 0)
         cc.checkpoint = serving::checkpointFromPipeline(
             pipeline, opts.ckptInterval, opts.ckptCost);
@@ -809,15 +847,12 @@ cmdServe(const Options& opts)
     if (!opts.wantsTelemetry())
         return 0;
     // The trace output streams the pipeline's exec timeline below the
-    // serving spans. The kept-plan profile goes through the plan
-    // cache, so it reuses the plan `profileLatencyModel` lowered.
-    std::shared_ptr<const profiler::ProfileResult> exec;
-    if (!opts.traceOut.empty()) {
-        profiler::ProfileOptions popts = opts.profile;
-        popts.keepPlan = true;
-        exec = runtime::cachedProfile(pipeline, popts);
-    }
-    writeTelemetryOutputs(opts, registry, sink, exec.get());
+    // serving spans. Profiling under the profile flags first runs the
+    // runtime checks on that schedule; both go through the plan cache,
+    // so they reuse the plan `profileLatencyModel` lowered.
+    if (!opts.traceOut.empty())
+        runtime::cachedProfile(pipeline, opts.profile);
+    writeTelemetryOutputs(opts, registry, sink, &pipeline);
     if (opts.sampleInterval <= 0.0)
         return 0;
     const verify::DiagnosticReport check =
@@ -831,8 +866,6 @@ cmdServe(const Options& opts)
 int
 cmdStats(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.empty(),
-                "stats takes no positional arguments");
     // Exercise the parallel harness + memo cache with a real
     // workload: the full both-backend suite, run twice so repeated
     // profiles show up as cache hits.
@@ -857,14 +890,12 @@ cmdAnalyze(const Options& opts)
     MMGEN_CHECK(opts.memoryAnalysis,
                 "analyze needs " << kMemoryFlag
                                  << " (the only analysis so far)");
-    const std::vector<models::ModelId> targets =
-        targetModels(opts, "analyze");
 
     bool all_feasible = true;
     json::Writer w(std::cout);
     if (opts.lintJson)
         w.beginArray();
-    for (models::ModelId id : targets) {
+    for (models::ModelId id : opts.models) {
         const graph::Pipeline pipeline = models::buildModel(id);
         const exec::FeasibilityReport rep =
             exec::analyzeFeasibility(pipeline, opts.profile.gpu,
@@ -953,15 +984,14 @@ cmdLint(const Options& opts)
     lopts.memory = !opts.skipMemory;
     lopts.suppressRules = opts.suppressRules;
 
-    const std::vector<models::ModelId> targets = targetModels(opts, "lint");
     if (!opts.lintJson) {
-        for (models::ModelId id : targets)
+        for (models::ModelId id : opts.models)
             std::cout << "linting " << models::modelName(id) << "...\n";
     }
     // The zoo lints its models in parallel, one per job.
     const verify::DiagnosticReport report =
         opts.lintAll ? core::lintAll(lopts)
-                     : core::lintModel(targets.front(), lopts);
+                     : core::lintModel(opts.models.front(), lopts);
     if (opts.lintJson)
         std::cout << report.toJson() << "\n";
     else
@@ -970,15 +1000,17 @@ cmdLint(const Options& opts)
 }
 
 const Command kCommands[] = {
-    {"list", "", kList, cmdList, "models and GPU presets"},
-    {"profile", " <model>", kProfile, cmdProfile, "one-model breakdown"},
-    {"hotspots", " <model>", kHotspots, cmdHotspots, "top operator sites"},
-    {"suite", "", kSuite, cmdSuite, "both-backend suite run"},
-    {"taxonomy", "", kTaxonomy, cmdTaxonomy, "Table I labels"},
-    {"serve", " <model>", kServe, cmdServe, "fault-tolerant serving sim"},
-    {"stats", "", kStats, cmdStats, "runtime cache / thread-pool counters"},
-    {"lint", " [<model>]", kLint, cmdLint, "graph & physics verifier"},
-    {"analyze", " [<model>]", kAnalyze, cmdAnalyze, "memory-liveness bound"},
+    {"list", Args::None, kList, cmdList, "models and GPU presets"},
+    {"profile", Args::Model, kProfile, cmdProfile, "one-model breakdown"},
+    {"hotspots", Args::Model, kHotspots, cmdHotspots, "top operator sites"},
+    {"suite", Args::None, kSuite, cmdSuite, "both-backend suite run"},
+    {"taxonomy", Args::None, kTaxonomy, cmdTaxonomy, "Table I labels"},
+    {"serve", Args::Model, kServe, cmdServe, "fault-tolerant serving sim"},
+    {"stats", Args::None, kStats, cmdStats,
+     "runtime cache / thread-pool counters"},
+    {"lint", Args::ModelOrAll, kLint, cmdLint, "graph & physics verifier"},
+    {"analyze", Args::ModelOrAll, kAnalyze, cmdAnalyze,
+     "memory-liveness bound"},
 };
 
 /** Every command, then every flag under the commands that read it. */
@@ -991,8 +1023,10 @@ usage()
                   << help << "\n";
     };
     std::cerr << "usage: mmgen <command> [options]\ncommands:\n";
+    constexpr const char* kArgs[] = {"", " <model>", " [<model>]"};
     for (const Command& c : kCommands)
-        line("  " + std::string(c.name) + c.args, c.help);
+        line("  " + std::string(c.name) + kArgs[static_cast<int>(c.args)],
+             c.help);
     Options scratch;
     unsigned group = 0;
     for (const Flag& f : flagTable(scratch)) {
